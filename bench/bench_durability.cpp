@@ -1,4 +1,4 @@
-// E11 — durable data plane: WAL overhead and recovery time vs state size.
+// E14 — durable data plane: WAL overhead and recovery time vs state size.
 //
 // Phase A (overhead): the identical agreed-put workload runs over a
 // 4-node / 2-shard cluster — once with the per-shard WAL journalling every
@@ -290,7 +290,7 @@ std::string flag_string(int argc, char** argv, const char* name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_banner("Raincore bench E11: durable data plane",
+  print_banner("Raincore bench E14: durable data plane",
                "per-shard WAL overhead + recovery vs state size (§5g)");
 
   const std::size_t msgs = flag_value(argc, argv, "msgs", 2000);

@@ -1,4 +1,4 @@
-// E12 — elastic resharding: resize 4 -> 8 shards under sustained load.
+// E16 — elastic resharding: resize 4 -> 8 shards under sustained load.
 //
 // The harness is the durability-chaos cluster (per-shard WAL + snapshot
 // stores, one-outstanding-op-per-slot clients whose acks require both the
@@ -59,7 +59,7 @@ double percentile(std::vector<double> v, double p) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_banner("Raincore bench E12: elastic resharding under load",
+  print_banner("Raincore bench E16: elastic resharding under load",
                "live 4 -> 8 shard resize, zero failed ops, bounded p99 blip");
 
   namespace fs = std::filesystem;

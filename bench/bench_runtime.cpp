@@ -1,4 +1,4 @@
-// E11 — the threaded runtime on real kernel UDP: the process-mode
+// E15 — the threaded runtime on real kernel UDP: the process-mode
 // counterpart of bench_shard's K=4 batched row, measured in wall-clock
 // time instead of virtual time.
 //
@@ -6,10 +6,12 @@
 // processes would on one host: each owns a kernel UDP socket on loopback,
 // an epoll I/O thread with the shared reliable transport, and one worker
 // thread per shard ring (K=4), with SPSC Slice handoff between them
-// (DESIGN.md §5i). Producers on every worker inject timestamped 64-byte
-// messages through try_multicast pacing; the delivery handlers (also on
-// worker threads) count window sends and record send→agreed-delivery
-// latency against the shared steady clock.
+// (DESIGN.md §5i). Producers on every worker inject 64-byte messages
+// through try_multicast on an open-loop schedule whose due times are
+// computed from the burst index, and the run prints the offered load it
+// achieved against the nominal one; the delivery handlers (also on worker
+// threads) count window sends and record due→agreed-delivery latency
+// against the shared steady clock.
 //
 // Methodology mirrors bench_shard: only messages SENT inside the measured
 // window count, producers stop at window close, and the run drains until
@@ -56,7 +58,7 @@ void sleep_for(Time d) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_banner("Raincore bench E11: threaded runtime over kernel UDP",
+  print_banner("Raincore bench E15: threaded runtime over kernel UDP",
                "4 nodes x 4 shard rings, epoll + worker threads, loopback");
 
   RealClock clock;
@@ -130,27 +132,48 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Producers: a self-rescheduling ticker per (node, ring), living on its
-  // worker's loop. Ticker objects are owned here (not by their closures).
-  std::vector<std::unique_ptr<std::function<void()>>> tickers;
+  // Producers: one ticker per (node, ring) on its worker's loop. Burst i
+  // of every source is due at t0 + i * kInjectEvery — computed from its
+  // index, never re-armed from the previous (late) firing — and each wake
+  // sends every burst already due, so a slow loop makes bursts late
+  // instead of silently lowering the offered load. Ticker objects are
+  // owned here (not by their closures).
+  const Time t0 = clock.now() + millis(10);
+  struct Ticker {
+    std::function<void()> fn;
+    std::uint64_t next = 0;  ///< index of the next burst due
+  };
+  auto due_of = [t0](std::uint64_t i) {
+    return t0 + static_cast<Time>(i) * kInjectEvery;
+  };
+  std::atomic<std::uint64_t> attempted{0};
+  std::vector<std::unique_ptr<Ticker>> tickers;
   for (auto& n : nodes) {
     for (std::size_t k = 0; k < kShards; ++k) {
-      auto tick = std::make_unique<std::function<void()>>();
-      std::function<void()>* self = tick.get();
-      n->post_to_shard(k, [self, &producing, &refused](session::SessionNode& r) {
-        *self = [self, &producing, &refused, &r] {
+      auto tick = std::make_unique<Ticker>();
+      Ticker* self = tick.get();
+      n->post_to_shard(k, [self, t0, due_of, &clock, &producing, &refused,
+                           &attempted](session::SessionNode& r) {
+        self->fn = [self, due_of, &clock, &producing, &refused, &attempted,
+                    &r] {
           if (!producing.load(std::memory_order_relaxed)) return;
-          for (int b = 0; b < kBurst; ++b) {
-            ByteWriter w(64);
-            w.u64(static_cast<std::uint64_t>(r.env().now()));
-            for (std::size_t pad = w.size(); pad < 64; ++pad) w.u8(0);
-            if (!r.try_multicast(w.take()).has_value()) {
-              refused.fetch_add(1, std::memory_order_relaxed);
+          const Time now = clock.now();
+          for (; due_of(self->next) <= now; ++self->next) {
+            for (int b = 0; b < kBurst; ++b) {
+              // Stamped with the due time: latency includes any lateness.
+              ByteWriter w(64);
+              w.u64(static_cast<std::uint64_t>(due_of(self->next)));
+              for (std::size_t pad = w.size(); pad < 64; ++pad) w.u8(0);
+              attempted.fetch_add(1, std::memory_order_relaxed);
+              if (!r.try_multicast(w.take()).has_value()) {
+                refused.fetch_add(1, std::memory_order_relaxed);
+              }
             }
           }
-          r.env().schedule(kInjectEvery, *self);
+          r.env().schedule(std::max<Time>(due_of(self->next) - clock.now(), 0),
+                           self->fn);
         };
-        r.env().schedule(kInjectEvery, *self);
+        r.env().schedule(std::max<Time>(t0 - clock.now(), 0), self->fn);
       });
       tickers.push_back(std::move(tick));
     }
@@ -158,15 +181,21 @@ int main(int argc, char** argv) {
 
   const double offered = static_cast<double>(kBurst) * kShards * kNodes *
                          (static_cast<double>(kNanosPerSec) / kInjectEvery);
-  std::printf("offered load: %.0f msgs/s aggregate, 64 B payloads, "
+  std::printf("nominal offered load: %.0f msgs/s aggregate, 64 B payloads, "
               "try_multicast-paced\n",
               offered);
 
   sleep_for(kWarmup);
   window_open.store(clock.now(), std::memory_order_relaxed);
+  const std::uint64_t attempted_at_open =
+      attempted.load(std::memory_order_relaxed);
   sleep_for(kWindow);
   producing.store(false, std::memory_order_relaxed);
   const Time open = window_open.load(std::memory_order_relaxed);
+  const double achieved_offered =
+      static_cast<double>(attempted.load(std::memory_order_relaxed) -
+                          attempted_at_open) /
+      to_seconds(clock.now() - open);
 
   // Drain until the window's sends stop arriving.
   std::uint64_t total = delivered.load(std::memory_order_relaxed);
@@ -192,6 +221,9 @@ int main(int argc, char** argv) {
   const double p95_ms = latency.percentile(0.95) / 1e6;
   const double gain = throughput / kPr8ThroughputMsgsPerS;
 
+  std::printf("\noffered in the window: %.0f msgs/s achieved vs %.0f nominal "
+              "(%.3f)\n",
+              achieved_offered, offered, achieved_offered / offered);
   std::printf("\n%14s %10s %10s %12s %10s\n", "agg msgs/s", "p50 (ms)",
               "p95 (ms)", "deliveries", "refused");
   std::printf("%14.0f %10.1f %10.1f %12llu %10llu\n", throughput, p50_ms,
@@ -209,6 +241,7 @@ int main(int argc, char** argv) {
                static_cast<double>(kTokenHold / kNanosPerMilli));
   report.param("max_batch_msgs", 200.0);
   report.param("offered_msgs_per_s", offered);
+  report.param("achieved_offered_msgs_per_s", achieved_offered);
   report.param("window_s", to_seconds(kWindow));
   report.param("mode", "threads+kernel-udp");
   JsonValue row = bench::JsonReport::row("threaded-4x4");

@@ -1,4 +1,4 @@
-// E12 — saturation sweep: offered load vs delivered throughput and latency
+// E13 — saturation sweep: offered load vs delivered throughput and latency
 // for the batched sharded data plane, locating the knee.
 //
 // Token-hop batching moved the data path's ceiling from "msgs per visit"
@@ -186,7 +186,7 @@ Point run_point(int burst) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_banner("Raincore bench E12: saturation sweep for the batched plane",
+  print_banner("Raincore bench E13: saturation sweep for the batched plane",
                "offered load vs throughput/latency — find the knee");
 
   std::printf(

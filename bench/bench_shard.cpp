@@ -1,4 +1,4 @@
-// E10 — sharded data plane: aggregate multicast throughput vs shard count,
+// E12 — sharded data plane: aggregate multicast throughput vs shard count,
 // with and without token-hop batching.
 //
 // One Raincore ring serialises all agreed traffic through a single
@@ -214,7 +214,7 @@ Result run_shards(std::size_t k_shards, const Mode& mode) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_banner("Raincore bench E10: sharded data plane throughput scaling",
+  print_banner("Raincore bench E12: sharded data plane throughput scaling",
                "K rings over one shared transport, with token-hop batching");
 
   std::printf("\n12 nodes, token hold %lld ms, %.0f s measured window.\n",

@@ -136,27 +136,37 @@ void RainwallNode::on_conn_change(const std::string& key,
   } else {
     engine_.remove(cid);
   }
+  // An assignment made while its assignee was still in the sender's view
+  // can be applied after that node left — after on_view's fail-over pass
+  // has already run — so the apply point must fail it over too.
+  reassign_if_orphaned(session_.view(), key, c, assignee);
 }
 
 void RainwallNode::on_view(const session::View& v) {
-  if (!v.has(id())) return;
-  // Fail-over of connections: for every connection assigned to a node that
-  // left the view, the owner of the connection's VIP re-assigns it.
+  // Fail-over of connections: every connection assigned to a node that
+  // left the view is re-assigned.
   for (const auto& [key, value] : conn_table_.contents()) {
     Connection c;
     NodeId assignee;
-    if (!decode_conn(value, c, assignee)) continue;
-    if (v.has(assignee)) continue;
-    auto vip_owner = vips_.owner_of(c.vip);
-    // The VIP may itself be orphaned mid-failover; the lowest member steps
-    // in so connections are never stranded.
-    NodeId responsible =
-        (vip_owner && v.has(*vip_owner))
-            ? *vip_owner
-            : *std::min_element(v.members.begin(), v.members.end());
-    if (responsible != id()) continue;
-    conn_table_.put(key, encode_conn(c, least_loaded()));
+    if (decode_conn(value, c, assignee)) {
+      reassign_if_orphaned(v, key, c, assignee);
+    }
   }
+}
+
+void RainwallNode::reassign_if_orphaned(const session::View& v,
+                                        const std::string& key,
+                                        const Connection& c, NodeId assignee) {
+  if (!v.has(id()) || v.has(assignee)) return;
+  auto vip_owner = vips_.owner_of(c.vip);
+  // The VIP may itself be orphaned mid-failover; the lowest member steps
+  // in so connections are never stranded.
+  NodeId responsible =
+      (vip_owner && v.has(*vip_owner))
+          ? *vip_owner
+          : *std::min_element(v.members.begin(), v.members.end());
+  if (responsible != id()) return;
+  conn_table_.put(key, encode_conn(c, least_loaded()));
 }
 
 std::uint64_t RainwallNode::tick(Time dt) {

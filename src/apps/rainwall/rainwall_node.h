@@ -71,6 +71,11 @@ class RainwallNode {
   void on_conn_change(const std::string& key,
                       const std::optional<std::string>& value, NodeId origin);
   void on_view(const session::View& v);
+  /// Connection fail-over for one table row: if its assignee is not in
+  /// `v`, the member responsible for the row (its VIP's owner, or the
+  /// lowest member while that VIP is orphaned) re-assigns it.
+  void reassign_if_orphaned(const session::View& v, const std::string& key,
+                            const Connection& c, NodeId assignee);
   NodeId least_loaded() const;
   static std::string encode_conn(const Connection& c, NodeId assignee);
   static bool decode_conn(const std::string& s, Connection& c, NodeId& assignee);

@@ -67,7 +67,7 @@ void LockManager::bind_store(storage::ShardStore& store, std::uint16_t stream) {
     }
     std::string name = r.str();
     const NodeId node = r.u32();
-    const std::uint64_t req = op == Op::kAcquire ? r.u64() : 0;
+    const std::uint64_t req = r.u64();
     if (!r.ok()) return;
     shadow_valid_ = true;
     auto& q = shadow_locks_[name].queue;
@@ -81,7 +81,7 @@ void LockManager::bind_store(storage::ShardStore& store, std::uint16_t stream) {
       q.push_back(Waiter{node, req});
     } else if (op == Op::kRelease) {
       for (auto w = q.begin(); w != q.end(); ++w) {
-        if (w->node == node) {
+        if (w->node == node && w->req == req) {
           q.erase(w);
           break;
         }
@@ -131,7 +131,7 @@ void LockManager::journal_op(Op op, const std::string& name, NodeId node,
   journal_w_.u8(static_cast<std::uint8_t>(op));
   journal_w_.str(name);
   journal_w_.u32(node);
-  if (op == Op::kAcquire) journal_w_.u64(req);
+  journal_w_.u64(req);
   store_->append(stream_, journal_w_.view());
 }
 
@@ -198,7 +198,7 @@ void LockManager::send_op(Op op, const std::string& name, std::uint64_t req) {
   ByteWriter w(name.size() + 16);
   w.u8(static_cast<std::uint8_t>(op));
   w.str(name);
-  if (op == Op::kAcquire) w.u64(req);
+  w.u64(req);
   mux_.send(channel_, w.take());
 }
 
@@ -211,15 +211,29 @@ void LockManager::acquire(const std::string& name, GrantFn on_granted) {
 }
 
 void LockManager::release(const std::string& name) {
-  // Mirror the replicated queue semantics: a release retires this node's
-  // earliest entry (the ownership, or the earliest queued request).
+  // A release retires one outstanding request of this node and names it on
+  // the wire: the one earliest in the local queue (the ownership, or the
+  // earliest queued request — a re-asserted request can sit behind a newer
+  // one), else the oldest not yet applied here.
   auto it = my_outstanding_.find(name);
-  if (it != my_outstanding_.end() && !it->second.empty()) {
-    wait_since_.erase({name, it->second.front()});
-    it->second.pop_front();
-    if (it->second.empty()) my_outstanding_.erase(it);
+  if (it == my_outstanding_.end()) return;
+  std::deque<std::uint64_t>& mine = it->second;
+  auto pick = mine.begin();
+  if (auto lit = locks_.find(name); lit != locks_.end()) {
+    for (const Waiter& w : lit->second.queue) {
+      if (w.node != mux_.self()) continue;
+      auto m = std::find(mine.begin(), mine.end(), w.req);
+      if (m != mine.end()) {
+        pick = m;
+        break;
+      }
+    }
   }
-  send_op(Op::kRelease, name);
+  const std::uint64_t req = *pick;
+  mine.erase(pick);
+  if (mine.empty()) my_outstanding_.erase(it);
+  wait_since_.erase({name, req});
+  send_op(Op::kRelease, name, req);
 }
 
 bool LockManager::held_by_me(const std::string& name) const {
@@ -274,20 +288,21 @@ void LockManager::apply_acquire(const std::string& name, NodeId node,
   maybe_grant(name);
 }
 
-void LockManager::apply_release(const std::string& name, NodeId node) {
+void LockManager::apply_release(const std::string& name, NodeId node,
+                                std::uint64_t req) {
   auto it = locks_.find(name);
   if (it == locks_.end()) return;
-  journal_op(Op::kRelease, name, node, 0);
+  // A release removes exactly the request it names: the ownership, or a
+  // queued request withdrawn before it reached the head. A duplicate
+  // release (the epoch self-heal below may re-send one) finds nothing.
   auto& q = it->second.queue;
-  bool was_owner = !q.empty() && q.front().node == node;
-  // A release removes the node's *earliest* entry only: the current
-  // ownership (or, if it never reached the head, the earliest request).
-  for (auto w = q.begin(); w != q.end(); ++w) {
-    if (w->node == node) {
-      q.erase(w);
-      break;
-    }
-  }
+  auto w = std::find_if(q.begin(), q.end(), [&](const Waiter& x) {
+    return x.node == node && x.req == req;
+  });
+  if (w == q.end()) return;
+  journal_op(Op::kRelease, name, node, req);
+  const bool was_owner = w == q.begin();
+  q.erase(w);
   if (q.empty()) {
     locks_.erase(it);
     stats_.releases.inc();
@@ -346,21 +361,22 @@ void LockManager::apply_epoch(const std::vector<NodeId>& members,
     ++it;
   }
   // Self-heal against the adoption being stale with respect to this node:
-  //  - an adopted entry of ours that we already released (the release was
-  //    ordered between the epoch's serialisation and its delivery) is
-  //    cancelled through the stream;
+  //  - an adopted entry of ours whose request is no longer outstanding (we
+  //    released it, and the release was ordered between the epoch's
+  //    serialisation and its delivery) is released again by id — if the
+  //    first release is still to come, the second finds nothing;
   //  - an outstanding request of ours the adopted table does not contain
   //    (the sender never saw it — e.g. we were merged in) is re-asserted
   //    with its original request id, which apply_acquire de-duplicates.
   for (const auto& [name, state] : locks_) {
-    std::size_t mine_adopted = 0;
-    for (const Waiter& w : state.queue) {
-      if (w.node == mux_.self()) ++mine_adopted;
-    }
     auto mit = my_outstanding_.find(name);
-    std::size_t mine_live = mit != my_outstanding_.end() ? mit->second.size() : 0;
-    for (std::size_t i = mine_live; i < mine_adopted; ++i) {
-      send_op(Op::kRelease, name);
+    for (const Waiter& w : state.queue) {
+      if (w.node != mux_.self()) continue;
+      const bool live =
+          mit != my_outstanding_.end() &&
+          std::find(mit->second.begin(), mit->second.end(), w.req) !=
+              mit->second.end();
+      if (!live) send_op(Op::kRelease, name, w.req);
     }
   }
   for (const auto& [name, reqs] : my_outstanding_) {
@@ -392,7 +408,7 @@ void LockManager::on_message(NodeId origin, const Slice& payload) {
     case Op::kAcquire:
     case Op::kRelease: {
       std::string name = r.str();
-      std::uint64_t req = op == Op::kAcquire ? r.u64() : 0;
+      const std::uint64_t req = r.u64();
       if (!r.ok()) break;
       // Migration classification: every replica computes the same action
       // for this name at this stream point (the classify state is itself
@@ -419,7 +435,7 @@ void LockManager::on_message(NodeId origin, const Slice& payload) {
       if (op == Op::kAcquire) {
         apply_acquire(name, origin, req);
       } else {
-        apply_release(name, origin);
+        apply_release(name, origin, req);
       }
       break;
     }
@@ -552,7 +568,7 @@ void LockManager::flush_buffered(const KeyPred& pred) {
     if (static_cast<Op>(b.op) == Op::kAcquire) {
       apply_acquire(b.name, b.node, b.req);
     } else {
-      apply_release(b.name, b.node);
+      apply_release(b.name, b.node, b.req);
     }
   }
 }
@@ -639,8 +655,9 @@ void LockManager::resend_acquire(const std::string& name, std::uint64_t req) {
   send_op(Op::kAcquire, name, req);
 }
 
-void LockManager::send_release_raw(const std::string& name) {
-  send_op(Op::kRelease, name);
+void LockManager::send_release_raw(const std::string& name,
+                                   std::uint64_t req) {
+  send_op(Op::kRelease, name, req);
 }
 
 }  // namespace raincore::data

@@ -140,8 +140,9 @@ class LockManager {
   /// Re-sends an acquire with an EXISTING request id into this partition's
   /// stream (bounced acquires keep their identity across partitions).
   void resend_acquire(const std::string& name, std::uint64_t req);
-  /// Sends a release without touching local bookkeeping (bounce path).
-  void send_release_raw(const std::string& name);
+  /// Sends a release of request `req` without touching local bookkeeping
+  /// (bounce path).
+  void send_release_raw(const std::string& name, std::uint64_t req);
 
  private:
   enum class Op : std::uint8_t {
@@ -164,7 +165,7 @@ class LockManager {
   void on_message(NodeId origin, const Slice& payload);
   void on_view(const session::View& v);
   void apply_acquire(const std::string& name, NodeId node, std::uint64_t req);
-  void apply_release(const std::string& name, NodeId node);
+  void apply_release(const std::string& name, NodeId node, std::uint64_t req);
   void apply_epoch(const std::vector<NodeId>& members,
                    std::map<std::string, LockState>&& table);
   void maybe_grant(const std::string& name);

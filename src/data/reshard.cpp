@@ -242,7 +242,7 @@ void ReshardManager::bounce_lock(std::size_t src, std::uint8_t op,
   if (op == 1) {  // raw LockManager op: 1 = acquire, 2 = release
     locks_.shard(d).resend_acquire(name, req);
   } else {
-    locks_.shard(d).send_release_raw(name);
+    locks_.shard(d).send_release_raw(name, req);
   }
 }
 

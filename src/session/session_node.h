@@ -299,7 +299,10 @@ class SessionNode {
   void handle_bodyodor(const MsgBodyOdor& m);
 
   // Token-ring machinery.
-  void process_attached(Token& t);
+  /// Delivers / ages / retires t.batches[first..] in list order. first > 0
+  /// continues this visit's arrival-time pass over batches appended since
+  /// (the pass-time attach), under the holdback that pass ended in.
+  void process_attached(Token& t, std::size_t first = 0);
   void attach_pending(Token& t);
   void process_joins(Token& t);
   void begin_eating(Token&& t);
@@ -404,6 +407,13 @@ class SessionNode {
   };
   std::deque<PendingMsg> pending_out_;
   std::size_t pending_bytes_ = 0;
+  /// What this visit has attached so far: the arrival-time and pass-time
+  /// attaches share one max_batch_msgs / max_batch_bytes budget.
+  std::size_t visit_msgs_ = 0;
+  std::size_t visit_bytes_ = 0;
+  /// This visit's delivery pass stopped at an unconfirmed safe batch, so
+  /// every batch attached behind it is held back too.
+  bool holdback_ = false;
   std::deque<std::function<void()>> exclusive_queue_;
 
   // Probation state: the successor currently on its extra attempt budget.

@@ -89,6 +89,17 @@ void SessionNode::handle_token(Token&& t) {
   }
   last_token_rx_ = env_.now();
 
+  // Re-entry by adoption: we crash-restarted faster than the group could
+  // detect it, founded a singleton, and now accept the group's live token,
+  // which never stopped listing us. Its view id is unchanged, so no other
+  // member would see a view change and layered services would never learn
+  // that our state was reset (the lock manager's lowest member would not
+  // re-announce its epoch). Bump the view id so every member sees one.
+  if (!t.tbm && t.lineage != last_copy_.lineage &&
+      last_copy_.ring.size() == 1 && last_copy_.ring.front() == id()) {
+    t.view_id++;
+  }
+
   begin_eating(std::move(t));
 }
 
@@ -117,6 +128,10 @@ void SessionNode::eating_cycle() {
   // 2. Attach our own pending multicasts (§2.2: messages ride the token);
   //    they are then delivered through the same in-list-order pass as every
   //    other message, so the global delivery order is exactly attach order.
+  //    This is the first of the visit's two attach points (pass_token has
+  //    the second); both draw on one visit budget.
+  visit_msgs_ = 0;
+  visit_bytes_ = 0;
   attach_pending(token_);
 
   // 3. Deliver / age / retire piggybacked messages (§2.6).
@@ -146,17 +161,21 @@ void SessionNode::eating_cycle() {
   arm_hold_timer();
 }
 
-void SessionNode::process_attached(Token& t) {
+void SessionNode::process_attached(Token& t, std::size_t first) {
   // Delivery is strictly in list (= attach) order at batch granularity: an
   // unconfirmed safe batch *blocks* everything attached after it, so all
   // members deliver the mixed agreed/safe stream in one identical total
   // order (the same holdback discipline as Totem's safe delivery). Within
   // a batch the inner messages are delivered in index (= enqueue) order.
-  std::vector<AttachedBatch> kept;
-  kept.reserve(t.batches.size());
-  bool blocked = false;
-  bool safe_pending_earlier = false;  // an earlier-listed safe batch survives
-  for (AttachedBatch& b : t.batches) {
+  // Batches before `first` were processed earlier this visit and stay put;
+  // the ones from `first` on are compacted in place as they retire.
+  bool blocked = first > 0 && holdback_;
+  // An earlier-listed safe batch survives. Batches appended at pass time
+  // (first > 0) carry hops 0 and cannot retire, so they never consult it.
+  bool safe_pending_earlier = false;
+  std::size_t out = first;
+  for (std::size_t i = first; i < t.batches.size(); ++i) {
+    AttachedBatch& b = t.batches[i];
     const std::uint32_t attach_ring =
         std::max<std::uint32_t>(1, b.ring_at_attach);
     if (!blocked) {
@@ -182,9 +201,11 @@ void SessionNode::process_attached(Token& t) {
     }
     if (b.safe) safe_pending_earlier = true;
     b.hops++;
-    kept.push_back(std::move(b));
+    if (out != i) t.batches[out] = std::move(b);
+    ++out;
   }
-  t.batches = std::move(kept);
+  t.batches.resize(out);
+  holdback_ = blocked;
 }
 
 void SessionNode::deliver_batch(const AttachedBatch& b, MsgSeq& watermark) {
@@ -246,27 +267,30 @@ void SessionNode::attach_pending(Token& t) {
     return;
   }
 
-  // Drain up to one visit budget (max_batch_msgs / max_batch_bytes) as a
-  // run of batch frames. Consecutive same-class messages share one frame —
+  // Drain what is left of the visit budget (max_batch_msgs /
+  // max_batch_bytes, shared with the visit's other attach point) as a run
+  // of batch frames. Consecutive same-class messages share one frame —
   // their seqs are consecutive because each class has a monotonic counter
   // and refused try_multicast calls consume no seq — and a class flip
   // (agreed -> safe or back) closes the frame, preserving attach order at
   // batch granularity.
   const std::uint16_t ring_now = static_cast<std::uint16_t>(t.ring.size());
-  std::size_t msgs = 0;
-  std::size_t bytes = 0;
-  while (!pending_out_.empty() && msgs < cfg_.max_batch_msgs &&
-         bytes < cfg_.max_batch_bytes) {
+  auto budget_left = [this] {
+    return visit_msgs_ < cfg_.max_batch_msgs &&
+           visit_bytes_ < cfg_.max_batch_bytes;
+  };
+  while (!pending_out_.empty() && budget_left()) {
     const bool safe = pending_out_.front().safe;
     BatchBuilder b(id(), incarnation_, pending_out_.front().seq, safe);
     while (!pending_out_.empty() && pending_out_.front().safe == safe &&
-           msgs < cfg_.max_batch_msgs && bytes < cfg_.max_batch_bytes) {
+           budget_left()) {
       PendingMsg m = std::move(pending_out_.front());
       pending_out_.pop_front();
       pending_bytes_ -= m.payload.size();
-      ++msgs;
-      bytes += m.payload.size();  // cap checked before the NEXT add, so an
-                                  // oversized message still ships (alone)
+      ++visit_msgs_;
+      // The cap is checked before the NEXT add, so an oversized message
+      // still ships (alone).
+      visit_bytes_ += m.payload.size();
       b.add(m.payload);
     }
     batch_fill_.record(static_cast<double>(b.count()));
@@ -356,6 +380,17 @@ Token SessionNode::merge_tokens(Token own) {
 }
 
 void SessionNode::pass_token() {
+  if (!started_ || state_ != State::kEating) return;
+  // Second attach point: what was multicast during the hold leaves on this
+  // pass instead of waiting a full rotation for the next arrival. The new
+  // batches go behind everything already on the token and take the same
+  // delivery step as the arrival-time attach (local delivery unless an
+  // unconfirmed safe batch holds them back; hop 1 counted here).
+  const std::size_t first_new = token_.batches.size();
+  attach_pending(token_);
+  process_attached(token_, first_new);
+  // Delivery ran application handlers, and one may have stopped this node
+  // (a leave it requested completes on the next visit, like any other).
   if (!started_ || state_ != State::kEating) return;
   token_.seq++;
   send_token_to_successor();

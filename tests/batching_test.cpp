@@ -152,6 +152,123 @@ TEST(BatchFormation, LeavingNodeFlushesDespiteDeadline) {
   }
 }
 
+// --- Pass-time attach ----------------------------------------------------------
+
+/// Steps the simulation in 20 µs slices until `pred` holds (or `limit`).
+template <typename Pred>
+bool step_until(TestCluster& c, Pred pred, Time limit = seconds(2)) {
+  const Time deadline = c.net().now() + limit;
+  while (!pred()) {
+    if (c.net().now() >= deadline) return false;
+    c.run(micros(20));
+  }
+  return true;
+}
+
+TEST(PassTimeAttach, MessageSentDuringTheHoldLeavesOnThatPass) {
+  // A visit attaches twice: at token arrival and again at the pass. A
+  // message multicast while its origin holds the token therefore rides
+  // the very token it was sitting next to, and every member has it within
+  // one rotation — it used to wait for the origin's next arrival.
+  session::SessionConfig cfg;
+  cfg.token_hold = millis(2);
+  TestCluster c({1, 2, 3, 4}, cfg);
+  c.bootstrap_via_join();
+  ASSERT_TRUE(c.run_until_converged(c.ids(), seconds(10)));
+  c.run(millis(100));
+
+  session::SessionNode& origin = c.node(1);
+  ASSERT_TRUE(step_until(c, [&] { return !origin.holds_token(); }));
+  ASSERT_TRUE(step_until(c, [&] { return origin.holds_token(); }));
+  const Time arrived = c.net().now();
+  c.send(1, "during-hold");
+
+  // Not before the pass: the arrival-time attach has already run.
+  c.run(millis(1));
+  EXPECT_TRUE(c.delivered(1).empty());
+  ASSERT_TRUE(step_until(c, [&] { return !origin.holds_token(); }));
+  ASSERT_EQ(c.delivered(1).size(), 1u) << "origin delivers at its pass";
+
+  // One rotation is 4 x (2 ms hold + 0.1 ms hop) = 8.4 ms after arrival;
+  // the last member has the message a hold before the token returns.
+  const Time rotation = 4 * (millis(2) + micros(100));
+  c.run(arrived + rotation - micros(50) - c.net().now());
+  EXPECT_FALSE(origin.holds_token());
+  for (NodeId id : c.ids()) {
+    ASSERT_EQ(c.delivered(id).size(), 1u) << "node " << id;
+    EXPECT_EQ(c.delivered(id)[0].payload, "during-hold");
+  }
+}
+
+TEST(PassTimeAttach, BothAttachPointsShareOneVisitBudget) {
+  // What one visit adds — arrival-time and pass-time attach together —
+  // stays within max_batch_msgs and max_batch_bytes (raincored sizes its
+  // datagram budget on that bound). Measured on the token as passed: the
+  // origin's batches there with hops == 1 are exactly this visit's.
+  struct Caps {
+    std::size_t max_msgs;
+    std::size_t max_bytes;
+    std::size_t msg_bytes;
+    std::size_t per_visit;  ///< messages one full visit may add
+  };
+  for (const Caps caps : {Caps{8, 1 << 20, 10, 8}, Caps{128, 200, 40, 5}}) {
+    SCOPED_TRACE("max_msgs=" + std::to_string(caps.max_msgs) +
+                 " max_bytes=" + std::to_string(caps.max_bytes));
+    session::SessionConfig cfg;
+    cfg.token_hold = millis(2);
+    cfg.max_batch_msgs = caps.max_msgs;
+    cfg.max_batch_bytes = caps.max_bytes;
+    TestCluster c({1, 2, 3, 4}, cfg);
+    c.bootstrap_via_join();
+    ASSERT_TRUE(c.run_until_converged(c.ids(), seconds(10)));
+    c.run(millis(100));
+
+    session::SessionNode& origin = c.node(1);
+    // Checks what the visit that just passed added against both caps and
+    // returns its message count.
+    auto check_visit = [&] {
+      std::size_t msgs = 0, bytes = 0;
+      for (const session::AttachedBatch& b : origin.last_copy().batches) {
+        if (b.origin != 1 || b.hops != 1) continue;
+        msgs += b.count;
+        bytes += b.payload.size() - 4 * b.count;  // minus length prefixes
+      }
+      EXPECT_LE(msgs, caps.max_msgs);
+      EXPECT_LE(bytes, caps.max_bytes);
+      return msgs;
+    };
+    int sent = 0;
+    auto send = [&] {
+      c.send(1, std::string(caps.msg_bytes - 3, 'm') +
+                    std::to_string(100 + sent++));
+    };
+
+    // Below-budget backlog attaches at arrival; a burst queued during the
+    // hold tops the visit up to the budget at the pass, no further.
+    ASSERT_TRUE(step_until(c, [&] { return !origin.holds_token(); }));
+    const std::size_t backlog = caps.per_visit - 2;
+    for (std::size_t i = 0; i < backlog; ++i) send();
+    ASSERT_TRUE(step_until(c, [&] { return origin.holds_token(); }));
+    for (int i = 0; i < 10; ++i) send();
+    ASSERT_TRUE(step_until(c, [&] { return !origin.holds_token(); }));
+    EXPECT_EQ(check_visit(), caps.per_visit)
+        << "the pass must use the rest of the visit's budget";
+
+    // The remaining backlog drains over later visits, each within budget.
+    while (origin.pending_out() > 0) {
+      ASSERT_TRUE(step_until(c, [&] { return origin.holds_token(); }));
+      ASSERT_TRUE(step_until(c, [&] { return !origin.holds_token(); }));
+      check_visit();
+    }
+    c.run(seconds(1));
+    for (NodeId id : c.ids()) {
+      ASSERT_EQ(c.delivered(id).size(), static_cast<std::size_t>(sent))
+          << "node " << id;
+    }
+    EXPECT_TRUE(c.check_agreed_order().empty()) << c.check_agreed_order();
+  }
+}
+
 // --- Bounded queue / backpressure --------------------------------------------
 
 TEST(Backpressure, TryMulticastRefusesWhenMsgBoundHit) {

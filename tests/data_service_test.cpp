@@ -363,6 +363,92 @@ TEST(LockManagerTest, SplitBrainMergeReconvergesLockTables) {
   }
 }
 
+TEST(LockManagerTest, FastRestartThatReadoptsTheLiveTokenResyncsTheEpoch) {
+  // Regression: node 4 crash-restarts faster than the failure-detection
+  // bound (3 x 50 ms), founds a singleton (lock epoch {4}), then adopts the
+  // group's live token, which never stopped listing it. No other member saw
+  // a view change, so nobody re-announced the lock epoch: node 4 dropped
+  // every other node's acquire as a dead origin and granted itself a lock
+  // another node held.
+  DataCluster c({1, 2, 3, 4});
+  c.bootstrap();
+  ASSERT_EQ(c.node(1).session->view().members.size(), 4u);
+  c.net().set_node_up(4, false);
+  c.node(4).session->stop();
+  c.run(millis(40));
+  c.net().set_node_up(4, true);
+  c.node(4).session->found();
+  c.run(seconds(1));
+  for (NodeId id : c.ids()) {
+    ASSERT_EQ(c.node(id).session->view().members.size(), 4u) << "node " << id;
+  }
+
+  // Contended acquires from every member; each holder releases 50 ms later.
+  int holders = 0, max_holders = 0, grants = 0;
+  for (NodeId id : c.ids()) {
+    c.node(id).locks->acquire("L", [&, id](const std::string&) {
+      ++grants;
+      max_holders = std::max(max_holders, ++holders);
+      c.node(id).session->env().schedule(millis(50), [&, id] {
+        --holders;
+        c.node(id).locks->release("L");
+      });
+    });
+  }
+  c.run(seconds(3));
+  EXPECT_EQ(max_holders, 1) << "two nodes held L at once";
+  EXPECT_EQ(grants, 4);
+  for (NodeId id : c.ids()) {
+    EXPECT_FALSE(c.node(id).locks->owner("L").has_value()) << "node " << id;
+  }
+}
+
+TEST(LockManagerTest, EpochResurrectingAReleasedRequestIsHealedById) {
+  // Regression: the lowest member serialises its epoch table when it adopts
+  // a view change, before it applies the ops already riding the token that
+  // brought the change. Here those ops are node A's release of r1 and its
+  // acquire of r2, so every replica adopts {A:r1} after applying both: r1
+  // is resurrected and r2 lost. The old self-heal compared counts (one of
+  // ours adopted, one outstanding) and released nothing; A's later release
+  // of r2 then removed r1, and the stale r2 entry blocked the lock forever.
+  DataCluster c({1, 2, 3});
+  c.bootstrap();
+  const std::vector<NodeId> ring = c.node(1).session->view().members;
+  ASSERT_EQ(ring.size(), 3u);
+  ASSERT_EQ(ring[0], 1u);
+  const NodeId a = ring[1];       // visits right after node 1
+  const NodeId leaver = ring[2];  // leaves on the visit after A's
+
+  bool a_granted = false;
+  c.node(a).locks->acquire("L", [&](const std::string&) { a_granted = true; });
+  c.run(seconds(1));
+  ASSERT_TRUE(a_granted);
+
+  // With node 1 holding the token: A releases r1 and acquires r2 (both
+  // ride A's next visit), and the leaver departs on the visit after it, so
+  // node 1 adopts the shrunken view on the arrival that carries A's ops.
+  for (int i = 0; i < 10000 && !c.node(1).session->holds_token(); ++i) {
+    c.run(micros(100));
+  }
+  ASSERT_TRUE(c.node(1).session->holds_token());
+  c.node(a).locks->release("L");
+  c.node(a).locks->acquire("L");
+  c.node(leaver).session->leave();
+  c.run(seconds(1));
+  ASSERT_EQ(c.node(1).session->view().members.size(), 2u);
+
+  c.node(a).locks->release("L");
+  bool one_granted = false;
+  c.node(1).locks->acquire("L", [&](const std::string&) { one_granted = true; });
+  c.run(seconds(2));
+  EXPECT_TRUE(one_granted) << "a released request still heads the queue";
+  for (NodeId id : {NodeId{1}, a}) {
+    ASSERT_TRUE(c.node(id).locks->owner("L").has_value()) << "node " << id;
+    EXPECT_EQ(*c.node(id).locks->owner("L"), 1u) << "node " << id;
+    EXPECT_EQ(c.node(id).locks->waiters("L"), 0u) << "node " << id;
+  }
+}
+
 TEST(LockManagerTest, ManyLocksIndependent) {
   DataCluster c({1, 2, 3});
   c.bootstrap();

@@ -270,6 +270,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SessionChaos,
 //       with exactly-once delivery, under loss and reordering.
 //   B2  Per-origin delivery order equals that origin's send order (FIFO) —
 //       the observable contract the pre-batching path provided.
+//   B1 and B2 hold both for messages sent at random instants and for
+//   messages sent during their origin's hold, which ride the pass-time
+//   attach (DESIGN.md §5).
 //   B3  The bounded send queue never exceeds its cap when producers use
 //       try_multicast, and backpressure is actually reported.
 
@@ -330,6 +333,72 @@ class BatchingProperty : public ::testing::TestWithParam<BatchParams> {
     c.run(seconds(30));
   }
 
+  /// The pass-time attach input: every message is submitted around its
+  /// origin's visit. Half the visits open with a safe message queued
+  /// before the token arrives (arrival-time attach) and then take one
+  /// message of either class queued during the hold (pass-time attach), so
+  /// safe→agreed interleavings span the two attach points. Returns how
+  /// many hold-time messages were NOT on the token their origin passed at
+  /// the end of that hold.
+  int run_hold_schedule(TestCluster& c, std::uint64_t seed) {
+    Rng rng(seed * 211);
+    std::map<NodeId, int> next_idx;
+    auto payload = [&](NodeId from) {
+      return "o" + std::to_string(from) + "-i" +
+             std::to_string(next_idx[from]++) + ":" +
+             std::string(rng.next_below(300), 'h');
+    };
+    auto step_until = [&](auto pred) {
+      const Time deadline = c.net().now() + seconds(5);
+      while (!pred()) {
+        if (c.net().now() >= deadline) return false;
+        c.run(micros(20));
+      }
+      return true;
+    };
+    int missed = 0;
+    for (int i = 0; i < kMsgs;) {
+      const NodeId from = 1 + static_cast<NodeId>(rng.next_below(kNodes));
+      session::SessionNode& n = c.node(from);
+      step_until([&] { return !n.holds_token(); });
+      if (rng.chance(0.5)) {
+        c.send(from, payload(from), Ordering::kSafe);
+        if (++i == kMsgs) break;
+      }
+      // A lossy run can briefly drop the origin from the ring (false
+      // removal and re-join); only a hold of the full ring is judged.
+      const bool in_hold = step_until([&] { return n.holds_token(); }) &&
+                           n.view().members.size() == kNodes;
+      const bool safe = rng.chance(0.3);
+      const MsgSeq seq = c.send(from, payload(from),
+                                safe ? Ordering::kSafe : Ordering::kAgreed);
+      ++i;
+      if (!step_until([&] { return !n.holds_token(); }) || !in_hold) continue;
+      bool on_token = false;
+      for (const session::AttachedBatch& b : n.last_copy().batches) {
+        on_token |= b.origin == from && b.safe == safe && b.base_seq <= seq &&
+                    seq <= b.last_seq();
+      }
+      if (!on_token) ++missed;
+    }
+    c.run(seconds(30));
+    return missed;
+  }
+
+  /// The schedules B1 and B2 run: messages at random instants, and the
+  /// hold-time schedule above (the pass-time attach input).
+  enum class Schedule { kRandom, kHold };
+  static const char* schedule_name(Schedule s) {
+    return s == Schedule::kHold ? "hold-time schedule" : "random schedule";
+  }
+  /// Runs `s` on `c`; returns the hold-time schedule's missed-pass count
+  /// (0 for the random schedule).
+  int run(TestCluster& c, Schedule s, std::uint64_t seed) {
+    if (s == Schedule::kHold) return run_hold_schedule(c, seed);
+    run_schedule(c, seed);
+    return 0;
+  }
+
   /// B2: per-origin delivered indices are exactly 0,1,2,... at every node.
   void check_per_origin_fifo(TestCluster& c) {
     for (NodeId id : all_ids()) {
@@ -355,18 +424,21 @@ TEST_P(BatchingProperty, TotalOrderAndExactlyOnceUnderAnyKnobs) {
   ncfg.default_drop = p.drop;
   ncfg.seed = p.seed;
   std::vector<NodeId> ids = all_ids();
-  TestCluster c(ids, knob_config(), ncfg);
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged(ids, seconds(60)));
+  for (Schedule s : {Schedule::kRandom, Schedule::kHold}) {
+    SCOPED_TRACE(schedule_name(s));
+    TestCluster c(ids, knob_config(), ncfg);
+    c.bootstrap_via_join();
+    ASSERT_TRUE(c.run_until_converged(ids, seconds(60)));
 
-  run_schedule(c, p.seed);
+    run(c, s, p.seed);
 
-  EXPECT_TRUE(c.check_agreed_order().empty()) << c.check_agreed_order();  // B1
-  for (NodeId id : ids) {
-    EXPECT_EQ(c.delivered(id).size(), static_cast<std::size_t>(kMsgs))
-        << "node " << id;  // exactly-once
+    EXPECT_TRUE(c.check_agreed_order().empty()) << c.check_agreed_order();  // B1
+    for (NodeId id : ids) {
+      EXPECT_EQ(c.delivered(id).size(), static_cast<std::size_t>(kMsgs))
+          << "node " << id;  // exactly-once
+    }
+    check_per_origin_fifo(c);  // B2
   }
-  check_per_origin_fifo(c);  // B2
 }
 
 TEST_P(BatchingProperty, KnobsPreserveUnbatchedDeliverySemantics) {
@@ -394,22 +466,28 @@ TEST_P(BatchingProperty, KnobsPreserveUnbatchedDeliverySemantics) {
   ncfg.default_drop = p.drop;
   ncfg.seed = p.seed;
 
-  session::SessionConfig reference;  // defaults = pre-batching behaviour
-  reference.hungry_timeout = millis(1200);
-  TestCluster ref(ids, reference, ncfg);
-  ref.bootstrap_via_join();
-  ASSERT_TRUE(ref.run_until_converged(ids, seconds(60)));
-  run_schedule(ref, p.seed);
-  ASSERT_TRUE(ref.check_agreed_order().empty());
+  for (Schedule s : {Schedule::kRandom, Schedule::kHold}) {
+    SCOPED_TRACE(schedule_name(s));
+    session::SessionConfig reference;  // defaults = pre-batching behaviour
+    reference.hungry_timeout = millis(1200);
+    TestCluster ref(ids, reference, ncfg);
+    ref.bootstrap_via_join();
+    ASSERT_TRUE(ref.run_until_converged(ids, seconds(60)));
+    // The defaults (no deadline, a budget far above this load) leave room
+    // for every hold-time message on the pass it was queued beside.
+    EXPECT_EQ(run(ref, s, p.seed), 0)
+        << "hold-time messages missed their hold's pass";
+    ASSERT_TRUE(ref.check_agreed_order().empty());
 
-  TestCluster knobbed(ids, knob_config(), ncfg);
-  knobbed.bootstrap_via_join();
-  ASSERT_TRUE(knobbed.run_until_converged(ids, seconds(60)));
-  run_schedule(knobbed, p.seed);
-  ASSERT_TRUE(knobbed.check_agreed_order().empty());
+    TestCluster knobbed(ids, knob_config(), ncfg);
+    knobbed.bootstrap_via_join();
+    ASSERT_TRUE(knobbed.run_until_converged(ids, seconds(60)));
+    run(knobbed, s, p.seed);
+    ASSERT_TRUE(knobbed.check_agreed_order().empty());
 
-  EXPECT_EQ(origin_streams(ref), origin_streams(knobbed))
-      << "per-origin delivery streams must not depend on batching knobs";
+    EXPECT_EQ(origin_streams(ref), origin_streams(knobbed))
+        << "per-origin delivery streams must not depend on batching knobs";
+  }
 }
 
 TEST_P(BatchingProperty, BoundedQueueHoldsUnderTryOnlyProducers) {

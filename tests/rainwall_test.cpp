@@ -193,6 +193,44 @@ TEST(RainwallClusterTest, ConnectionsOfDeadNodeAreReassignedNotDropped) {
   }
 }
 
+TEST(RainwallClusterTest, AssignmentAppliedAfterItsAssigneeLeftIsReassigned) {
+  // Regression: the dying node is the least loaded member, so node 1 keeps
+  // assigning new connections to it until the failure is detected. Rows
+  // applied after the view change miss on_view's fail-over pass; the apply
+  // itself must hand them to a live member instead of stranding them.
+  auto cfg = small_config();
+  cfg.traffic.arrivals_per_sec = 1e-6;  // connections come from the test
+  RainwallCluster c({1, 2}, cfg);
+  ASSERT_TRUE(c.start());
+  auto conn = [&](std::uint64_t id, double rate_bps) {
+    Connection k;
+    k.id = id;
+    k.vip = cfg.node.vip_pool[0];
+    k.rate_bps = rate_bps;
+    k.start = c.now();
+    k.end = c.now() + seconds(60);
+    k.tuple = FiveTuple{parse_ip("10.0.0.9"), parse_ip("192.168.0.1"),
+                        static_cast<std::uint16_t>(1000 + id), 80, 6};
+    return k;
+  };
+  c.node(1).on_new_connection(conn(1, 50e6));  // loads node 1
+  c.run(seconds(1));
+  ASSERT_EQ(c.node(1).conn_table().contents().size(), 1u);
+
+  c.fail_node(2);
+  for (std::uint64_t id = 2; id <= 31; ++id) {
+    c.node(1).on_new_connection(conn(id, 1e6));
+    c.run(millis(10));
+  }
+  c.run(seconds(3));
+  ASSERT_EQ(c.node(1).session().view().members, std::vector<NodeId>{1});
+  EXPECT_EQ(c.node(1).conn_table().contents().size(), 31u);
+  for (const auto& [key, value] : c.node(1).conn_table().contents()) {
+    EXPECT_EQ(value.substr(0, 2), "1|") << key << " stranded on the dead node";
+  }
+  EXPECT_EQ(c.node(1).engine().active_connections(), 31u);
+}
+
 TEST(RainwallClusterTest, LateJoinerRebuildsEngineFromSnapshot) {
   auto cfg = small_config();
   cfg.traffic.mean_duration_s = 30.0;
