@@ -11,6 +11,7 @@
 #include "bench/util/gc_harness.h"
 #include "data/lock_manager.h"
 #include "data/replicated_map.h"
+#include "session/session_mux.h"
 
 using namespace raincore;
 using raincore::bench::print_banner;
@@ -18,7 +19,8 @@ using raincore::bench::print_banner;
 namespace {
 
 struct DataNode {
-  std::unique_ptr<session::SessionNode> session;
+  std::unique_ptr<session::SessionMux> node;
+  session::SessionNode* session = nullptr;
   std::unique_ptr<data::ChannelMux> mux;
   std::unique_ptr<data::LockManager> locks;
   std::unique_ptr<data::ReplicatedMap> map;
@@ -33,7 +35,8 @@ struct Cluster {
     for (NodeId id : ids) {
       auto& env = net.add_node(id);
       DataNode dn;
-      dn.session = std::make_unique<session::SessionNode>(env, cfg);
+      dn.node = std::make_unique<session::SessionMux>(env, cfg.transport);
+      dn.session = &dn.node->create_ring(0, cfg);
       dn.mux = std::make_unique<data::ChannelMux>(*dn.session);
       dn.locks = std::make_unique<data::LockManager>(*dn.mux, 1);
       dn.map = std::make_unique<data::ReplicatedMap>(*dn.mux, 2);

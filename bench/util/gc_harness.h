@@ -14,7 +14,7 @@
 #include "baseline/two_phase_gc.h"
 #include "common/stats.h"
 #include "net/sim_network.h"
-#include "session/session_node.h"
+#include "session/session_mux.h"
 
 namespace raincore::bench {
 
@@ -43,7 +43,8 @@ class GcCluster {
       auto& env = net_.add_node(id);
       Member m;
       if (stack == Stack::kRaincore) {
-        m.session = std::make_unique<session::SessionNode>(env, scfg);
+        m.node = std::make_unique<session::SessionMux>(env, scfg.transport);
+        m.session = &m.node->create_ring(0, scfg);
         m.session->set_deliver_handler(
             [this, id](NodeId origin, const Slice& payload, session::Ordering) {
               on_deliver(id, origin, payload);
@@ -135,7 +136,7 @@ class GcCluster {
 
   std::uint64_t task_switches_of(NodeId id) const {
     const Member& m = members_.at(id);
-    return m.session ? m.session->transport().task_switches().value()
+    return m.node ? m.node->transport().task_switches().value()
                      : m.gc->task_switches().value();
   }
 
@@ -156,8 +157,9 @@ class GcCluster {
 
  private:
   struct Member {
-    std::unique_ptr<session::SessionNode> session;  // raincore
-    std::unique_ptr<baseline::GroupComm> gc;        // baselines
+    std::unique_ptr<session::SessionMux> node;  // raincore
+    session::SessionNode* session = nullptr;    // node's one ring
+    std::unique_ptr<baseline::GroupComm> gc;    // baselines
     std::uint64_t ts_baseline = 0;
   };
 

@@ -12,6 +12,7 @@
 #include "data/lock_manager.h"
 #include "data/replicated_map.h"
 #include "net/sim_network.h"
+#include "session/session_mux.h"
 
 using namespace raincore;
 using namespace raincore::data;
@@ -19,7 +20,8 @@ using namespace raincore::data;
 namespace {
 
 struct Branch {
-  std::unique_ptr<session::SessionNode> session;
+  std::unique_ptr<session::SessionMux> node;  // transport + one ring
+  session::SessionNode* session = nullptr;
   std::unique_ptr<ChannelMux> mux;
   std::unique_ptr<ReplicatedMap> accounts;
   std::unique_ptr<LockManager> locks;
@@ -41,7 +43,8 @@ int main() {
   for (NodeId id = 1; id <= 3; ++id) {
     auto& env = net.add_node(id);
     Branch b;
-    b.session = std::make_unique<session::SessionNode>(env, scfg);
+    b.node = std::make_unique<session::SessionMux>(env, scfg.transport);
+    b.session = &b.node->create_ring(0, scfg);
     b.mux = std::make_unique<ChannelMux>(*b.session);
     b.accounts = std::make_unique<ReplicatedMap>(*b.mux, 1);
     b.locks = std::make_unique<LockManager>(*b.mux, 2);

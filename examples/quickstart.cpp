@@ -8,21 +8,24 @@
 #include <memory>
 
 #include "net/sim_network.h"
-#include "session/session_node.h"
+#include "session/session_mux.h"
 
 using namespace raincore;
 
 int main() {
   // 1. A simulated switched LAN (unicast only — Raincore's design
-  //    assumption) and five session nodes.
+  //    assumption) and five session nodes. Each node is a SessionMux (its
+  //    transport) carrying one ring on demux group 0.
   net::SimNetwork net;
   session::SessionConfig cfg;
   cfg.eligible = {1, 2, 3, 4, 5};
 
-  std::map<NodeId, std::unique_ptr<session::SessionNode>> nodes;
+  std::map<NodeId, std::unique_ptr<session::SessionMux>> muxes;
+  std::map<NodeId, session::SessionNode*> nodes;
   for (NodeId id = 1; id <= 5; ++id) {
-    auto& env = net.add_node(id);
-    nodes[id] = std::make_unique<session::SessionNode>(env, cfg);
+    muxes[id] =
+        std::make_unique<session::SessionMux>(net.add_node(id), cfg.transport);
+    nodes[id] = &muxes[id]->create_ring(0, cfg);
     nodes[id]->set_deliver_handler(
         [id](NodeId origin, const Slice& payload, session::Ordering) {
           std::printf("  node %u delivered from %u: %.*s\n", id, origin,

@@ -9,6 +9,7 @@
 
 #include "apps/vip/vip_manager.h"
 #include "net/sim_network.h"
+#include "session/session_mux.h"
 
 using namespace raincore;
 using namespace raincore::apps;
@@ -36,7 +37,8 @@ int main() {
   scfg.eligible = {1, 2, 3};
 
   struct Member {
-    std::unique_ptr<session::SessionNode> session;
+    std::unique_ptr<session::SessionMux> node;  // transport + one ring
+    session::SessionNode* session = nullptr;
     std::unique_ptr<data::ChannelMux> mux;
     std::unique_ptr<VipManager> vips;
   };
@@ -44,7 +46,8 @@ int main() {
   for (NodeId id = 1; id <= 3; ++id) {
     auto& env = net.add_node(id);
     Member m;
-    m.session = std::make_unique<session::SessionNode>(env, scfg);
+    m.node = std::make_unique<session::SessionMux>(env, scfg.transport);
+    m.session = &m.node->create_ring(0, scfg);
     m.mux = std::make_unique<data::ChannelMux>(*m.session);
     m.vips = std::make_unique<VipManager>(*m.mux, subnet, VipConfig{pool, 100});
     m.vips->set_gain_handler([id](const std::string& vip) {

@@ -15,7 +15,8 @@ constexpr const char* kMod = "rainwall";
 RainwallNode::RainwallNode(net::NodeEnv& env, Subnet& subnet, RainwallConfig cfg)
     : env_(env),
       cfg_(std::move(cfg)),
-      session_(env, cfg_.session),
+      node_(env, cfg_.session.transport),
+      session_(node_.create_ring(0, cfg_.session)),
       mux_(session_),
       subnet_(subnet),
       policy_(cfg_.default_policy),
@@ -184,7 +185,7 @@ std::uint64_t RainwallNode::tick(Time dt) {
   }
   for (const std::string& key : expired) conn_table_.erase(key);
 
-  std::uint64_t ts = session_.transport().task_switches().value();
+  std::uint64_t ts = node_.transport().task_switches().value();
   std::uint64_t delta = ts - last_task_switches_;
   last_task_switches_ = ts;
   return engine_.tick(dt, delta);

@@ -19,6 +19,7 @@
 #include "apps/vip/vip_manager.h"
 #include "data/lock_manager.h"
 #include "data/replicated_map.h"
+#include "session/session_mux.h"
 
 namespace raincore::apps {
 
@@ -82,7 +83,8 @@ class RainwallNode {
 
   net::NodeEnv& env_;
   RainwallConfig cfg_;
-  session::SessionNode session_;
+  session::SessionMux node_;  ///< the gateway's transport and its one ring
+  session::SessionNode& session_;
   data::ChannelMux mux_;
   Subnet& subnet_;
   FirewallPolicy policy_;

@@ -16,7 +16,6 @@
 // the BENCH_*.json machine-readable output and human diagnostics.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -121,24 +120,6 @@ class Registry {
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
-};
-
-/// RAII timer: records the elapsed virtual time into a histogram when the
-/// scope closes. The clock is injected (simulation or wall adapters alike).
-class TimerScope {
- public:
-  using NowFn = std::function<Time()>;
-
-  TimerScope(Histogram& hist, NowFn now)
-      : hist_(hist), now_(std::move(now)), start_(now_()) {}
-  TimerScope(const TimerScope&) = delete;
-  TimerScope& operator=(const TimerScope&) = delete;
-  ~TimerScope() { hist_.record_time(now_() - start_); }
-
- private:
-  Histogram& hist_;
-  NowFn now_;
-  Time start_;
 };
 
 }  // namespace raincore::metrics

@@ -3,8 +3,9 @@
 // The simulator never needs this — logical addresses are the routing key —
 // but real sockets do, and with ephemeral binding (port 0 + getsockname
 // discovery, the CI-friendly default) the mapping is only known after
-// bind. In-process harnesses (UdpNetwork) fill the book as endpoints bind;
-// raincored fills it from its config's peer list.
+// bind. Every endpoint publishes its own bound ports here, so endpoints
+// sharing one book (an in-process cluster) find each other; raincored and
+// ThreadedNode fill in their peers from config or add_peer().
 //
 // Threading: written during single-threaded setup (before the I/O loop
 // runs) and read from the I/O thread on every send. Entries are never

@@ -3,8 +3,9 @@
 // Protocol stacks (transport, session, baselines, applications) are passive
 // state machines: they receive datagrams and timer callbacks and emit sends
 // and new timers through this interface. The deterministic simulator
-// (sim_network.h) and the real-socket driver (udp_network.h) both implement
-// it, so the exact same protocol bytes run in simulation and on UDP.
+// (sim_network.h) and the real-socket endpoint (udp_endpoint.h) both
+// implement it, so the exact same protocol bytes run in simulation and on
+// UDP.
 #pragma once
 
 #include <functional>

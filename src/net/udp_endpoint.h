@@ -1,10 +1,10 @@
 // One node's UDP feet on the ground: a NodeEnv over real non-blocking
 // sockets, driven by a RealTimeLoop.
 //
-// This is the production building block. An in-process harness
-// (UdpNetwork) composes several endpoints over one loop and one shared
-// AddressBook; a raincored process owns exactly one, with the book filled
-// from its config's peer list. Sockets bind non-blocking and register
+// This is the production building block: a ThreadedNode (and so a
+// raincored process) owns exactly one, with the book filled from its
+// config's peer list. Several endpoints may also share one loop and one
+// AddressBook in-process. Sockets bind non-blocking and register
 // edge-triggered with the loop; each readiness callback drains until
 // EAGAIN.
 //

@@ -81,8 +81,11 @@ ThreadedNode::ThreadedNode(ThreadedNodeConfig cfg)
           p->io_deliver(src, std::move(payload));
         });
   }
-  transport_.set_failure_observer([this](NodeId peer) {
-    for (auto& w : workers_) w->proxy.io_notify_suspect(peer);
+  transport_.set_failure_observer([this](NodeId peer,
+                                         transport::MuxGroup group) {
+    for (auto& w : workers_) {
+      if (w->proxy.group() != group) w->proxy.io_notify_suspect(peer);
+    }
   });
   io_loop_.set_service_handler([this] {
     for (auto& w : workers_) w->proxy.io_drain_commands();

@@ -51,8 +51,8 @@ void HierarchicalNode::start() {
   assert(!started_);
   started_ = true;
   incarnation_ = static_cast<std::uint32_t>(env_.rng().next_u64());
-  mux_.set_enabled(true);
   // Every node founds a singleton; BODYODOR discovery merges the ring.
+  // Starting the ring switches the shared transport back on.
   local_.found();
 }
 

@@ -1,9 +1,8 @@
-// SessionNode node-level plumbing: construction and transport binding
-// (owned stack or shared SessionMux transport), lifecycle (found / join /
-// leave / stop), public group-communication services, message dispatch and
-// protocol timers. The ring protocol engine itself — token handling, 911
-// recovery, discovery/merge, suspicion processing — lives in
-// session_ring.cpp.
+// SessionNode node-level plumbing: construction and transport binding,
+// lifecycle (found / join / leave / stop), public group-communication
+// services, message dispatch and protocol timers. The ring protocol engine
+// itself — token handling, 911 recovery, discovery/merge, suspicion
+// processing — lives in session_ring.cpp.
 #include "session/session_node.h"
 
 #include <cassert>
@@ -37,28 +36,11 @@ void SessionNode::set_state(State s, const char* why) {
   (void)why;
 }
 
-SessionNode::SessionNode(net::NodeEnv& env, SessionConfig cfg)
-    : env_(env),
-      cfg_(std::move(cfg)),
-      owned_transport_(
-          std::make_unique<transport::ReliableTransport>(env, cfg_.transport)),
-      transport_(*owned_transport_),
-      classic_(owned_transport_.get()) {
-  incarnation_ = static_cast<std::uint32_t>(env_.rng().next_u64());
-  eligible_.insert(cfg_.eligible.begin(), cfg_.eligible.end());
-  transport_.set_group_handler(group_, [this](NodeId src, Slice payload) {
-    on_transport_message(src, std::move(payload));
-  });
-}
-
-SessionNode::SessionNode(transport::ReliableTransport& shared,
+SessionNode::SessionNode(net::NodeEnv& env,
+                         transport::TransportHandle& transport,
                          transport::MuxGroup group, SessionConfig cfg)
-    : env_(shared.env()),
-      cfg_(std::move(cfg)),
-      transport_(shared),
-      classic_(&shared),
-      group_(group) {
-  // The shared stack's configuration is authoritative (one detector, one
+    : env_(env), cfg_(std::move(cfg)), transport_(transport), group_(group) {
+  // The node's transport configuration is authoritative (one detector, one
   // retry schedule); mirror it so introspection through config() agrees.
   cfg_.transport = transport_.config();
   incarnation_ = static_cast<std::uint32_t>(env_.rng().next_u64());
@@ -68,27 +50,11 @@ SessionNode::SessionNode(transport::ReliableTransport& shared,
   });
 }
 
-SessionNode::SessionNode(net::NodeEnv& env, transport::TransportHandle& handle,
-                         transport::MuxGroup group, SessionConfig cfg)
-    : env_(env), cfg_(std::move(cfg)), transport_(handle), group_(group) {
-  cfg_.transport = transport_.config();
-  incarnation_ = static_cast<std::uint32_t>(env_.rng().next_u64());
-  eligible_.insert(cfg_.eligible.begin(), cfg_.eligible.end());
-  transport_.set_group_handler(group_, [this](NodeId src, Slice payload) {
-    on_transport_message(src, std::move(payload));
-  });
-}
-
-transport::ReliableTransport& SessionNode::transport() {
-  assert(classic_ && "threaded-runtime rings have no concrete transport");
-  return *classic_;
-}
-
 SessionNode::~SessionNode() {
   stop();
-  // A shared transport outlives this ring: drop the handler so no frame
-  // routes into a destroyed object.
-  if (!owns_transport()) transport_.set_group_handler(group_, nullptr);
+  // The transport outlives this ring: drop the handler so no frame routes
+  // into a destroyed object.
+  transport_.set_group_handler(group_, nullptr);
 }
 
 // --- Lifecycle ---------------------------------------------------------------
@@ -133,9 +99,7 @@ void SessionNode::found() {
   reset_protocol_state();
   started_ = true;
   leaving_ = false;
-  // A shared transport's enablement is node-level state owned by the
-  // SessionMux; only a node that owns its stack toggles it.
-  if (owns_transport()) owned_transport_->set_enabled(true);
+  if (on_started_) on_started_(true);
   Token t;
   t.lineage = env_.rng().next_u64();
   t.seq = 1;
@@ -153,7 +117,7 @@ void SessionNode::join(std::vector<NodeId> contacts) {
   reset_protocol_state();
   started_ = true;
   leaving_ = false;
-  if (owns_transport()) owned_transport_->set_enabled(true);
+  if (on_started_) on_started_(true);
   set_state(State::kHungry, "join");
   join_contacts_ = std::move(contacts);
   join_contact_idx_ = 0;
@@ -205,9 +169,7 @@ void SessionNode::stop() {
   if (bodyodor_timer_) env_.cancel(bodyodor_timer_), bodyodor_timer_ = 0;
   if (starving_timer_) env_.cancel(starving_timer_), starving_timer_ = 0;
   if (join_timer_) env_.cancel(join_timer_), join_timer_ = 0;
-  // Crash-stopping one ring must not silence its siblings on a shared
-  // transport; SessionMux::set_enabled covers whole-node crash-stop.
-  if (owns_transport()) owned_transport_->set_enabled(false);
+  if (on_started_) on_started_(false);
 }
 
 void SessionNode::set_eligible(std::vector<NodeId> eligible) {

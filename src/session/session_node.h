@@ -13,22 +13,24 @@
 //     ordering at the cost of one extra token round (§2.6);
 //   - token-based mutual exclusion (§2.7): callbacks run while EATING.
 //
-// The node is a passive state machine over a NodeEnv, so it runs unchanged
-// under the deterministic simulator and the UDP driver.
+// The node is a passive state machine over a NodeEnv and a TransportHandle
+// it does not own, so it runs unchanged under the deterministic simulator
+// (a SessionMux's ReliableTransport) and the threaded runtime (a
+// TransportProxy to the I/O thread's transport).
 #pragma once
 
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <vector>
 
 #include "common/metrics.h"
 #include "common/stats.h"
+#include "net/network.h"
 #include "session/messages.h"
-#include "transport/transport.h"
+#include "transport/transport_handle.h"
 
 namespace raincore::session {
 
@@ -104,6 +106,9 @@ struct SessionConfig {
   /// N rings on one node keep distinct "session.*" instruments when their
   /// snapshots merge. Empty = classic unprefixed names.
   std::string metrics_prefix;
+  /// Settings for the node's transport, which the ring does not own: the
+  /// harness passes them to the SessionMux it builds, and the ring
+  /// overwrites this copy with its transport's actual config.
   transport::TransportConfig transport;
 };
 
@@ -123,23 +128,17 @@ class SessionNode {
   /// attribute removals — e.g. the chaos false-removal oracle checks
   /// whether the removed node's process was actually alive.
   using RemovalFn = std::function<void(NodeId)>;
+  /// Invoked with true when found()/join() start this ring, and with false
+  /// each time stop() runs: a crash-stop, a completed leave or a quorum
+  /// shutdown. The SessionMux uses it to switch the shared transport on
+  /// and off.
+  using StartedFn = std::function<void(bool started)>;
 
-  /// Classic single-session node: owns a full transport stack on `env`
-  /// (demux group 0).
-  SessionNode(net::NodeEnv& env, SessionConfig cfg = {});
-  /// Shared-transport ring: rides `shared` on demux group `group`. The
-  /// transport — and with it the UDP port, dedup windows and all per-peer
-  /// RTT/health/failure-detection state — belongs to the caller (normally
-  /// a SessionMux); this ring only registers its group handler and never
-  /// toggles the transport's enablement.
-  SessionNode(transport::ReliableTransport& shared, transport::MuxGroup group,
-              SessionConfig cfg = {});
-  /// Threaded-runtime ring: timers and rng come from `env` (the worker
-  /// thread's loop-backed environment), wire operations go through
-  /// `handle` (a TransportProxy marshalling to the I/O thread's real
-  /// transport). The concrete transport() accessor is unavailable in this
-  /// mode — everything the ring needs crosses the handle.
-  SessionNode(net::NodeEnv& env, transport::TransportHandle& handle,
+  /// A ring on demux group `group` of a transport owned by the caller —
+  /// a SessionMux in the simulator, a TransportProxy to the I/O thread's
+  /// transport in the threaded runtime. Timers and rng come from `env`.
+  /// The transport's config is authoritative and replaces cfg.transport.
+  SessionNode(net::NodeEnv& env, transport::TransportHandle& transport,
               transport::MuxGroup group, SessionConfig cfg = {});
   SessionNode(const SessionNode&) = delete;
   SessionNode& operator=(const SessionNode&) = delete;
@@ -213,6 +212,7 @@ class SessionNode {
     on_quorum_shutdown_ = std::move(fn);
   }
   void set_removal_handler(RemovalFn fn) { on_removal_ = std::move(fn); }
+  void set_started_handler(StartedFn fn) { on_started_ = std::move(fn); }
   void set_eligible(std::vector<NodeId> eligible);
 
   /// Shared-detector fan-out: another ring on this node observed a
@@ -237,18 +237,10 @@ class SessionNode {
   std::size_t pending_out() const { return pending_out_.size(); }
   /// Payload bytes currently held in the bounded send queue.
   std::size_t pending_out_bytes() const { return pending_bytes_; }
-  /// The concrete transport stack (classic and shared-transport modes).
-  /// Unavailable — asserts — for threaded-runtime rings, which only have a
-  /// marshalling handle; use handle() there.
-  transport::ReliableTransport& transport();
-  /// The transport surface this ring actually sends through, in any mode.
-  transport::TransportHandle& handle() { return transport_; }
   /// The environment this ring's timers and rng run on.
   net::NodeEnv& env() { return env_; }
-  /// Demux group this ring's frames are stamped with (0 for classic nodes).
+  /// Demux group this ring's frames are stamped with.
   transport::MuxGroup mux_group() const { return group_; }
-  /// True when this node owns its transport stack (classic constructor).
-  bool owns_transport() const { return owned_transport_ != nullptr; }
   const SessionConfig& config() const { return cfg_; }
 
   /// Debug/test introspection: TBM tokens held while awaiting our own.
@@ -354,13 +346,8 @@ class SessionNode {
 
   net::NodeEnv& env_;
   SessionConfig cfg_;
-  /// Owned in classic mode; null when riding a SessionMux's transport.
-  std::unique_ptr<transport::ReliableTransport> owned_transport_;
-  /// Every wire operation goes through this. In classic/shared modes it is
-  /// the concrete ReliableTransport (also reachable via classic_); in
-  /// threaded mode it is a cross-thread proxy and classic_ stays null.
+  /// Every wire operation goes through this; the caller owns it.
   transport::TransportHandle& transport_;
-  transport::ReliableTransport* classic_ = nullptr;
   transport::MuxGroup group_ = 0;
 
   bool started_ = false;
@@ -453,6 +440,7 @@ class SessionNode {
   ViewFn on_view_;
   QuorumShutdownFn on_quorum_shutdown_;
   RemovalFn on_removal_;
+  StartedFn on_started_;
 
   metrics::Registry metrics_{cfg_.metrics_prefix};
   Stats stats_{metrics_};

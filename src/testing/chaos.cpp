@@ -503,7 +503,9 @@ ChaosCluster::ChaosCluster(std::vector<NodeId> ids, ChaosConfig chaos_cfg,
   for (NodeId id : ids_) {
     auto& env = net_.add_node(id);
     auto st = std::make_unique<Stack>();
-    st->session = std::make_unique<session::SessionNode>(env, session_cfg_);
+    st->node =
+        std::make_unique<session::SessionMux>(env, session_cfg_.transport);
+    st->session = &st->node->create_ring(0, session_cfg_);
     st->mux = std::make_unique<data::ChannelMux>(*st->session);
     st->map = std::make_unique<data::ReplicatedMap>(*st->mux, kMapChannel);
     st->locks = std::make_unique<data::LockManager>(*st->mux, kLockChannel);
@@ -641,7 +643,7 @@ metrics::Snapshot ChaosCluster::metrics_snapshot() const {
   metrics::Snapshot merged;
   for (const auto& [id, stack] : stacks_) {
     merged.merge(stack->session->metrics().snapshot());
-    merged.merge(stack->session->transport().metrics().snapshot());
+    merged.merge(stack->node->transport().metrics().snapshot());
     merged.merge(stack->mux->metrics().snapshot());
     merged.merge(stack->map->metrics().snapshot());
     merged.merge(stack->locks->metrics().snapshot());
@@ -655,7 +657,7 @@ std::size_t ChaosCluster::reservoir_samples() const {
   std::size_t total = 0;
   for (const auto& [id, stack] : stacks_) {
     total += stack->session->metrics().reservoir_samples();
-    total += stack->session->transport().metrics().reservoir_samples();
+    total += stack->node->transport().metrics().reservoir_samples();
     total += stack->mux->metrics().reservoir_samples();
     total += stack->map->metrics().reservoir_samples();
     total += stack->locks->metrics().reservoir_samples();
@@ -1094,8 +1096,10 @@ MultiRingChaosCluster::MultiRingChaosCluster(std::vector<NodeId> ids,
     st->logs.resize(n_rings_);
     st->traffic_rng = setup_rng.fork();
     for (std::size_t r = 0; r < n_rings_; ++r) {
-      auto& ring = st->mux->create_ring(
-          static_cast<transport::MuxGroup>(r), session_cfg_);
+      session::SessionConfig rcfg = session_cfg_;
+      rcfg.metrics_prefix = "ring" + std::to_string(r) + ".";
+      auto& ring =
+          st->mux->create_ring(static_cast<transport::MuxGroup>(r), rcfg);
       st->rings.push_back(&ring);
       Stack* stp = st.get();
       ring.set_deliver_handler(
@@ -1117,8 +1121,7 @@ MultiRingChaosCluster::MultiRingChaosCluster(std::vector<NodeId> ids,
     Stack& st = *stacks_.at(id);
     ++st.epoch;
     std::fill(st.counters.begin(), st.counters.end(), 0);
-    st.mux->set_enabled(true);
-    for (auto* ring : st.rings) ring->found();
+    for (auto* ring : st.rings) ring->found();  // switches the transport on
   });
 }
 

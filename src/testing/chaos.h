@@ -184,9 +184,10 @@ class ChaosEngine {
 
 // --- Full-stack chaos harness ----------------------------------------------
 
-/// A complete Raincore stack per node — session, channel mux, replicated
-/// map, distributed lock manager, virtual-IP manager on a shared subnet —
-/// plus a deterministic traffic generator and the invariant checkers.
+/// A complete Raincore stack per node — a one-ring SessionMux, channel mux,
+/// replicated map, distributed lock manager, virtual-IP manager on a shared
+/// subnet — plus a deterministic traffic generator and the invariant
+/// checkers.
 class ChaosCluster {
  public:
   ChaosCluster(std::vector<NodeId> ids, ChaosConfig chaos_cfg,
@@ -252,7 +253,9 @@ class ChaosCluster {
     std::string payload;
   };
   struct Stack {
-    std::unique_ptr<session::SessionNode> session;
+    /// The node: its transport and its one ring (`session`).
+    std::unique_ptr<session::SessionMux> node;
+    session::SessionNode* session = nullptr;
     std::unique_ptr<data::ChannelMux> mux;
     std::unique_ptr<data::ReplicatedMap> map;
     std::unique_ptr<data::LockManager> locks;

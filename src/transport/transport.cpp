@@ -394,9 +394,9 @@ void ReliableTransport::finish(TransferId id, bool ok, std::uint8_t ack_iface) {
     fod_.inc();
     RC_DEBUG(kMod, "node %u: failure-on-delivery to %u (transfer %llu)",
              env_.node(), f.dst, static_cast<unsigned long long>(id));
-    // Node-level observer first (suspicion stamps for every ring sharing
-    // this detector), then the transfer's own failure notification.
-    if (on_failure_observed_) on_failure_observed_(f.dst);
+    // Node-level observer first (suspicion stamps for every other ring
+    // sharing this detector), then the transfer's own failure notification.
+    if (on_failure_observed_) on_failure_observed_(f.dst, f.group);
     if (f.failed) f.failed(id, f.dst);
   }
 }

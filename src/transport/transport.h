@@ -47,9 +47,11 @@ class ReliableTransport : public TransportHandle {
   using DeliveredFn = transport::DeliveredFn;
   using FailedFn = transport::FailedFn;
   /// Node-level failure observer: fires once per failure-on-delivery, in
-  /// addition to the transfer's own FailedFn. The SessionMux uses it to fan
-  /// one detection out to every ring the peer belongs to.
-  using FailureObserverFn = std::function<void(NodeId peer)>;
+  /// addition to the transfer's own FailedFn, with the demux group the
+  /// failed transfer was stamped with. The SessionMux uses it to fan one
+  /// detection out to every other ring the peer belongs to; the ring whose
+  /// transfer failed learns of it through its own FailedFn.
+  using FailureObserverFn = std::function<void(NodeId peer, MuxGroup group)>;
 
   ReliableTransport(net::NodeEnv& env, TransportConfig cfg = {});
   ReliableTransport(const ReliableTransport&) = delete;

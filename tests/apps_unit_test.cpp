@@ -9,6 +9,7 @@
 #include "apps/vip/subnet.h"
 #include "data/channel_mux.h"
 #include "net/sim_network.h"
+#include "session/session_mux.h"
 
 namespace raincore {
 namespace {
@@ -138,7 +139,9 @@ TEST(ChannelMuxTest, RoutesByChannel) {
   net::SimNetwork net;
   session::SessionConfig cfg;
   cfg.eligible = {1, 2};
-  session::SessionNode n1(net.add_node(1), cfg), n2(net.add_node(2), cfg);
+  session::SessionMux x1(net.add_node(1)), x2(net.add_node(2));
+  session::SessionNode &n1 = x1.create_ring(0, cfg),
+                       &n2 = x2.create_ring(0, cfg);
   data::ChannelMux m1(n1), m2(n2);
   std::vector<std::string> ch7, ch9;
   m2.subscribe(7, [&](NodeId, const Slice& p, session::Ordering) {
@@ -164,7 +167,8 @@ TEST(ChannelMuxTest, UnsubscribedChannelIsDropped) {
   net::SimNetwork net;
   session::SessionConfig cfg;
   cfg.eligible = {1};
-  session::SessionNode n1(net.add_node(1), cfg);
+  session::SessionMux x1(net.add_node(1));
+  session::SessionNode& n1 = x1.create_ring(0, cfg);
   data::ChannelMux m1(n1);
   n1.found();
   net.loop().run_for(millis(100));
@@ -177,7 +181,9 @@ TEST(ChannelMuxTest, MultipleViewSubscribersAllFire) {
   net::SimNetwork net;
   session::SessionConfig cfg;
   cfg.eligible = {1, 2};
-  session::SessionNode n1(net.add_node(1), cfg), n2(net.add_node(2), cfg);
+  session::SessionMux x1(net.add_node(1)), x2(net.add_node(2));
+  session::SessionNode &n1 = x1.create_ring(0, cfg),
+                       &n2 = x2.create_ring(0, cfg);
   data::ChannelMux m1(n1);
   int a = 0, b = 0;
   m1.subscribe_views([&](const session::View&) { ++a; });

@@ -7,6 +7,7 @@
 #include "data/lock_manager.h"
 #include "data/replicated_map.h"
 #include "net/sim_network.h"
+#include "session/session_mux.h"
 
 namespace raincore {
 namespace {
@@ -20,7 +21,8 @@ constexpr data::Channel kMapCh = 1;
 constexpr data::Channel kLockCh = 2;
 
 struct DataNode {
-  std::unique_ptr<SessionNode> session;
+  std::unique_ptr<session::SessionMux> node;
+  SessionNode* session = nullptr;
   std::unique_ptr<ChannelMux> mux;
   std::unique_ptr<ReplicatedMap> map;
   std::unique_ptr<LockManager> locks;
@@ -34,7 +36,8 @@ class DataCluster {
     for (NodeId id : ids) {
       auto& env = net_.add_node(id);
       DataNode n;
-      n.session = std::make_unique<SessionNode>(env, cfg);
+      n.node = std::make_unique<session::SessionMux>(env, cfg.transport);
+      n.session = &n.node->create_ring(0, cfg);
       n.mux = std::make_unique<ChannelMux>(*n.session);
       n.map = std::make_unique<ReplicatedMap>(*n.mux, kMapCh);
       n.locks = std::make_unique<LockManager>(*n.mux, kLockCh);

@@ -16,7 +16,6 @@
 using namespace raincore;
 using metrics::Registry;
 using metrics::Snapshot;
-using metrics::TimerScope;
 
 // ---------------------------------------------------------------- registry
 
@@ -288,20 +287,6 @@ TEST(MetricsRegistry, ReservoirSeedIsRegistrationOrderIndependent) {
     r2.histogram("beta").record(9000 - i);
   }
   EXPECT_EQ(r1.snapshot(), r2.snapshot());
-}
-
-// ----------------------------------------------------------- timer scope
-
-TEST(MetricsTimerScope, RecordsElapsedVirtualTime) {
-  Registry reg;
-  Histogram& h = reg.histogram("op_ns");
-  Time now = 1000;
-  {
-    TimerScope t(h, [&now] { return now; });
-    now += 250;
-  }
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_DOUBLE_EQ(h.max(), 250.0);
 }
 
 // --------------------------------------------------------- JSON round-trip

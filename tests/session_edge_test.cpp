@@ -48,8 +48,12 @@ TEST(SessionEdge, DisjointEligibleSetsNeverMerge) {
   session::SessionConfig cfg_a = cfg, cfg_b = cfg;
   cfg_a.eligible = {1, 2};
   cfg_b.eligible = {3, 4};
-  session::SessionNode n1(net.add_node(1), cfg_a), n2(net.add_node(2), cfg_a);
-  session::SessionNode n3(net.add_node(3), cfg_b), n4(net.add_node(4), cfg_b);
+  session::SessionMux x1(net.add_node(1)), x2(net.add_node(2));
+  session::SessionMux x3(net.add_node(3)), x4(net.add_node(4));
+  session::SessionNode &n1 = x1.create_ring(0, cfg_a),
+                       &n2 = x2.create_ring(0, cfg_a);
+  session::SessionNode &n3 = x3.create_ring(0, cfg_b),
+                       &n4 = x4.create_ring(0, cfg_b);
   n1.found();
   n2.found();
   n3.found();
@@ -66,7 +70,9 @@ TEST(SessionEdge, SetEligibleOnlineEnablesMerge) {
   session::SessionConfig cfg_a, cfg_b;
   cfg_a.eligible = {1};
   cfg_b.eligible = {2};
-  session::SessionNode n1(net.add_node(1), cfg_a), n2(net.add_node(2), cfg_b);
+  session::SessionMux x1(net.add_node(1)), x2(net.add_node(2));
+  session::SessionNode &n1 = x1.create_ring(0, cfg_a),
+                       &n2 = x2.create_ring(0, cfg_b);
   n1.found();
   n2.found();
   net.loop().run_for(seconds(3));
@@ -184,7 +190,7 @@ TEST(SessionEdge, StaleTokenCounterTracksDuplicates) {
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
   // Inject a duplicate of the current last copy directly via transport.
   auto stale = c.node(1).last_copy();
-  c.node(2).transport().send(1, session::encode_token_msg(stale));
+  c.mux(2).transport().send(1, session::encode_token_msg(stale));
   c.run(millis(200));
   EXPECT_GE(c.node(1).stats().stale_tokens_dropped.value(), 1u);
 }

@@ -304,8 +304,8 @@ TEST(SessionFailureMetrics, RemovalCountMatchesInjectedCrashesAndFodFired) {
   auto removals = [](session::SessionNode& n) {
     return n.stats().removals.value();
   };
-  auto fods = [](session::SessionNode& n) {
-    return n.transport().metrics().counter("transport.fod").value();
+  auto fods = [&](session::SessionNode& n) {
+    return c.mux(n.id()).transport().metrics().counter("transport.fod").value();
   };
 
   EXPECT_EQ(sum_over({1, 2}, removals), 0u);
@@ -359,7 +359,7 @@ TEST(SessionFailureMetrics, ProbationSavesDegradedPeerFromFalseRemoval) {
     if (ring[(i + 1) % ring.size()] == 3) pred = ring[i];
   }
   ASSERT_NE(pred, kInvalidNode);
-  const Time fdb = c.node(pred).transport().failure_detection_bound(3);
+  const Time fdb = c.mux(pred).transport().failure_detection_bound(3);
   for (NodeId other : std::vector<NodeId>{1, 2, 4}) {
     c.net().set_link_up(other, 3, false);
   }
@@ -389,7 +389,7 @@ TEST(SessionFailureMetrics, DenialCounterCountsRefused911s) {
   const int kRequests = 3;
   for (int i = 0; i < kRequests; ++i) {
     session::Msg911 m{2, 1000 + static_cast<std::uint64_t>(i), 0};
-    c.node(2).transport().send(1, session::encode_911(m));
+    c.mux(2).transport().send(1, session::encode_911(m));
     c.run(millis(50));
   }
   EXPECT_EQ(c.node(1).stats().denials_sent.value() - before,

@@ -1,12 +1,18 @@
-// Real-socket driver: the same protocol stack over UDP on loopback.
-// These tests use real time and real sockets, so they are kept short and
-// use generous assertions; determinism tests live against the simulator.
+// Real-socket driver: the same protocol stack over UDP on loopback. Each
+// node is a UdpEndpoint; the endpoints of one test share one RealTimeLoop
+// and one AddressBook, and bind ephemeral ports. These tests use real time
+// and real sockets, so they are kept short and use generous assertions;
+// determinism tests live against the simulator.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
 
 #include "common/metrics.h"
-#include "net/udp_network.h"
+#include "net/address_book.h"
+#include "net/real_time_loop.h"
+#include "net/udp_endpoint.h"
 #include "session/session_mux.h"
 #include "session/session_node.h"
 #include "transport/transport.h"
@@ -14,15 +20,31 @@
 namespace raincore {
 namespace {
 
+/// One loop, one book and the endpoints bound on them, owned together.
+class UdpNodes {
+ public:
+  net::UdpEndpoint& add_node(NodeId id) {
+    net::UdpEndpointConfig cfg;
+    cfg.node = id;
+    auto& ep = endpoints_[id];
+    ep = std::make_unique<net::UdpEndpoint>(loop_, book_, cfg);
+    return *ep;
+  }
+  void run_for(Time d) { loop_.run_for(d); }
+
+ private:
+  net::RealTimeLoop loop_;
+  net::AddressBook book_;
+  std::map<NodeId, std::unique_ptr<net::UdpEndpoint>> endpoints_;
+};
+
 TEST(UdpNetworkTest, DatagramRoundTrip) {
-  net::UdpConfig cfg;
-  cfg.base_port = 46100;
-  net::UdpNetwork net(cfg);
+  UdpNodes net;
   auto& e1 = net.add_node(1);
   auto& e2 = net.add_node(2);
   std::vector<net::Datagram> inbox;
   e2.set_receiver([&](net::Datagram&& d) { inbox.push_back(std::move(d)); });
-  e1.send(net::Address{2, 0}, Bytes{1, 2, 3}, 0);
+  e1.send(net::Address{2, 0}, Slice::take(Bytes{1, 2, 3}), 0);
   net.run_for(millis(200));
   ASSERT_EQ(inbox.size(), 1u);
   EXPECT_EQ(inbox[0].src, (net::Address{1, 0}));
@@ -30,9 +52,7 @@ TEST(UdpNetworkTest, DatagramRoundTrip) {
 }
 
 TEST(UdpNetworkTest, TimersFireInOrder) {
-  net::UdpConfig cfg;
-  cfg.base_port = 46120;
-  net::UdpNetwork net(cfg);
+  UdpNodes net;
   auto& e1 = net.add_node(1);
   std::vector<int> order;
   e1.schedule(millis(60), [&] { order.push_back(2); });
@@ -42,9 +62,7 @@ TEST(UdpNetworkTest, TimersFireInOrder) {
 }
 
 TEST(UdpNetworkTest, TimerCancel) {
-  net::UdpConfig cfg;
-  cfg.base_port = 46140;
-  net::UdpNetwork net(cfg);
+  UdpNodes net;
   auto& e1 = net.add_node(1);
   bool ran = false;
   auto id = e1.schedule(millis(20), [&] { ran = true; });
@@ -54,9 +72,7 @@ TEST(UdpNetworkTest, TimerCancel) {
 }
 
 TEST(UdpNetworkTest, ReliableTransportOverRealSockets) {
-  net::UdpConfig cfg;
-  cfg.base_port = 46160;
-  net::UdpNetwork net(cfg);
+  UdpNodes net;
   auto& e1 = net.add_node(1);
   auto& e2 = net.add_node(2);
   transport::ReliableTransport t1(e1), t2(e2);
@@ -72,17 +88,17 @@ TEST(UdpNetworkTest, ReliableTransportOverRealSockets) {
 }
 
 TEST(UdpNetworkTest, SessionGroupFormsOverUdp) {
-  net::UdpConfig cfg;
-  cfg.base_port = 46200;
-  net::UdpNetwork net(cfg);
+  UdpNodes net;
   session::SessionConfig scfg;
   scfg.token_hold = millis(5);
   scfg.eligible = {1, 2, 3};
 
-  std::map<NodeId, std::unique_ptr<session::SessionNode>> nodes;
+  std::map<NodeId, std::unique_ptr<session::SessionMux>> muxes;
+  std::map<NodeId, session::SessionNode*> nodes;
   std::map<NodeId, int> delivered;
   for (NodeId id = 1; id <= 3; ++id) {
-    nodes[id] = std::make_unique<session::SessionNode>(net.add_node(id), scfg);
+    muxes[id] = std::make_unique<session::SessionMux>(net.add_node(id));
+    nodes[id] = &muxes[id]->create_ring(0, scfg);
     nodes[id]->set_deliver_handler(
         [&delivered, id](NodeId, const Slice&, session::Ordering) {
           delivered[id]++;
@@ -108,9 +124,7 @@ TEST(UdpNetworkTest, TwoSessionsDemuxOverOneBoundPort) {
   // Both rings must form full views and deliver independently, and the node
   // must hold exactly one failure-detector state (one unprefixed
   // "transport.rtt_samples" — not one per ring).
-  net::UdpConfig cfg;
-  cfg.base_port = 46220;
-  net::UdpNetwork net(cfg);
+  UdpNodes net;
   session::SessionConfig scfg;
   scfg.token_hold = millis(5);
   scfg.eligible = {1, 2, 3};
@@ -121,7 +135,9 @@ TEST(UdpNetworkTest, TwoSessionsDemuxOverOneBoundPort) {
   for (NodeId id = 1; id <= 3; ++id) {
     muxes[id] = std::make_unique<session::SessionMux>(net.add_node(id));
     for (transport::MuxGroup g : {transport::MuxGroup{0}, transport::MuxGroup{1}}) {
-      auto& ring = muxes[id]->create_ring(g, scfg);
+      session::SessionConfig rcfg = scfg;
+      rcfg.metrics_prefix = "ring" + std::to_string(g) + ".";
+      auto& ring = muxes[id]->create_ring(g, rcfg);
       ring.set_deliver_handler(
           [&delivered, id, g](NodeId, const Slice&, session::Ordering) {
             delivered[id][g]++;

@@ -1,5 +1,5 @@
-// Shared test/bench harness: a simulated cluster of SessionNodes with
-// recorded deliveries and views, plus convergence helpers.
+// Shared test/bench harness: a simulated cluster of one-ring SessionMux
+// nodes with recorded deliveries and views, plus convergence helpers.
 #pragma once
 
 #include <map>
@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "net/sim_network.h"
-#include "session/session_node.h"
+#include "session/session_mux.h"
 #include "testing/chaos.h"
 
 namespace raincore::testing {
@@ -31,7 +31,8 @@ class TestCluster {
     cfg_.eligible = ids;
     for (NodeId id : ids) {
       auto& env = net_.add_node(id, ifaces);
-      auto node = std::make_unique<session::SessionNode>(env, cfg_);
+      auto mux = std::make_unique<session::SessionMux>(env, cfg_.transport);
+      session::SessionNode* node = &mux->create_ring(0, cfg_);
       node->set_deliver_handler(
           [this, id](NodeId origin, const Slice& payload, session::Ordering o) {
             deliveries_[id].push_back(
@@ -40,7 +41,8 @@ class TestCluster {
       node->set_view_handler([this, id](const session::View& v) {
         views_[id].push_back(v);
       });
-      nodes_[id] = std::move(node);
+      nodes_[id] = node;
+      muxes_[id] = std::move(mux);
     }
   }
 
@@ -75,6 +77,8 @@ class TestCluster {
   ChaosEngine& engine() { return *chaos_; }
 
   session::SessionNode& node(NodeId id) { return *nodes_.at(id); }
+  /// The node's SessionMux: its transport and its one ring (group 0).
+  session::SessionMux& mux(NodeId id) { return *muxes_.at(id); }
   net::SimNetwork& net() { return net_; }
   const std::vector<Delivery>& delivered(NodeId id) { return deliveries_[id]; }
   const std::vector<session::View>& views(NodeId id) { return views_[id]; }
@@ -146,7 +150,8 @@ class TestCluster {
   net::SimNetwork net_;
   session::SessionConfig cfg_;
   std::unique_ptr<ChaosEngine> chaos_;
-  std::map<NodeId, std::unique_ptr<session::SessionNode>> nodes_;
+  std::map<NodeId, std::unique_ptr<session::SessionMux>> muxes_;
+  std::map<NodeId, session::SessionNode*> nodes_;
   std::map<NodeId, std::vector<Delivery>> deliveries_;
   std::map<NodeId, std::vector<session::View>> views_;
 };

@@ -6,6 +6,7 @@
 
 #include "apps/vip/vip_manager.h"
 #include "net/sim_network.h"
+#include "session/session_mux.h"
 
 namespace raincore {
 namespace {
@@ -22,7 +23,8 @@ class VipCluster {
     for (NodeId id : ids) {
       auto& env = net_.add_node(id);
       Holder h;
-      h.session = std::make_unique<session::SessionNode>(env, cfg);
+      h.node = std::make_unique<session::SessionMux>(env, cfg.transport);
+      h.session = &h.node->create_ring(0, cfg);
       h.mux = std::make_unique<data::ChannelMux>(*h.session);
       h.vips = std::make_unique<VipManager>(*h.mux, subnet_, VipConfig{pool, 100});
       nodes_[id] = std::move(h);
@@ -67,7 +69,8 @@ class VipCluster {
 
  private:
   struct Holder {
-    std::unique_ptr<session::SessionNode> session;
+    std::unique_ptr<session::SessionMux> node;
+    session::SessionNode* session = nullptr;
     std::unique_ptr<data::ChannelMux> mux;
     std::unique_ptr<VipManager> vips;
   };

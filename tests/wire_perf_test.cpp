@@ -60,7 +60,7 @@ TEST(WirePerf, SteadyStateTokenHopAllocationBudget) {
   // Encode-once accounting: in steady state every DATA transfer is framed
   // in the payload's own slack; the copy fallback stays untouched.
   for (NodeId id : c.ids()) {
-    auto& m = c.node(id).transport().metrics();
+    auto& m = c.mux(id).transport().metrics();
     EXPECT_GT(m.counter("transport.frames_inplace").value(), 0u)
         << "node " << id;
     EXPECT_EQ(m.counter("transport.frame_copies").value(), 0u) << "node " << id;
