@@ -464,10 +464,10 @@ void ReshardManager::on_message(std::size_t s, NodeId origin,
       const std::uint32_t new_k = r.u32();
       if (!r.ok() || new_k == 0) return;
       PartitionFilter& pf = filters_[s];
-      if (pf.rec && pf.rec->epoch == epoch) {
+      if (behind(pf, epoch)) {
         pf.cur = table(new_k);
         pf.rec.reset();
-        pf.completed_epoch = std::max(pf.completed_epoch, epoch);
+        pf.completed_epoch = epoch;
         journal(s, Rec::kComplete, epoch, new_k, 0, 0);
         scrub_partition(s);
       }
@@ -658,6 +658,7 @@ void ReshardManager::drive(bool force) {
 }
 
 void ReshardManager::tick() {
+  retire_finished_partitions();
   if (!active_) {
     // Idle repair: with every partition retired, the routing table must be
     // the filters' table. Any leftover window (an orphaned next_, or a
@@ -687,6 +688,33 @@ void ReshardManager::tick() {
     ByteWriter w(8);
     w.u8(static_cast<std::uint8_t>(Msg::kDumpRequest));
     plane_.channels(0).send(cfg_.channel, w.take());
+  }
+}
+
+void ReshardManager::retire_finished_partitions() {
+  // kEpochComplete goes out once, when the coordinator finishes the epoch.
+  // A partition whose store was down then learns of the completion only
+  // from a ring-0 state dump, which is not journaled, so after a restart it
+  // recovers the epoch's record (or, if that record never became durable,
+  // the old table) and would keep it forever: its moved-out keys stay
+  // retained and its replicas diverge from the ones that retired. Any node
+  // that knows the epoch closed re-sends the step on that ring, so every
+  // replica behind it retires at the same stream point.
+  const Time now = plane_.channels(0).now();
+  if (now - last_retire_at_ < cfg_.redrive_interval) return;
+  const auto k =
+      static_cast<std::uint32_t>(plane_.vrouter().current().shard_count());
+  for (std::size_t s = 0; s < filters_.size(); ++s) {
+    if (!behind(filters_[s], last_completed_epoch_) ||
+        !plane_.ring(s).started()) {
+      continue;
+    }
+    last_retire_at_ = now;
+    ByteWriter w(16);
+    w.u8(static_cast<std::uint8_t>(Msg::kEpochComplete));
+    w.u64(last_completed_epoch_);
+    w.u32(k);
+    plane_.channels(s).send(cfg_.channel, w.take());
   }
 }
 

@@ -133,6 +133,11 @@ class ReshardManager {
     std::optional<EpochRec> rec;
     std::uint64_t completed_epoch = 0;  ///< highest epoch retired into cur
   };
+  /// True when `pf` has not retired `epoch` and holds no record of a later
+  /// one: kEpochComplete for `epoch` retires it.
+  static bool behind(const PartitionFilter& pf, std::uint64_t epoch) {
+    return pf.completed_epoch < epoch && (!pf.rec || pf.rec->epoch <= epoch);
+  }
 
   std::shared_ptr<const ShardRouter> table(std::uint32_t k);
   void wire_partition(std::size_t s);
@@ -164,6 +169,10 @@ class ReshardManager {
   void send_state_dump();
   void adopt_state_dump(ByteReader& r);
   void scrub_partition(std::size_t s);
+  /// Re-sends kEpochComplete on every started ring whose partition is
+  /// behind the last epoch ring 0 closed (it was down when that epoch
+  /// completed and recovered an older state from its journal).
+  void retire_finished_partitions();
 
   /// Coordinator driver: sends (or re-sends, when `force`) the next step.
   void drive(bool force);
@@ -192,6 +201,7 @@ class ReshardManager {
   std::uint64_t last_drive_sig_ = 0;
   Time last_drive_at_ = 0;
   Time last_dump_req_at_ = 0;  ///< rate limit for kDumpRequest
+  Time last_retire_at_ = 0;    ///< rate limit for retire_finished_partitions
 
   metrics::Registry metrics_;
   Counter& resizes_ = metrics_.counter("data.reshard.resizes");

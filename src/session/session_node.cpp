@@ -32,7 +32,8 @@ void SessionNode::set_state(State s, const char* why) {
     state_since_ = now;
     state_ = s;
   }
-  RC_DEBUG(kMod, "node %u state->%d (%s)", id(), (int)state_, why);
+  RC_DEBUG(kMod, "node %u g%u: state->%d (%s)", id(), unsigned{group_},
+           (int)state_, why);
   (void)why;
 }
 
@@ -105,10 +106,13 @@ void SessionNode::found() {
   t.seq = 1;
   t.view_id = 1;
   t.ring = {id()};
-  RC_INFO(kMod, "node %u founded group (lineage %llx)", id(),
-          static_cast<unsigned long long>(t.lineage));
+  RC_INFO(kMod, "node %u g%u: founded group (lineage %llx)", id(),
+          unsigned{group_}, static_cast<unsigned long long>(t.lineage));
   arm_bodyodor_timer();
   begin_eating(std::move(t));
+  // Advertise at once, so members that found together merge within a few
+  // token rotations; the timer repeats the advert every bodyodor_interval.
+  send_bodyodors();
 }
 
 void SessionNode::join(std::vector<NodeId> contacts) {
@@ -148,7 +152,7 @@ void SessionNode::leave() {
 }
 
 void SessionNode::complete_leave() {
-  RC_INFO(kMod, "node %u leaving group", id());
+  RC_INFO(kMod, "node %u g%u: leaving group", id(), unsigned{group_});
   if (state_ == State::kEating && token_.ring.size() > 1) {
     NodeId succ = token_.successor_of(id());  // before removing ourselves
     token_.remove(id());
@@ -259,7 +263,8 @@ void SessionNode::on_transport_message(NodeId src, Slice payload) {
       break;
     }
     default:
-      RC_WARN(kMod, "node %u: unknown session message type", id());
+      RC_WARN(kMod, "node %u g%u: unknown session message type", id(),
+              unsigned{group_});
   }
 }
 

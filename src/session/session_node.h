@@ -146,8 +146,9 @@ class SessionNode {
 
   // --- Lifecycle -----------------------------------------------------------
 
-  /// Founds a singleton group holding a fresh token. Discovery (BODYODOR)
-  /// then merges groups of eligible nodes into one.
+  /// Founds a singleton group holding a fresh token and advertises it
+  /// (BODYODOR) at once, then every bodyodor_interval; discovery merges
+  /// groups of eligible nodes into one.
   void found();
 
   /// Joins an existing group by sending 911 join requests to the contacts
@@ -414,7 +415,13 @@ class SessionNode {
   // Join / merge state.
   std::set<NodeId> pending_joins_;         ///< plain 911 joiners
   std::map<NodeId, Time> readmit_after_;   ///< per-peer re-admit cooldown
-  std::deque<NodeId> pending_merge_invites_;  ///< BODYODOR senders to invite
+  /// A BODYODOR sender to invite, with the group ID its newest advert
+  /// reported (checked again when the invitation would be sent).
+  struct MergeInvite {
+    NodeId sender = kInvalidNode;
+    GroupId group_id = kInvalidNode;
+  };
+  std::deque<MergeInvite> pending_merge_invites_;
   std::vector<Token> pending_foreign_;     ///< TBM tokens held awaiting own token
   std::vector<NodeId> join_contacts_;
   std::size_t join_contact_idx_ = 0;

@@ -18,6 +18,43 @@ constexpr std::size_t kMaxLineagesTracked = 64;
 /// can resurrect their messages; a handful is plenty — an incarnation's
 /// messages retire within one or two token rounds of their last attach.
 constexpr std::size_t kMaxIncarnationsPerOrigin = 8;
+
+/// Stretches the rounds of the batches on `self`'s token so they still reach
+/// the members of `old_ring` they are due at, wherever `new_ring` put them.
+void stretch_displaced_rounds(NodeId self, const std::vector<NodeId>& old_ring,
+                              const std::vector<NodeId>& new_ring,
+                              std::vector<AttachedBatch>& batches) {
+  // After this visit a batch is still due at the next attach - hops - 1
+  // members of our ring. The splice keeps them right after us, in order,
+  // unless the foreign ring already listed some of them (two lineages
+  // naming one node): those keep their foreign positions, further along,
+  // and a batch retired by its old hop count never reached them (DESIGN.md
+  // §5b #17). Stretch each such round until it reaches them.
+  const auto self_old = std::find(old_ring.begin(), old_ring.end(), self);
+  const auto self_new = std::find(new_ring.begin(), new_ring.end(), self);
+  if (self_old == old_ring.end() || self_new == new_ring.end()) return;
+  const std::size_t p = static_cast<std::size_t>(self_old - old_ring.begin());
+  const std::size_t q = static_cast<std::size_t>(self_new - new_ring.begin());
+  for (AttachedBatch& b : batches) {
+    const std::size_t attach = std::max<std::size_t>(1, b.ring_at_attach);
+    const std::size_t visited = std::size_t{b.hops} + 1;  // this visit too
+    if (visited >= attach) continue;
+    std::size_t reach = 0;
+    for (std::size_t k = 1; k <= attach - visited && k < old_ring.size(); ++k) {
+      const NodeId m = old_ring[(p + k) % old_ring.size()];
+      const auto at = std::find(new_ring.begin(), new_ring.end(), m);
+      if (at == new_ring.end()) continue;
+      const std::size_t d =
+          (static_cast<std::size_t>(at - new_ring.begin()) + new_ring.size() -
+           q) % new_ring.size();
+      reach = std::max(reach, d);
+    }
+    if (visited + reach > attach) {
+      b.ring_at_attach = static_cast<std::uint16_t>(visited + reach);
+    }
+  }
+}
+
 }  // namespace
 
 // --- Token handling ----------------------------------------------------------
@@ -47,8 +84,9 @@ void SessionNode::handle_token(Token&& t) {
   // own group's token arrives (§2.4). It belongs to a foreign lineage, so
   // the staleness check below must not apply.
   if (t.tbm && t.merge_target == id()) {
-    RC_INFO(kMod, "node %u holds TBM token of group %u (lineage %llx)", id(),
-            t.group_id(), static_cast<unsigned long long>(t.lineage));
+    RC_INFO(kMod, "node %u g%u: holds TBM token of group %u (lineage %llx)",
+            id(), unsigned{group_}, t.group_id(),
+            static_cast<unsigned long long>(t.lineage));
     pending_foreign_.push_back(std::move(t));
     if (state_ == State::kIdle || !last_copy_.has(id())) {
       // We have no group of our own (fresh joiner invited via discovery):
@@ -65,8 +103,8 @@ void SessionNode::handle_token(Token&& t) {
 
   if (is_stale(t)) {
     stats_.stale_tokens_dropped.inc();
-    RC_DEBUG(kMod, "node %u dropped stale token seq=%llu", id(),
-             static_cast<unsigned long long>(t.seq));
+    RC_DEBUG(kMod, "node %u g%u: dropped stale token seq=%llu", id(),
+             unsigned{group_}, static_cast<unsigned long long>(t.seq));
     return;
   }
 
@@ -316,7 +354,7 @@ void SessionNode::process_joins(Token& t) {
     t.view_id++;
     changed = true;
     stats_.joins_processed.inc();
-    RC_INFO(kMod, "node %u admitted joiner %u", id(), j);
+    RC_INFO(kMod, "node %u g%u: admitted joiner %u", id(), unsigned{group_}, j);
   }
   pending_joins_.clear();
 
@@ -324,9 +362,15 @@ void SessionNode::process_joins(Token& t) {
   // foreign token or the token is already flagged.
   if (!t.tbm && pending_foreign_.empty()) {
     while (!pending_merge_invites_.empty()) {
-      NodeId target = pending_merge_invites_.front();
+      const MergeInvite inv = pending_merge_invites_.front();
       pending_merge_invites_.pop_front();
+      const NodeId target = inv.sender;
       if (t.has(target)) continue;
+      // Re-check the tie-break against the group we are now: a merge since
+      // the advert may have lowered our group ID to or below the sender's,
+      // and inviting it then can close a cycle of parked TBM tokens
+      // (DESIGN.md §5b #14). The sender's group absorbs ours instead.
+      if (inv.group_id >= t.group_id()) continue;
       if (auto it = readmit_after_.find(target);
           it != readmit_after_.end() && env_.now() < it->second) {
         continue;
@@ -336,7 +380,8 @@ void SessionNode::process_joins(Token& t) {
       t.tbm = true;
       t.merge_target = target;
       changed = true;
-      RC_INFO(kMod, "node %u invites %u to merge (TBM)", id(), target);
+      RC_INFO(kMod, "node %u g%u: invites %u to merge (TBM)", id(),
+              unsigned{group_}, target);
       break;
     }
   }
@@ -362,6 +407,7 @@ Token SessionNode::merge_tokens(Token own) {
       f.insert_after(insert_after, n);
       insert_after = n;
     }
+    stretch_displaced_rounds(id(), merged.ring, f.ring, merged.batches);
     // Concatenate the multicast batches of the two tokens (§2.4).
     f.batches.insert(f.batches.end(), merged.batches.begin(),
                      merged.batches.end());
@@ -374,8 +420,9 @@ Token SessionNode::merge_tokens(Token own) {
   merged.lineage = env_.rng().next_u64();
   pending_foreign_.clear();
   stats_.merges.inc();
-  RC_INFO(kMod, "node %u merged groups: ring size now %zu (lineage %llx)", id(),
-          merged.ring.size(), static_cast<unsigned long long>(merged.lineage));
+  RC_INFO(kMod, "node %u g%u: merged groups: ring size now %zu (lineage %llx)",
+          id(), unsigned{group_}, merged.ring.size(),
+          static_cast<unsigned long long>(merged.lineage));
   return merged;
 }
 
@@ -451,9 +498,9 @@ void SessionNode::on_pass_failure(NodeId failed) {
       --probation_left_;
       stats_.probation_retries.inc();
       RC_INFO(kMod,
-              "node %u: pass to %u failed but peer is recently alive; "
+              "node %u g%u: pass to %u failed but peer is recently alive; "
               "probation retry (%d left)",
-              id(), failed, probation_left_);
+              id(), unsigned{group_}, failed, probation_left_);
       resend_pass_under_probation(failed);
       return;
     }
@@ -463,8 +510,8 @@ void SessionNode::on_pass_failure(NodeId failed) {
   // Aggressive failure detection (§2.2): the failure-on-delivery
   // notification immediately removes the unreachable successor from the
   // membership; the token continues to the next healthy node.
-  RC_INFO(kMod, "node %u: pass to %u failed; removing it from membership", id(),
-          failed);
+  RC_INFO(kMod, "node %u g%u: pass to %u failed; removing it from membership",
+          id(), unsigned{group_}, failed);
   stats_.removals.inc();
   if (on_removal_) on_removal_(failed);
   readmit_after_[failed] = env_.now() + cfg_.readmit_backoff;
@@ -539,8 +586,8 @@ void SessionNode::adopt_view_from(const Token& t) {
   // sizes on its way up.
   if (cfg_.quorum_of > 0 && started_ && view_.members.size() < old_size &&
       view_.members.size() * 2 <= cfg_.quorum_of) {
-    RC_WARN(kMod, "node %u: below quorum (%zu of %zu); shutting down", id(),
-            view_.members.size(), cfg_.quorum_of);
+    RC_WARN(kMod, "node %u g%u: below quorum (%zu of %zu); shutting down",
+            id(), unsigned{group_}, view_.members.size(), cfg_.quorum_of);
     stop();
     if (on_quorum_shutdown_) on_quorum_shutdown_();
   }
@@ -573,9 +620,9 @@ void SessionNode::note_peer_suspect(NodeId peer) {
     suspects_.erase(peer);
     suspect_removals_.inc();
     RC_INFO(kMod,
-            "node %u: pass to %u cut over on fanned-out suspicion "
+            "node %u g%u: pass to %u cut over on fanned-out suspicion "
             "(globally silent past its bound)",
-            id(), peer);
+            id(), unsigned{group_}, peer);
     on_pass_failure(peer);
   }
 }
@@ -604,8 +651,9 @@ void SessionNode::process_suspects() {
       continue;
     }
     RC_INFO(kMod,
-            "node %u: removing %u on fanned-out suspicion (globally silent)",
-            id(), peer);
+            "node %u g%u: removing %u on fanned-out suspicion "
+            "(globally silent)",
+            id(), unsigned{group_}, peer);
     stats_.removals.inc();
     suspect_removals_.inc();
     if (on_removal_) on_removal_(peer);
@@ -632,8 +680,8 @@ void SessionNode::enter_starving() {
   if (!started_ || state_ == State::kEating) return;
   set_state(State::kStarving, "starving");
   stats_.starvations.inc();
-  RC_INFO(kMod, "node %u STARVING (last copy seq %llu)", id(),
-          static_cast<unsigned long long>(last_copy_.seq));
+  RC_INFO(kMod, "node %u g%u: STARVING (last copy seq %llu)", id(),
+          unsigned{group_}, static_cast<unsigned long long>(last_copy_.seq));
   start_911_round();
 }
 
@@ -653,9 +701,10 @@ void SessionNode::start_911_round() {
     adopted.merge_target = kInvalidNode;
     adopted.seq++;
     RC_INFO(kMod,
-            "node %u adopts parked TBM token (lineage %llx) after %d starving "
-            "rounds",
-            id(), static_cast<unsigned long long>(adopted.lineage),
+            "node %u g%u: adopts parked TBM token (lineage %llx) after %d "
+            "starving rounds",
+            id(), unsigned{group_},
+            static_cast<unsigned long long>(adopted.lineage),
             starving_rounds_);
     begin_eating(std::move(adopted));
     return;
@@ -724,8 +773,9 @@ void SessionNode::regenerate_token() {
     t.view_id++;
   }
   stats_.regenerations.inc();
-  RC_INFO(kMod, "node %u regenerated token at seq %llu (ring %zu)", id(),
-          static_cast<unsigned long long>(t.seq), t.ring.size());
+  RC_INFO(kMod, "node %u g%u: regenerated token at seq %llu (ring %zu)", id(),
+          unsigned{group_}, static_cast<unsigned long long>(t.seq),
+          t.ring.size());
   begin_eating(std::move(t));
 }
 
@@ -772,8 +822,9 @@ void SessionNode::handle_911_reply(const Msg911Reply& m) {
   if (!m.granted) {
     // Someone holds a newer copy (or the token itself): our round is over;
     // stay STARVING and let the watchdog retry if no token shows up.
-    RC_DEBUG(kMod, "node %u: 911 denied by %u (copy seq %llu)", id(),
-             m.responder, static_cast<unsigned long long>(m.responder_copy_seq));
+    RC_DEBUG(kMod, "node %u g%u: 911 denied by %u (copy seq %llu)", id(),
+             unsigned{group_}, m.responder,
+             static_cast<unsigned long long>(m.responder_copy_seq));
     active_911_ = 0;
     awaiting_grant_.clear();
     return;
@@ -797,13 +848,18 @@ void SessionNode::handle_bodyodor(const MsgBodyOdor& m) {
   if (eligible_.count(m.sender) == 0) return;
   if (view_.has(m.sender)) return;
   if (view_.members.empty()) return;  // not in a group ourselves
+  // A newer advert from a sender already queued refreshes its group ID;
+  // process_joins applies the tie-break to whatever the newest one said.
+  for (MergeInvite& queued : pending_merge_invites_) {
+    if (queued.sender == m.sender) {
+      queued.group_id = m.group_id;
+      return;
+    }
+  }
   // Merge tie-break (§2.4): only a lower group ID is invited, which makes
   // the merge graph acyclic and therefore deadlock-free.
   if (m.group_id >= view_.group_id) return;
-  for (NodeId queued : pending_merge_invites_) {
-    if (queued == m.sender) return;
-  }
-  pending_merge_invites_.push_back(m.sender);
+  pending_merge_invites_.push_back({m.sender, m.group_id});
 }
 
 }  // namespace raincore::session

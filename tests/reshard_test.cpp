@@ -411,6 +411,122 @@ TEST(ReshardDurabilityTest, FullRestartRecoversIntoTheGrownEpoch) {
   std::filesystem::remove_all(root);
 }
 
+// A shard whose store is down when the epoch finishes learns of it only
+// from a ring-0 state dump, which is not journaled. After the store
+// restarts, its journal reopens the epoch's record although ring 0 closed
+// the epoch (DESIGN.md §5b #15, the unfreeze-partition sweep's seeds 4 and
+// 7). The record used to stay forever: the replica kept its moved-out keys
+// and diverged from the replicas that retired. Now a node that knows the
+// epoch closed re-sends kEpochComplete on that ring.
+void run_shard_down_at_completion(bool record_durable) {
+  const std::string root = ::testing::TempDir() + "/reshard_down_at_complete" +
+                           (record_durable ? "_durable" : "_lost");
+  std::filesystem::remove_all(root);
+  const int kKeys = 40;
+  ReshardFixture f(3, 2, root);
+  ASSERT_TRUE(f.converge());
+  for (int i = 0; i < kKeys; ++i) {
+    f.stacks.at(1)->map->put("dk" + std::to_string(i), "d" + std::to_string(i));
+  }
+  ASSERT_TRUE(f.run_until([&] {
+    for (auto& [id, st] : f.stacks) {
+      if (st->map->size() != static_cast<std::size_t>(kKeys)) return false;
+    }
+    return true;
+  }));
+
+  // The epoch opens everywhere and shard 1 journals its record (a write
+  // routed to shard 1 announces the epoch on that ring). Unless it is
+  // flushed, the power cut below loses that record with the WAL tail.
+  f.stacks.at(1)->mgr->start_resize(4);
+  ASSERT_TRUE(f.run_until([&] {
+    for (auto& [id, st] : f.stacks) {
+      if (!st->mgr->migrating()) return false;
+    }
+    return true;
+  }));
+  const ShardRouter before(2);
+  std::string on_shard1;
+  for (int i = 0; i < kKeys && on_shard1.empty(); ++i) {
+    const std::string key = "dk" + std::to_string(i);
+    if (before.shard_of(key) == 1) on_shard1 = key;
+  }
+  ASSERT_FALSE(on_shard1.empty());
+  f.stacks.at(1)->map->put(on_shard1, "announce");
+  f.net.loop().run_for(millis(200));
+  if (record_durable) {
+    for (auto& [id, st] : f.stacks) st->plane->flush_storage();
+  }
+
+  // Node 3 is cut off and finishes the epoch alone. Nodes 1 and 2 cannot:
+  // their shard-1 stores are down.
+  f.net.partition({{1, 2}, {3}});
+  for (NodeId id : {1u, 2u}) {
+    f.stacks.at(id)->plane->crash_store(1);
+    f.stacks.at(id)->plane->ring(1).stop();
+  }
+  auto& n3 = *f.stacks.at(3);
+  ASSERT_TRUE(f.run_until([&] {
+    return !n3.mgr->migrating() && n3.mgr->epoch() == 1;
+  })) << "node 3 never finished the epoch";
+
+  // Nodes 1 and 2 adopt the finished epoch from node 3's state dump while
+  // their shard-1 stores are still down; then those stores restart.
+  f.net.heal_partition();
+  ASSERT_TRUE(f.run_until([&] {
+    for (NodeId id : {1u, 2u}) {
+      const auto& st = *f.stacks.at(id);
+      if (st.mgr->migrating() || st.mgr->epoch() != 1 ||
+          st.plane->ring(0).view().members.size() != 3) {
+        return false;
+      }
+    }
+    return true;
+  })) << "nodes 1 and 2 never learned that the epoch closed";
+  for (NodeId id : {1u, 2u}) {
+    auto& st = *f.stacks.at(id);
+    st.plane->open_store(1);
+    st.plane->recover_store(1);
+    st.mgr->after_recovery();
+    st.plane->ring(1).found();
+  }
+  ASSERT_TRUE(f.run_until([&] {
+    if (!f.resize_settled(4, 1)) return false;
+    for (NodeId id : {1u, 2u}) {
+      if (f.stacks.at(id)->map->shard(1).contents() !=
+          n3.map->shard(1).contents()) {
+        return false;
+      }
+    }
+    return true;
+  })) << "the shard-1 replicas never converged";
+
+  const ShardRouter target(4);
+  for (auto& [id, st] : f.stacks) {
+    for (const auto& [key, value] : st->map->shard(1).contents()) {
+      EXPECT_EQ(target.shard_of(key), 1u)
+          << "node " << id << " keeps " << key << " on shard 1";
+    }
+    for (int i = 0; i < kKeys; ++i) {
+      const std::string key = "dk" + std::to_string(i);
+      auto v = st->map->get(key);
+      ASSERT_TRUE(v.has_value()) << "node " << id << " lost " << key;
+      EXPECT_EQ(*v, key == on_shard1 ? "announce" : "d" + std::to_string(i));
+    }
+  }
+  std::filesystem::remove_all(root);
+}
+
+TEST(ReshardDurabilityTest, ShardDownAtCompletionRetiresRecordAfterRestart) {
+  run_shard_down_at_completion(/*record_durable=*/true);
+}
+
+// Same, but the shard's record of the epoch never became durable: it
+// recovers the old table with no record at all.
+TEST(ReshardDurabilityTest, ShardDownAtCompletionRetiresOldTableAfterRestart) {
+  run_shard_down_at_completion(/*record_durable=*/false);
+}
+
 // --- migration chaos sweep ---------------------------------------------------
 //
 // Each round grows a 4-node cluster 2 -> 4 shards mid-storm while one

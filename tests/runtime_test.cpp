@@ -230,3 +230,59 @@ TEST(ThreadedNodeTest, TwoNodeClusterDeliversAcrossKernelUdp) {
   EXPECT_FALSE(n1->running());
   n1->stop();  // idempotent
 }
+
+// --- ThreadedNode: cluster formation over loopback UDP ------------------------
+
+// raincored's default shape, 4 nodes x 4 rings, every node founding at
+// once. Crossing merge invitations used to park two groups' tokens at each
+// other's members until hungry_timeout and three 911 rounds ran out
+// (DESIGN.md §5b #14): 8 of 20 and 10 of 60 such formations starved on two
+// 4-core hosts. This counts starvations and 911 rounds; it does not bound
+// wall-clock time.
+TEST(ThreadedNodeTest, FourByFourFormationsNeverStarve) {
+  constexpr NodeId kNodes = 4;
+  constexpr int kFormations = 10;
+  auto ends_with = [](const std::string& s, const std::string& suffix) {
+    return s.size() >= suffix.size() &&
+           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+  };
+  for (int f = 0; f < kFormations; ++f) {
+    std::vector<std::unique_ptr<ThreadedNode>> nodes;
+    for (NodeId id = 1; id <= kNodes; ++id) {
+      RaincoredConfig rc;
+      rc.node = id;
+      for (NodeId p = 1; p <= kNodes; ++p) {
+        if (p != id) rc.peers.push_back({p, "127.0.0.1", 0});
+      }
+      ThreadedNodeConfig nc = rc.to_node_config();
+      nc.storage.dir.clear();  // no delivery journal
+      nodes.push_back(std::make_unique<ThreadedNode>(nc));
+    }
+    for (auto& a : nodes) {
+      for (auto& b : nodes) {
+        if (a->node() != b->node()) {
+          a->add_peer(b->node(), 0, "127.0.0.1", b->port(0));
+        }
+      }
+    }
+    for (auto& n : nodes) n->start();
+    for (auto& n : nodes) n->found_all();
+    ASSERT_TRUE(poll_until([&] {
+      for (auto& n : nodes) {
+        if (!n->all_converged(kNodes)) return false;
+      }
+      return true;
+    })) << "formation " << f << " did not converge";
+    std::uint64_t starvations = 0;
+    std::uint64_t rounds = 0;
+    for (auto& n : nodes) {
+      for (const auto& [name, value] : n->metrics_snapshot().counters) {
+        if (ends_with(name, "session.911.starvations")) starvations += value;
+        if (ends_with(name, "session.911.rounds")) rounds += value;
+      }
+    }
+    EXPECT_EQ(starvations, 0u) << "formation " << f;
+    EXPECT_EQ(rounds, 0u) << "formation " << f;
+    for (auto& n : nodes) n->stop();
+  }
+}

@@ -86,6 +86,94 @@ TEST(SessionEdge, SetEligibleOnlineEnablesMerge) {
   EXPECT_EQ(n2.view().members.size(), 2u);
 }
 
+// Crossing merge invitations (DESIGN.md §5b #14). Node 3 hears node 1's
+// advert, then node 2's, and queues both; it invites node 1 first and is
+// merged into {1,3}, whose group ID is 1, before it reaches node 2's entry.
+// Meanwhile node 2 invites node 1 over a slow link. Sending node 3's queued
+// invitation now would park {1,3}'s token at node 2 while node 2's token is
+// parked at node 1: a cycle that only hungry_timeout plus three 911 rounds
+// (the §5b #5 escape) broke.
+TEST(SessionEdge, StaleMergeInvitationIsDroppedSoCrossingMergesConverge) {
+  session::SessionConfig cfg;
+  TestCluster c({1, 2, 3}, cfg);
+  c.net().set_latency(2, 3, millis(1), 0, /*bidirectional=*/false);
+  c.net().set_latency(2, 1, millis(20), 0, /*bidirectional=*/false);
+  c.found_all();
+  EXPECT_TRUE(c.run_until_converged({1, 2, 3}, cfg.bodyodor_interval));
+  // Long enough for a parked cycle to reach the escape (hungry_timeout +
+  // three starving rounds): nobody may have starved on the way.
+  c.run(cfg.hungry_timeout + 4 * cfg.starving_retry);
+  EXPECT_TRUE(c.converged({1, 2, 3}));
+  for (NodeId id : c.ids()) {
+    EXPECT_EQ(c.node(id).stats().starvations.value(), 0u) << "node " << id;
+  }
+}
+
+// The group ID a queued invitation is checked against is the one the
+// sender's newest advert reported. Node 4 queues node 2's advert, then
+// node 3's (group 3), invites node 2 and is merged into {2,4}: node 3's
+// entry is now stale. But node 3 has meanwhile joined {1,3} and advertises
+// group 1 again before node 4 reaches the entry, so the invitation is
+// still due — and sent, instead of waiting a bodyodor_interval for the
+// next round of adverts.
+TEST(SessionEdge, ReadvertisedLowerGroupIdRefreshesQueuedInvitation) {
+  session::SessionConfig cfg;
+  TestCluster c({1, 2, 3, 4}, cfg);
+  // Two pairs merge first: {1,3} and {2,4}. Only node 3 advertises to node
+  // 4 across the pairs.
+  c.node(1).set_eligible({1, 3});
+  c.node(2).set_eligible({2, 4});
+  c.node(3).set_eligible({1, 3, 4});
+  c.node(4).set_eligible({2, 3, 4});
+  c.net().set_latency(2, 4, millis(8), 0, /*bidirectional=*/false);
+  c.net().set_latency(3, 4, millis(9), 0, /*bidirectional=*/false);
+  c.found_all();
+  for (Time t = 0; c.node(3).view().group_id != 1 && t < cfg.bodyodor_interval;
+       t += millis(1)) {
+    c.run(millis(1));
+  }
+  ASSERT_EQ(c.node(3).view().group_id, 1u);
+  ASSERT_FALSE(c.converged({2, 4}));  // node 4 has not reached the entry
+  // Node 3's next advert, sent at this instant: it reports group 1.
+  c.mux(3).transport().send_unreliable_on(
+      0, 4, session::encode_bodyodor({3, c.node(3).view().group_id}));
+  EXPECT_TRUE(c.run_until_converged({1, 2, 3, 4}, cfg.bodyodor_interval));
+  for (NodeId id : c.ids()) {
+    EXPECT_EQ(c.node(id).stats().starvations.value(), 0u) << "node " << id;
+  }
+}
+
+// A merge whose foreign token already lists one of our members leaves that
+// member at its foreign position, so our batches in flight must stretch
+// their rounds to reach it (DESIGN.md §5b #17; chaos seed 12 of the CI
+// sweep). Ring 1→3→2: node 2's batch is due at 1, then 3. Node 1 merges a
+// parked TBM token of ring [3,1]: the merged ring runs 1→2→3, and the old
+// hop budget retired the batch at node 2 before node 3 delivered it.
+TEST(SessionEdge, MergeStretchesRoundsToDisplacedMembers) {
+  TestCluster c({1, 2, 3});
+  c.bootstrap_via_join();
+  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  ASSERT_EQ(c.node(1).view().members, (std::vector<NodeId>{1, 3, 2}));
+  for (int i = 0; i < 1000 && !c.node(2).holds_token(); ++i) {
+    c.run(micros(100));
+  }
+  ASSERT_TRUE(c.node(2).holds_token());
+  c.send(2, "in-flight");  // attached when node 2 passes the token to node 1
+  session::Token foreign;
+  foreign.lineage = 0x5eed;
+  foreign.seq = 1;
+  foreign.view_id = 1;
+  foreign.ring = {3, 1};
+  foreign.tbm = true;
+  foreign.merge_target = 1;
+  c.mux(3).transport().send(1, session::encode_token_msg(foreign));
+  c.run(seconds(1));
+  for (NodeId id : c.ids()) {
+    ASSERT_EQ(c.delivered(id).size(), 1u) << "node " << id;
+    EXPECT_EQ(c.delivered(id)[0].payload, "in-flight") << "node " << id;
+  }
+}
+
 TEST(SessionEdge, AgreedAndSafeInterleaveConsistently) {
   TestCluster c({1, 2, 3, 4});
   c.bootstrap_via_join();
