@@ -19,8 +19,8 @@
 // lossy-link soaks.
 // With --json the per-seed table is additionally emitted as a
 // raincore.bench.v1 document: one result row per seed (faults, violations,
-// removal-oracle outcomes, reservoir occupancy) plus the merged final
-// metrics snapshot.
+// removal-oracle outcomes) plus the merged final metrics snapshot, whose
+// histograms are the exact bucket sums of every round's.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -69,9 +69,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(base_seed + rounds - 1));
   std::printf("base loss %.1f%%, detector: %s\n\n", profile.base_loss * 100.0,
               profile.adaptive ? "adaptive" : "fixed-RTO");
-  std::printf("%8s %8s %10s %12s %8s %8s %10s\n", "seed", "faults", "classes",
-              "violations", "false-rm", "true-rm", "reservoir");
-  std::printf("----------------------------------------------------------------------\n");
+  std::printf("%8s %8s %10s %12s %8s %8s\n", "seed", "faults", "classes",
+              "violations", "false-rm", "true-rm");
+  std::printf("-----------------------------------------------------------\n");
 
   bench::JsonReport report("bench_chaos");
   report.param("rounds", static_cast<double>(rounds));
@@ -92,14 +92,13 @@ int main(int argc, char** argv) {
     total_faults += res.faults;
     total_violations += res.violations.size();
     total_false_removals += res.false_removals;
-    std::printf("%8llu %8zu %7zu/%zu %12zu %8llu %8llu %10zu\n",
+    std::printf("%8llu %8zu %7zu/%zu %12zu %8llu %8llu\n",
                 static_cast<unsigned long long>(seed), res.faults,
                 res.classes.size(),
                 static_cast<std::size_t>(testing::FaultClass::kCount),
                 res.violations.size(),
                 static_cast<unsigned long long>(res.false_removals),
-                static_cast<unsigned long long>(res.true_removals),
-                res.reservoir_samples);
+                static_cast<unsigned long long>(res.true_removals));
     JsonValue row = bench::JsonReport::row("seed_" + std::to_string(seed));
     row.set("seed", JsonValue::number(static_cast<double>(seed)));
     row.set("faults", JsonValue::number(static_cast<double>(res.faults)));
@@ -111,8 +110,6 @@ int main(int argc, char** argv) {
             JsonValue::number(static_cast<double>(res.false_removals)));
     row.set("true_removals",
             JsonValue::number(static_cast<double>(res.true_removals)));
-    row.set("reservoir_samples",
-            JsonValue::number(static_cast<double>(res.reservoir_samples)));
     report.add(std::move(row));
     merged.merge(res.metrics);
     if (!res.violations.empty()) {

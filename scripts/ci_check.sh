@@ -26,6 +26,10 @@
 # live ThreadedNode clusters, the udp_cluster smoke, the kill -9 raincored
 # harness) runs in a separate TSAN tree, since ASAN and TSAN cannot share
 # one build. Any data race in the I/O-thread/worker handoff fails here.
+# The metrics_test binary runs in the same tree: its concurrency case
+# records into one histogram from four threads while a fifth snapshots.
+# (The binary, not the `metrics` label, which also holds the
+# bench_json_emit_* fixtures.)
 #
 # Environment:
 #   CHAOS_ROUNDS=50 CHAOS_MS=3000 CHAOS_NODES=5 CHAOS_SEED=1  sweep shape
@@ -90,10 +94,14 @@ ctest --test-dir "$BUILD" -L batching --output-on-failure
 echo "== configure + build (TSAN) in $TSAN_BUILD"
 cmake -B "$TSAN_BUILD" -S "$ROOT" -DRAINCORE_TSAN=ON
 cmake --build "$TSAN_BUILD" -j"$JOBS" --target real_time_loop_test \
-    runtime_test udp_cluster raincored cluster_harness
+    runtime_test udp_cluster raincored cluster_harness metrics_test
 
 echo "== runtime label under TSAN (loop semantics, SPSC handoff, threaded" \
      "nodes on kernel UDP, udp_cluster smoke, raincored kill -9 harness)"
 ctest --test-dir "$TSAN_BUILD" -L runtime --output-on-failure
+
+echo "== metrics_test under TSAN (lock-free histogram: concurrent records" \
+     "against snapshots, exact merge/diff algebra)"
+"$TSAN_BUILD/tests/metrics_test"
 
 echo "== ci_check OK"

@@ -40,6 +40,18 @@ JsonValue JsonValue::object() {
   return v;
 }
 
+bool JsonValue::read_uint(std::uint64_t max, std::uint64_t& out) const {
+  if (type_ != Type::kNumber) return false;
+  // 2^64 is exact as a double; nothing at or above it converts.
+  if (!(num_ >= 0.0) || num_ >= 0x1p64 || num_ != std::floor(num_)) {
+    return false;
+  }
+  const auto v = static_cast<std::uint64_t>(num_);
+  if (v > max) return false;
+  out = v;
+  return true;
+}
+
 const JsonValue* JsonValue::find(const std::string& key) const {
   if (type_ != Type::kObject) return nullptr;
   for (const auto& [k, v] : obj_) {

@@ -45,6 +45,11 @@ class JsonValue {
 
   bool as_bool() const { return bool_; }
   double as_number() const { return num_; }
+  /// The value as a whole number in [0, max]: false, leaving `out` as it
+  /// was, for a non-number, a fraction, a negative, NaN or anything above
+  /// `max`. Read every unsigned integer from outside input this way — a
+  /// double cast straight to an unsigned type is undefined out of range.
+  bool read_uint(std::uint64_t max, std::uint64_t& out) const;
   const std::string& as_string() const { return str_; }
   std::vector<JsonValue>& items() { return arr_; }
   const std::vector<JsonValue>& items() const { return arr_; }

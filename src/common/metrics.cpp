@@ -2,20 +2,41 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 
 namespace raincore::metrics {
 
 namespace {
 
-// FNV-1a over the instrument name: reservoir seeds depend only on the name,
-// never on registration order, so per-seed chaos snapshots stay replayable.
-std::uint64_t name_seed(const std::string& name) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
+constexpr std::uint64_t kMaxCount = std::numeric_limits<std::uint64_t>::max();
+
+// a + b, or a - b per bucket with buckets that would go negative dropped
+// (the histogram was reset between the two snapshots).
+Histogram::Buckets combine(const Histogram::Buckets& a,
+                           const Histogram::Buckets& b, bool subtract) {
+  Histogram::Buckets out;
+  auto i = a.begin();
+  auto j = b.begin();
+  while (i != a.end() || j != b.end()) {
+    const bool from_a = j == b.end() || (i != a.end() && i->first <= j->first);
+    const bool from_b = i == a.end() || (j != b.end() && j->first <= i->first);
+    const std::uint32_t idx = from_a ? i->first : j->first;
+    const std::uint64_t x = from_a ? (i++)->second : 0;
+    const std::uint64_t y = from_b ? (j++)->second : 0;
+    const std::uint64_t n = subtract ? (x > y ? x - y : 0) : x + y;
+    if (n) out.emplace_back(idx, n);
   }
-  return h ? h : 0x52c1e5u;
+  return out;
+}
+
+// Sets count and everything derived from the buckets, sum, min and max.
+void derive(HistStat& hs) {
+  hs.count = 0;
+  for (const auto& [idx, n] : hs.buckets) hs.count += n;
+  hs.mean = hs.count ? hs.sum / static_cast<double>(hs.count) : 0.0;
+  hs.p50 = Histogram::quantile(hs.buckets, hs.min, hs.max, 0.50);
+  hs.p90 = Histogram::quantile(hs.buckets, hs.min, hs.max, 0.90);
+  hs.p99 = Histogram::quantile(hs.buckets, hs.min, hs.max, 0.99);
 }
 
 std::string fmt(double v) {
@@ -41,13 +62,9 @@ Gauge& Registry::gauge(const std::string& name) {
   return gauges_[prefix_ + name];
 }
 
-Histogram& Registry::histogram(const std::string& name, std::size_t capacity) {
+Histogram& Registry::histogram(const std::string& name) {
   std::lock_guard<std::mutex> lk(mu_);
-  std::string full = prefix_ + name;
-  // Seed from the full (prefixed) name: two instances of one component
-  // keep independent, order-insensitive reservoirs.
-  auto it = histograms_.try_emplace(full, capacity, name_seed(full)).first;
-  return it->second;
+  return histograms_[prefix_ + name];
 }
 
 bool Registry::has(const std::string& name) const {
@@ -57,13 +74,6 @@ bool Registry::has(const std::string& name) const {
          histograms_.count(full);
 }
 
-std::size_t Registry::reservoir_samples() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::size_t total = 0;
-  for (const auto& [name, h] : histograms_) total += h.reservoir_size();
-  return total;
-}
-
 Snapshot Registry::snapshot() const {
   std::lock_guard<std::mutex> lk(mu_);
   Snapshot s;
@@ -71,15 +81,12 @@ Snapshot Registry::snapshot() const {
   for (const auto& [name, g] : gauges_) s.gauges[name] = g.value();
   for (const auto& [name, h] : histograms_) {
     HistStat hs;
-    hs.count = h.count();
+    hs.buckets = h.buckets();  // first: sum/min/max cover what it counts
     hs.sum = h.sum();
     hs.min = h.min();
     hs.max = h.max();
-    hs.mean = h.mean();
-    hs.p50 = h.percentile(0.50);
-    hs.p90 = h.percentile(0.90);
-    hs.p99 = h.percentile(0.99);
-    s.histograms[name] = hs;
+    derive(hs);
+    s.histograms[name] = std::move(hs);
   }
   return s;
 }
@@ -104,10 +111,16 @@ Snapshot Snapshot::diff(const Snapshot& earlier) const {
   for (auto& [name, hs] : out.histograms) {
     auto it = earlier.histograms.find(name);
     if (it == earlier.histograms.end()) continue;
-    hs.count -= std::min(hs.count, it->second.count);
+    Histogram::Buckets window = combine(hs.buckets, it->second.buckets, true);
+    if (window.empty()) {
+      hs = HistStat{};
+      continue;
+    }
+    hs.min = std::max(hs.min, Histogram::bucket_low(window.front().first));
+    hs.max = std::min(hs.max, Histogram::bucket_high(window.back().first));
     hs.sum -= it->second.sum;
-    hs.mean = hs.count ? hs.sum / static_cast<double>(hs.count) : 0.0;
-    // min/max/percentiles stay as-of-now: order statistics don't subtract.
+    hs.buckets = std::move(window);
+    derive(hs);
   }
   return out;
 }
@@ -116,26 +129,14 @@ void Snapshot::merge(const Snapshot& other) {
   for (const auto& [name, v] : other.counters) counters[name] += v;
   for (const auto& [name, v] : other.gauges) gauges[name] += v;
   for (const auto& [name, hs] : other.histograms) {
-    auto it = histograms.find(name);
-    if (it == histograms.end()) {
-      histograms[name] = hs;
-      continue;
-    }
+    auto [it, fresh] = histograms.try_emplace(name, hs);
+    if (fresh || hs.count == 0) continue;
     HistStat& mine = it->second;
-    std::uint64_t total = mine.count + hs.count;
-    if (total == 0) continue;
-    if (hs.count) {
-      mine.min = mine.count ? std::min(mine.min, hs.min) : hs.min;
-      mine.max = mine.count ? std::max(mine.max, hs.max) : hs.max;
-    }
-    double w_mine = static_cast<double>(mine.count) / static_cast<double>(total);
-    double w_other = static_cast<double>(hs.count) / static_cast<double>(total);
-    mine.p50 = mine.p50 * w_mine + hs.p50 * w_other;
-    mine.p90 = mine.p90 * w_mine + hs.p90 * w_other;
-    mine.p99 = mine.p99 * w_mine + hs.p99 * w_other;
+    mine.min = mine.count ? std::min(mine.min, hs.min) : hs.min;
+    mine.max = mine.count ? std::max(mine.max, hs.max) : hs.max;
     mine.sum += hs.sum;
-    mine.count = total;
-    mine.mean = mine.sum / static_cast<double>(total);
+    mine.buckets = combine(mine.buckets, hs.buckets, false);
+    derive(mine);
   }
 }
 
@@ -160,6 +161,14 @@ JsonValue Snapshot::to_json() const {
     o.set("p50", JsonValue::number(hs.p50));
     o.set("p90", JsonValue::number(hs.p90));
     o.set("p99", JsonValue::number(hs.p99));
+    JsonValue jb = JsonValue::array();
+    for (const auto& [idx, n] : hs.buckets) {
+      JsonValue pair = JsonValue::array();
+      pair.push_back(JsonValue::number(idx));
+      pair.push_back(JsonValue::number(static_cast<double>(n)));
+      jb.push_back(std::move(pair));
+    }
+    o.set("buckets", std::move(jb));
     jh.set(name, std::move(o));
   }
   root.set("histograms", std::move(jh));
@@ -174,8 +183,7 @@ bool Snapshot::from_json(const JsonValue& v, Snapshot& out) {
   if (const JsonValue* jc = v.find("counters")) {
     if (!jc->is_object()) return false;
     for (const auto& [name, item] : jc->members()) {
-      if (!item.is_number()) return false;
-      s.counters[name] = static_cast<std::uint64_t>(item.as_number());
+      if (!item.read_uint(kMaxCount, s.counters[name])) return false;
     }
   }
   if (const JsonValue* jg = v.find("gauges")) {
@@ -196,15 +204,31 @@ bool Snapshot::from_json(const JsonValue& v, Snapshot& out) {
         dst = f->as_number();
         return true;
       };
-      double count = 0.0;
-      if (!num("count", count) || !num("sum", hs.sum) ||
-          !num("min", hs.min) || !num("max", hs.max) ||
+      const JsonValue* count = item.find("count");
+      const JsonValue* jb = item.find("buckets");
+      if (!count || !count->read_uint(kMaxCount, hs.count) ||
+          !num("sum", hs.sum) || !num("min", hs.min) || !num("max", hs.max) ||
           !num("mean", hs.mean) || !num("p50", hs.p50) ||
-          !num("p90", hs.p90) || !num("p99", hs.p99)) {
+          !num("p90", hs.p90) || !num("p99", hs.p99) || !jb ||
+          !jb->is_array()) {
         return false;
       }
-      hs.count = static_cast<std::uint64_t>(count);
-      s.histograms[name] = hs;
+      // Strictly ascending in-range indices with non-zero counts that sum
+      // to `count`: what Registry::snapshot() emits and derive() relies on.
+      std::uint64_t total = 0;
+      for (const JsonValue& pair : jb->items()) {
+        std::uint64_t idx = 0, n = 0;
+        if (!pair.is_array() || pair.items().size() != 2 ||
+            !pair.items()[0].read_uint(Histogram::kBuckets - 1, idx) ||
+            (!hs.buckets.empty() && idx <= hs.buckets.back().first) ||
+            !pair.items()[1].read_uint(hs.count - total, n) || n == 0) {
+          return false;
+        }
+        total += n;
+        hs.buckets.emplace_back(static_cast<std::uint32_t>(idx), n);
+      }
+      if (total != hs.count) return false;
+      s.histograms[name] = std::move(hs);
     }
   }
   out = std::move(s);

@@ -3,12 +3,11 @@
 // Every protocol layer (transport, session, data services, hierarchy, apps)
 // owns a Registry and registers its instruments under hierarchical
 // dot-separated names ("session.token.rotation_ns", "transport.fod", ...).
-// The instrument layer is thread-safe without hot-path locks (counters and
-// gauges are relaxed atomics, histograms shard their reservoirs per thread
-// — see common/stats.h); a registry mutex guards only registration and
-// snapshot iteration, never a record. Every stochastic element (histogram
-// reservoirs) is deterministically seeded, so metric snapshots of a seeded
-// single-threaded simulation run are bit-for-bit reproducible.
+// The instrument layer is thread-safe without hot-path locks (every
+// instrument is relaxed atomics — see common/stats.h); a registry mutex
+// guards only registration and snapshot iteration, never a record. Nothing
+// is sampled, so metric snapshots of a seeded single-threaded simulation
+// run are bit-for-bit reproducible.
 //
 // Snapshot is the value type: diff() isolates a measurement window,
 // merge() aggregates across instances (all components of one node, or the
@@ -25,10 +24,10 @@
 
 namespace raincore::metrics {
 
-/// Summary of a Histogram at snapshot time. Exact fields (count/sum/min/
-/// max) follow exact diff/merge algebra; percentiles are carried from the
-/// reservoir and merged by count-weighted average (an approximation,
-/// flagged by the field name).
+/// Summary of a Histogram at snapshot time. `buckets` are the histogram's
+/// non-empty buckets and `count` their sum; merge/diff add or subtract
+/// them exactly and recompute p50/p90/p99 from the result (to the 1/64
+/// bucket resolution, see Histogram).
 struct HistStat {
   std::uint64_t count = 0;
   double sum = 0.0;
@@ -38,6 +37,7 @@ struct HistStat {
   double p50 = 0.0;
   double p90 = 0.0;
   double p99 = 0.0;
+  Histogram::Buckets buckets;
 
   bool operator==(const HistStat&) const = default;
 };
@@ -53,15 +53,17 @@ struct Snapshot {
     return counters.empty() && gauges.empty() && histograms.empty();
   }
 
-  /// Values accumulated since `earlier`: counters and histogram count/sum
-  /// subtract (monotonic), gauges subtract as levels, histogram min/max/
-  /// percentiles are carried from the later (current) snapshot since order
-  /// statistics cannot be un-mixed.
+  /// Values accumulated since `earlier`: counters, histogram buckets and
+  /// sums subtract (monotonic), gauges subtract as levels. A histogram's
+  /// percentiles are those of the window's samples alone; its min/max are
+  /// the window's bucket range, clamped into the later snapshot's
+  /// [min, max]. An empty window reads all zeros.
   Snapshot diff(const Snapshot& earlier) const;
 
-  /// Element-wise aggregation: counters, histogram count/sum add; gauges
-  /// add (sum of levels across instances); histogram min/min, max/max,
-  /// percentiles merge by count-weighted average.
+  /// Element-wise aggregation: counters, histogram buckets and sums add;
+  /// gauges add (sum of levels across instances); histogram min/min,
+  /// max/max, and the percentiles are those of the combined buckets — the
+  /// same as one histogram that recorded both streams.
   void merge(const Snapshot& other);
 
   /// One JSON object (single line, no trailing newline) — the JSONL export
@@ -75,7 +77,7 @@ struct Snapshot {
   std::string to_table() const;
 };
 
-/// Single-loop registry of named instruments. References returned by
+/// Registry of named instruments. References returned by
 /// counter()/gauge()/histogram() stay valid for the registry's lifetime
 /// (node-based map), so components bind them once at construction.
 ///
@@ -94,20 +96,13 @@ class Registry {
 
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  /// The reservoir seed derives from the instrument name, so snapshot
-  /// determinism holds regardless of registration order.
-  Histogram& histogram(const std::string& name,
-                       std::size_t capacity = Histogram::kDefaultCapacity);
+  Histogram& histogram(const std::string& name);
 
   bool has(const std::string& name) const;
   std::size_t instrument_count() const {
     std::lock_guard<std::mutex> lk(mu_);
     return counters_.size() + gauges_.size() + histograms_.size();
   }
-  /// Total samples currently held across all reservoirs — the memory
-  /// flatness measure the chaos soak reports (bounded by sum of capacities).
-  std::size_t reservoir_samples() const;
-
   Snapshot snapshot() const;
   void reset();
 

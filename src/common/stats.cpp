@@ -1,233 +1,153 @@
 #include "common/stats.h"
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdio>
 
 namespace raincore {
 
 namespace {
-thread_local unsigned t_metric_shard = 0;
+
+// Indices below 128 are the values themselves. Above, block b (buckets
+// 64b..64b+63) spans [2^(b+5), 2^(b+6)) in 64 steps of 2^(b-1).
+constexpr std::uint32_t kUnitBuckets = 128;
+constexpr double kTopValue = 0x1p44;
+
+std::uint32_t bucket_of(double v) {
+  if (!(v >= 1.0)) return 0;  // also negatives and NaN
+  if (v >= kTopValue) return Histogram::kBuckets - 1;
+  const auto u = static_cast<std::uint64_t>(v);
+  if (u < kUnitBuckets) return static_cast<std::uint32_t>(u);
+  const int k = static_cast<int>(std::bit_width(u)) - 1;  // 7..43
+  return static_cast<std::uint32_t>(64 * (k - 5) + (u >> (k - 6)) - 64);
+}
+
 }  // namespace
 
-void set_thread_metric_shard(unsigned idx) {
-  t_metric_shard =
-      idx < Histogram::kMaxThreadShards
-          ? idx
-          : static_cast<unsigned>(Histogram::kMaxThreadShards - 1);
-}
-
-unsigned thread_metric_shard() { return t_metric_shard; }
-
-Histogram::Histogram(std::size_t capacity, std::uint64_t seed)
-    : capacity_(std::max<std::size_t>(1, capacity)), seed_(seed) {
-  // Slot 0 exists from birth: the simulator's (and any unregistered
-  // thread's) recordings land there with zero install races.
-  shards_[0].store(new Shard(shard_seed(0)), std::memory_order_release);
-}
-
-Histogram::Histogram(const Histogram& o) : capacity_(o.capacity_), seed_(o.seed_) {
-  for (std::size_t i = 0; i < kMaxThreadShards; ++i) {
-    Shard* src = o.shards_[i].load(std::memory_order_acquire);
-    if (!src && i != 0) continue;
-    auto* dst = new Shard(shard_seed(i));
-    if (src) {
-      std::lock_guard<std::mutex> lk(src->mu);
-      dst->rng = src->rng;
-      dst->count = src->count;
-      dst->min = src->min;
-      dst->max = src->max;
-      dst->sum = src->sum;
-      dst->samples = src->samples;
-      dst->sorted = src->sorted;
-    }
-    shards_[i].store(dst, std::memory_order_release);
-  }
-}
+Histogram::Histogram(const Histogram& o) { *this = o; }
 
 Histogram& Histogram::operator=(const Histogram& o) {
   if (this == &o) return *this;
-  Histogram copy(o);
-  capacity_ = copy.capacity_;
-  seed_ = copy.seed_;
-  for (std::size_t i = 0; i < kMaxThreadShards; ++i) {
-    delete shards_[i].load(std::memory_order_acquire);
-    shards_[i].store(copy.shards_[i].load(std::memory_order_acquire),
-                     std::memory_order_release);
-    copy.shards_[i].store(nullptr, std::memory_order_release);
+  for (std::size_t b = 0; b < kBlocks; ++b) {
+    const Block* src = o.blocks_[b].load(std::memory_order_acquire);
+    Block* dst = src ? &block(b) : blocks_[b].load(std::memory_order_acquire);
+    if (!dst) continue;
+    for (std::size_t i = 0; i < kBlock; ++i) {
+      (*dst)[i].store(src ? (*src)[i].load(std::memory_order_relaxed) : 0,
+                      std::memory_order_relaxed);
+    }
   }
+  sum_.store(o.sum_.load(std::memory_order_relaxed), std::memory_order_relaxed);
+  min_.store(o.min_.load(std::memory_order_relaxed), std::memory_order_relaxed);
+  max_.store(o.max_.load(std::memory_order_relaxed), std::memory_order_relaxed);
   return *this;
 }
 
 Histogram::~Histogram() {
-  for (auto& slot : shards_) delete slot.load(std::memory_order_acquire);
+  for (auto& slot : blocks_) delete slot.load(std::memory_order_acquire);
 }
 
-std::uint64_t Histogram::shard_seed(std::size_t idx) const {
-  // Slot 0 keeps the instrument's own seed so single-threaded reservoirs
-  // replay the historical sequence exactly; other slots derive distinct
-  // deterministic streams.
-  return idx == 0 ? seed_ : seed_ ^ (0x9e3779b97f4a7c15ull * idx);
-}
-
-Histogram::Shard& Histogram::local_shard() {
-  std::size_t idx = t_metric_shard;
-  Shard* s = shards_[idx].load(std::memory_order_acquire);
-  if (!s) {
-    Shard* fresh = new Shard(shard_seed(idx));
-    if (shards_[idx].compare_exchange_strong(s, fresh,
-                                             std::memory_order_acq_rel)) {
-      return *fresh;
-    }
-    delete fresh;  // another thread sharing the slot won the install
+Histogram::Block& Histogram::block(std::size_t b) {
+  Block* p = blocks_[b].load(std::memory_order_acquire);
+  if (p) return *p;
+  auto* fresh = new Block{};
+  if (blocks_[b].compare_exchange_strong(p, fresh, std::memory_order_acq_rel,
+                                         std::memory_order_acquire)) {
+    return *fresh;
   }
-  return *shards_[idx].load(std::memory_order_acquire);
-}
-
-template <typename Fn>
-void Histogram::for_each_shard(Fn&& fn) const {
-  for (const auto& slot : shards_) {
-    if (Shard* s = slot.load(std::memory_order_acquire)) fn(*s);
-  }
+  delete fresh;  // another thread installed this block first
+  return *p;
 }
 
 void Histogram::record(double v) {
-  Shard& s = local_shard();
-  std::lock_guard<std::mutex> lk(s.mu);
-  if (s.count == 0) {
-    s.min = s.max = v;
-  } else {
-    if (v < s.min) s.min = v;
-    if (v > s.max) s.max = v;
+  double cur = min_.load(std::memory_order_relaxed);
+  while (v < cur &&
+         !min_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
   }
-  s.sum += v;
-  if (s.samples.size() < capacity_) {
-    s.samples.push_back(v);
-    s.sorted = false;
-  } else {
-    // Algorithm R: the incoming sample replaces a random slot with
-    // probability capacity/(count+1), keeping every stream element equally
-    // likely to be retained.
-    std::uint64_t j = s.rng.next_below(s.count + 1);
-    if (j < capacity_) {
-      s.samples[static_cast<std::size_t>(j)] = v;
-      s.sorted = false;
-    }
+  cur = max_.load(std::memory_order_relaxed);
+  while (v > cur &&
+         !max_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
   }
-  ++s.count;
+  sum_.fetch_add(v, std::memory_order_relaxed);
+  // Release, paired with buckets()' acquire: whoever counts this sample
+  // also sees the min/max/sum updates above, so a snapshot's quantiles
+  // never fall outside its [min, max].
+  const std::uint32_t idx = bucket_of(v);
+  block(idx / kBlock)[idx % kBlock].fetch_add(1, std::memory_order_release);
 }
 
 std::size_t Histogram::count() const {
-  std::size_t total = 0;
-  for_each_shard([&](Shard& s) {
-    std::lock_guard<std::mutex> lk(s.mu);
-    total += s.count;
-  });
-  return total;
-}
-
-std::size_t Histogram::reservoir_size() const {
-  std::size_t total = 0;
-  for_each_shard([&](Shard& s) {
-    std::lock_guard<std::mutex> lk(s.mu);
-    total += s.samples.size();
-  });
-  return total;
+  std::uint64_t n = 0;
+  for (const auto& [idx, c] : buckets()) n += c;
+  return n;
 }
 
 double Histogram::min() const {
-  double out = 0.0;
-  bool any = false;
-  for_each_shard([&](Shard& s) {
-    std::lock_guard<std::mutex> lk(s.mu);
-    if (s.count == 0) return;
-    out = any ? std::min(out, s.min) : s.min;
-    any = true;
-  });
-  return out;
+  const double v = min_.load(std::memory_order_relaxed);
+  return v == kInf ? 0.0 : v;
 }
 
 double Histogram::max() const {
-  double out = 0.0;
-  bool any = false;
-  for_each_shard([&](Shard& s) {
-    std::lock_guard<std::mutex> lk(s.mu);
-    if (s.count == 0) return;
-    out = any ? std::max(out, s.max) : s.max;
-    any = true;
-  });
-  return out;
-}
-
-double Histogram::sum() const {
-  double total = 0.0;
-  for_each_shard([&](Shard& s) {
-    std::lock_guard<std::mutex> lk(s.mu);
-    total += s.sum;
-  });
-  return total;
+  const double v = max_.load(std::memory_order_relaxed);
+  return v == -kInf ? 0.0 : v;
 }
 
 double Histogram::percentile(double q) const {
-  // Single-populated-shard fast path — the deterministic simulator's only
-  // path — reproduces the historical behaviour exactly, including the
-  // cached in-place reservoir sort (whose slot rearrangement feeds back
-  // into later Algorithm R replacements; changing it would change seeded
-  // snapshot streams).
-  Shard* only = nullptr;
-  std::size_t populated = 0;
-  for_each_shard([&](Shard& s) {
-    std::lock_guard<std::mutex> lk(s.mu);
-    if (!s.samples.empty()) {
-      ++populated;
-      only = &s;
-    }
-  });
-  if (populated == 0) return 0.0;
+  Buckets b = buckets();  // before min/max: they then cover every sample
+  return quantile(b, min(), max(), q);
+}
 
-  auto interpolate = [](const std::vector<double>& sorted, double quant) {
-    if (quant <= 0.0) return sorted.front();
-    if (quant >= 1.0) return sorted.back();
-    double idx = quant * static_cast<double>(sorted.size() - 1);
-    auto lo = static_cast<std::size_t>(idx);
-    double frac = idx - static_cast<double>(lo);
-    if (lo + 1 >= sorted.size()) return sorted.back();
-    return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
-  };
-
-  if (populated == 1) {
-    std::lock_guard<std::mutex> lk(only->mu);
-    if (!only->sorted) {
-      std::sort(only->samples.begin(), only->samples.end());
-      only->sorted = true;
+Histogram::Buckets Histogram::buckets() const {
+  Buckets out;
+  for (std::size_t b = 0; b < kBlocks; ++b) {
+    const Block* p = blocks_[b].load(std::memory_order_acquire);
+    if (!p) continue;
+    for (std::size_t i = 0; i < kBlock; ++i) {
+      if (std::uint64_t n = (*p)[i].load(std::memory_order_acquire)) {
+        out.emplace_back(static_cast<std::uint32_t>(b * kBlock + i), n);
+      }
     }
-    return interpolate(only->samples, q);
   }
+  return out;
+}
 
-  // Multi-thread estimate: merge every retained sample (each shard is an
-  // unbiased reservoir of its thread's stream; the union approximates the
-  // combined stream well when shard counts are comparable).
-  std::vector<double> merged;
-  for_each_shard([&](Shard& s) {
-    std::lock_guard<std::mutex> lk(s.mu);
-    merged.insert(merged.end(), s.samples.begin(), s.samples.end());
-  });
-  std::sort(merged.begin(), merged.end());
-  return interpolate(merged, q);
+double Histogram::quantile(const Buckets& buckets, double min, double max,
+                           double q) {
+  std::uint64_t total = 0;
+  for (const auto& [idx, n] : buckets) total += n;
+  if (total == 0) return 0.0;
+  if (!(q > 0.0)) return min;
+  if (q >= 1.0) return max;
+  const auto rank = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total))));
+  std::uint64_t seen = 0;
+  for (const auto& [idx, n] : buckets) {
+    seen += n;
+    if (seen >= rank) return std::min(std::max(bucket_high(idx), min), max);
+  }
+  return max;
+}
+
+double Histogram::bucket_low(std::uint32_t idx) {
+  if (idx < kUnitBuckets) return idx;
+  const unsigned shift = idx / kBlock - 1;
+  return static_cast<double>(std::uint64_t{kBlock + idx % kBlock} << shift);
+}
+
+double Histogram::bucket_high(std::uint32_t idx) {
+  return idx + 1 >= kBuckets ? kInf : bucket_low(idx + 1) - 1.0;
 }
 
 void Histogram::reset() {
-  std::size_t idx = 0;
-  for (auto& slot : shards_) {
-    if (Shard* s = slot.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> lk(s->mu);
-      s->count = 0;
-      s->min = s->max = s->sum = 0.0;
-      s->samples.clear();
-      s->sorted = false;
-      // replay determinism: identical streams, identical reservoirs
-      s->rng = Rng(shard_seed(idx));
+  for (auto& slot : blocks_) {
+    if (Block* p = slot.load(std::memory_order_acquire)) {
+      for (auto& c : *p) c.store(0, std::memory_order_relaxed);
     }
-    ++idx;
   }
+  sum_.store(0.0, std::memory_order_relaxed);
+  min_.store(kInf, std::memory_order_relaxed);
+  max_.store(-kInf, std::memory_order_relaxed);
 }
 
 std::string format_row(const std::vector<std::string>& cells,

@@ -3,36 +3,23 @@
 // them from formulas. Plain value types; owners aggregate, and the
 // MetricsRegistry (common/metrics.h) names and exports them.
 //
-// Thread model (the production runtime, DESIGN.md §5i): counters and gauges
-// are relaxed atomics — any thread may record without locks. Histograms are
-// sharded per thread: each runtime thread registers a shard slot
-// (set_thread_metric_shard) and records exclusively into its own reservoir,
-// so the hot path never contends; the per-shard mutex exists only to
-// serialise rare snapshot/percentile reads against the owning thread. The
-// deterministic simulator runs everything on slot 0, whose record/percentile
-// sequence is bit-identical to the historical single-threaded histogram.
+// Thread model (the production runtime, DESIGN.md §5i): every instrument is
+// a set of relaxed atomics, so any thread may record without a lock and a
+// snapshot may read while others record. Nothing is seeded or sampled: the
+// same record stream always yields the same values.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <mutex>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/types.h"
 
 namespace raincore {
-
-/// Histogram shard slot for the calling thread (0 = the default slot the
-/// simulator and any unregistered thread record into). The threaded runtime
-/// assigns each worker a distinct slot per node so no two threads of one
-/// node share a reservoir; sharing a slot is safe (the shard mutex), just
-/// not contention-free. Clamped to the shard table size.
-void set_thread_metric_shard(unsigned idx);
-unsigned thread_metric_shard();
 
 /// Monotonic event counter (relaxed atomic: increments from any thread).
 /// Copy/move transfer the current value — value semantics for aggregates
@@ -76,29 +63,29 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Streaming min/mean/max plus percentiles over a bounded reservoir.
+/// Log-linear histogram over non-negative values (HdrHistogram-style).
 ///
-/// count/min/max/mean/sum are exact over the full stream. Percentiles are
-/// exact while the stream fits the reservoir (count() <= capacity()) and an
-/// unbiased reservoir-sample estimate beyond it (Vitter's algorithm R with a
-/// deterministic, seeded RNG — identical record sequences always produce
-/// identical reservoirs). Memory is O(capacity) per recording thread
-/// regardless of stream length, so long chaos soaks no longer grow without
-/// bound.
+/// Values below 128 get one bucket each; every power of two from 2^7 to
+/// 2^43 is split into 64 equal buckets, so a bucket's width is at most 1/64
+/// of its lowest value; values of 2^44 (about 4.9 h in ns) and above share
+/// the top bucket. Negative values count as 0. count/sum/min/max are exact
+/// over the whole stream; percentiles are exact to bucket resolution (a
+/// relative error below 1/64). Because every histogram has the same bucket
+/// layout, bucket counts add and subtract exactly — that is what makes
+/// metrics::Snapshot::merge/diff of percentiles exact.
 ///
-/// Sharded per thread: record() lands in the calling thread's shard (see
-/// set_thread_metric_shard); aggregate accessors merge across shards. A
-/// single-threaded stream uses only shard 0 and reproduces the historical
-/// behaviour bit for bit, including percentile()'s in-place reservoir sort.
+/// Lock-free: record() is relaxed atomic adds plus one release increment,
+/// from any thread. Counter blocks (one per power of two) are allocated on
+/// first use, so an instrument costs a few hundred bytes until it sees a
+/// wide range of values.
 class Histogram {
  public:
-  static constexpr std::size_t kDefaultCapacity = 1024;
-  static constexpr std::size_t kMaxThreadShards = 16;
+  static constexpr std::uint32_t kBuckets = 2496;
+  /// Non-empty buckets as (index, count) pairs in ascending index order.
+  using Buckets = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
 
-  explicit Histogram(std::size_t capacity = kDefaultCapacity,
-                     std::uint64_t seed = 0x52c1e5u);
-  /// Deep copy (value semantics, snapshotting each shard under its mutex);
-  /// the copy is an independent instrument.
+  Histogram() = default;
+  /// Deep copy (value semantics); the copy is an independent instrument.
   Histogram(const Histogram& o);
   Histogram& operator=(const Histogram& o);
   ~Histogram();
@@ -106,51 +93,46 @@ class Histogram {
   void record(double v);
   void record_time(Time t) { record(static_cast<double>(t)); }
 
-  /// Total samples recorded over the stream (not the retained count).
   std::size_t count() const;
-  /// Samples currently retained across all shards.
-  std::size_t reservoir_size() const;
-  /// Per-shard reservoir bound (total retention <= shards in use × this).
-  std::size_t capacity() const { return capacity_; }
-
   double min() const;
   double max() const;
-  double sum() const;
+  double sum() const { return sum_.load(std::memory_order_relaxed); }
   double mean() const {
     std::size_t n = count();
     return n ? sum() / static_cast<double>(n) : 0.0;
   }
-  /// q in [0, 1]; exact order statistic at/below capacity, reservoir
-  /// estimate above it. With several thread shards in use the estimate
-  /// merges all retained samples.
+  /// Nearest-rank quantile, q in [0, 1] (see quantile()).
   double percentile(double q) const;
+
+  /// The non-empty buckets. Every sample they count is also reflected in
+  /// a later min()/max()/sum() read on the same thread.
+  Buckets buckets() const;
+
+  /// Quantile q of the samples `buckets` count, whose exact extremes are
+  /// `min` and `max`: q <= 0 gives min, q >= 1 gives max, otherwise the
+  /// highest value of the bucket holding the nearest-rank sample, clamped
+  /// into [min, max]. 0 when the buckets are empty.
+  static double quantile(const Buckets& buckets, double min, double max,
+                         double q);
+  /// Lowest and highest value bucket `idx` holds (+inf for the top one).
+  static double bucket_low(std::uint32_t idx);
+  static double bucket_high(std::uint32_t idx);
 
   void reset();
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    Rng rng;
-    std::size_t count = 0;
-    double min = 0.0;
-    double max = 0.0;
-    double sum = 0.0;
-    std::vector<double> samples;
-    bool sorted = false;
+  static constexpr std::size_t kBlock = 64;
+  static constexpr std::size_t kBlocks = kBuckets / kBlock;
+  using Block = std::array<std::atomic<std::uint64_t>, kBlock>;
 
-    explicit Shard(std::uint64_t seed) : rng(seed) {}
-  };
+  Block& block(std::size_t b);
 
-  std::uint64_t shard_seed(std::size_t idx) const;
-  Shard& local_shard();
-  /// Existing shards, in slot order (snapshot-safe: slots are installed
-  /// with release stores and never removed until destruction).
-  template <typename Fn>
-  void for_each_shard(Fn&& fn) const;
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  std::size_t capacity_;
-  std::uint64_t seed_;
-  std::array<std::atomic<Shard*>, kMaxThreadShards> shards_{};
+  std::array<std::atomic<Block*>, kBlocks> blocks_{};
+  std::atomic<double> sum_{0.0};
+  std::atomic<double> min_{kInf};   ///< kInf until the first record
+  std::atomic<double> max_{-kInf};  ///< -kInf until the first record
 };
 
 /// Formats a fixed-width numeric table row for the bench harnesses.

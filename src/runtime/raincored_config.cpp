@@ -1,6 +1,7 @@
 #include "runtime/raincored_config.h"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/json.h"
@@ -9,17 +10,14 @@ namespace raincore::runtime {
 
 namespace {
 
-bool read_u64(const JsonValue& obj, const char* key, std::uint64_t& out) {
-  const JsonValue* v = obj.find(key);
-  if (!v || !v->is_number()) return false;
-  out = static_cast<std::uint64_t>(v->as_number());
-  return true;
-}
-
-void opt_u64(const JsonValue& obj, const char* key, std::uint64_t& out) {
-  std::uint64_t v = 0;
-  if (read_u64(obj, key, v)) out = v;
-}
+constexpr std::uint64_t kMaxNode = kInvalidNode - 1;
+constexpr std::uint64_t kMaxPort = std::numeric_limits<std::uint16_t>::max();
+// Ring k runs on demux group k, a 16-bit id.
+constexpr std::uint64_t kMaxShards =
+    std::uint64_t{std::numeric_limits<transport::MuxGroup>::max()} + 1;
+constexpr std::uint64_t kMaxMillis =
+    std::numeric_limits<Time>::max() / kNanosPerMilli;
+constexpr std::uint64_t kMaxSize = std::numeric_limits<std::size_t>::max();
 
 }  // namespace
 
@@ -38,39 +36,57 @@ bool RaincoredConfig::load(const std::string& path, RaincoredConfig& out,
     return false;
   }
 
+  // obj[key] as a whole number in [0, max]. An absent optional key leaves
+  // `v` as it was; an absent required key or a value out of range fails.
+  auto read_uint = [&](const JsonValue& obj, const char* key,
+                       std::uint64_t max, bool required, std::uint64_t& v) {
+    const JsonValue* j = obj.find(key);
+    if (!j) {
+      if (required) err = path + ": missing required key \"" + key + "\"";
+      return !required;
+    }
+    if (!j->read_uint(max, v)) {
+      err = path + ": \"" + key + "\" must be a whole number in 0.." +
+            std::to_string(max);
+      return false;
+    }
+    return true;
+  };
+
   std::uint64_t node = 0, port = 0;
-  if (!read_u64(doc, "node", node)) {
-    err = path + ": missing required key \"node\"";
+  std::uint64_t shards = out.shards;
+  std::uint64_t hold_ms =
+      static_cast<std::uint64_t>(out.token_hold / kNanosPerMilli);
+  std::uint64_t batch_msgs = out.max_batch_msgs;
+  std::uint64_t batch_bytes = out.max_batch_bytes;
+  std::uint64_t status_ms =
+      static_cast<std::uint64_t>(out.status_interval / kNanosPerMilli);
+  if (!read_uint(doc, "node", kMaxNode, true, node) ||
+      !read_uint(doc, "port", kMaxPort, true, port) ||
+      !read_uint(doc, "shards", kMaxShards, false, shards) ||
+      !read_uint(doc, "token_hold_ms", kMaxMillis, false, hold_ms) ||
+      !read_uint(doc, "max_batch_msgs", kMaxSize, false, batch_msgs) ||
+      !read_uint(doc, "max_batch_bytes", kMaxSize, false, batch_bytes) ||
+      !read_uint(doc, "status_interval_ms", kMaxMillis, false, status_ms)) {
     return false;
   }
-  if (!read_u64(doc, "port", port)) {
-    err = path + ": missing required key \"port\"";
+  if (shards == 0) {
+    err = path + ": \"shards\" must be at least 1";
     return false;
   }
   out.node = static_cast<NodeId>(node);
   out.port = static_cast<std::uint16_t>(port);
-
-  std::uint64_t u = out.shards;
-  opt_u64(doc, "shards", u);
-  out.shards = static_cast<std::size_t>(u);
+  out.shards = static_cast<std::size_t>(shards);
+  out.token_hold = millis(static_cast<std::int64_t>(hold_ms));
+  out.max_batch_msgs = static_cast<std::size_t>(batch_msgs);
+  out.max_batch_bytes = static_cast<std::size_t>(batch_bytes);
+  out.status_interval = millis(static_cast<std::int64_t>(status_ms));
   if (const JsonValue* v = doc.find("bind_ip"); v && v->is_string()) {
     out.bind_ip = v->as_string();
   }
   if (const JsonValue* v = doc.find("storage_dir"); v && v->is_string()) {
     out.storage_dir = v->as_string();
   }
-  u = static_cast<std::uint64_t>(out.token_hold / kNanosPerMilli);
-  opt_u64(doc, "token_hold_ms", u);
-  out.token_hold = millis(static_cast<std::int64_t>(u));
-  u = out.max_batch_msgs;
-  opt_u64(doc, "max_batch_msgs", u);
-  out.max_batch_msgs = static_cast<std::size_t>(u);
-  u = out.max_batch_bytes;
-  opt_u64(doc, "max_batch_bytes", u);
-  out.max_batch_bytes = static_cast<std::size_t>(u);
-  u = static_cast<std::uint64_t>(out.status_interval / kNanosPerMilli);
-  opt_u64(doc, "status_interval_ms", u);
-  out.status_interval = millis(static_cast<std::int64_t>(u));
 
   const JsonValue* peers = doc.find("peers");
   if (!peers || !peers->is_array()) {
@@ -82,9 +98,13 @@ bool RaincoredConfig::load(const std::string& path, RaincoredConfig& out,
     Peer peer;
     std::uint64_t pnode = 0, pport = 0;
     const JsonValue* ip = p.find("ip");
-    if (!p.is_object() || !read_u64(p, "node", pnode) ||
-        !read_u64(p, "port", pport) || !ip || !ip->is_string()) {
+    if (!p.is_object() || !p.find("node") || !p.find("port") || !ip ||
+        !ip->is_string()) {
       err = path + ": each peer needs node, ip, port";
+      return false;
+    }
+    if (!read_uint(p, "node", kMaxNode, true, pnode) ||
+        !read_uint(p, "port", kMaxPort, true, pport)) {
       return false;
     }
     peer.node = static_cast<NodeId>(pnode);

@@ -110,19 +110,9 @@ void ThreadedNode::start() {
   if (running_) return;
   running_ = true;
   io_loop_.schedule(0, [this] { publish_peer_status(); });
-  io_thread_ = std::thread([this] {
-    // The last shard slot is the I/O thread's; workers count up from 1 so
-    // slot 0 stays the sim/default shard.
-    set_thread_metric_shard(
-        static_cast<unsigned>(Histogram::kMaxThreadShards - 1));
-    io_loop_.run();
-  });
-  for (std::size_t k = 0; k < workers_.size(); ++k) {
-    Worker* w = workers_[k].get();
-    w->thread = std::thread([w, k] {
-      set_thread_metric_shard(static_cast<unsigned>(1 + k));
-      w->loop.run();
-    });
+  io_thread_ = std::thread([this] { io_loop_.run(); });
+  for (auto& w : workers_) {
+    w->thread = std::thread([loop = &w->loop] { loop->run(); });
   }
 }
 

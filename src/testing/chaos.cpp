@@ -653,20 +653,6 @@ metrics::Snapshot ChaosCluster::metrics_snapshot() const {
   return merged;
 }
 
-std::size_t ChaosCluster::reservoir_samples() const {
-  std::size_t total = 0;
-  for (const auto& [id, stack] : stacks_) {
-    total += stack->session->metrics().reservoir_samples();
-    total += stack->node->transport().metrics().reservoir_samples();
-    total += stack->mux->metrics().reservoir_samples();
-    total += stack->map->metrics().reservoir_samples();
-    total += stack->locks->metrics().reservoir_samples();
-    total += stack->vips->metrics().reservoir_samples();
-  }
-  total += harness_metrics_.reservoir_samples();
-  return total;
-}
-
 std::string ChaosCluster::ring_dump() const {
   session::RingIntrospector ri;
   for (const auto& [id, stack] : stacks_) ri.watch(*stack->session);
@@ -1066,7 +1052,6 @@ ChaosRoundResult run_chaos_round(std::uint64_t seed, Time chaos_duration,
   res.faults = cluster.engine().faults_injected();
   res.classes = cluster.engine().classes_seen();
   res.metrics = cluster.metrics_snapshot();
-  res.reservoir_samples = cluster.reservoir_samples();
   res.false_removals = cluster.false_removals();
   res.true_removals = cluster.true_removals();
   if (!res.violations.empty()) res.report = cluster.failure_report();

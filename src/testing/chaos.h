@@ -217,9 +217,6 @@ class ChaosCluster {
   std::uint64_t false_removals() const { return false_removals_.value(); }
   /// Removals of genuinely crashed nodes.
   std::uint64_t true_removals() const { return true_removals_.value(); }
-  /// Samples currently held across all histogram reservoirs, cluster-wide —
-  /// the memory-flatness measure for long soaks.
-  std::size_t reservoir_samples() const;
   /// Live ring state of every node (RingIntrospector rendering).
   std::string ring_dump() const;
   /// Diagnostic artifact for a failed round: violations, the replayable
@@ -294,7 +291,6 @@ struct ChaosRoundResult {
   std::set<FaultClass> classes;
   /// Final cluster-wide metrics (deterministic per seed).
   metrics::Snapshot metrics;
-  std::size_t reservoir_samples = 0;
   /// Full diagnostic artifact (ring dump + metrics table); non-empty only
   /// when the round had violations.
   std::string report;

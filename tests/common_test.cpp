@@ -164,13 +164,6 @@ TEST(HistogramTest, EmptyIsZero) {
   EXPECT_EQ(h.percentile(0.5), 0.0);
 }
 
-TEST(HistogramTest, PercentileInterpolates) {
-  Histogram h;
-  h.record(0.0);
-  h.record(10.0);
-  EXPECT_NEAR(h.percentile(0.25), 2.5, 1e-9);
-}
-
 TEST(HistogramTest, RecordAfterQueryResorts) {
   Histogram h;
   h.record(5.0);

@@ -155,6 +155,35 @@ TEST_F(RaincoredConfigTest, RejectsMissingKeysAndMalformedJson) {
   EXPECT_FALSE(RaincoredConfig::load((dir_ / "absent.json").string(), cfg,
                                      err));
   EXPECT_FALSE(err.empty());
+
+  // Integers must be whole numbers in range, never wrapped or truncated.
+  auto doc = [](const std::string& top, const std::string& peer) {
+    return "{" + top + R"(, "peers": [ {"ip": "127.0.0.1", )" + peer + "} ]}";
+  };
+  const std::string node = R"("node": 1)", port = R"("port": 48211)";
+  const std::string peer = R"("node": 2, "port": 48212)";
+  ASSERT_TRUE(RaincoredConfig::load(
+      write_file("ok.json", doc(node + ", " + port, peer)), cfg, err))
+      << err;
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {R"("node": 1.5, )" + port, peer},
+      {R"("node": -1, )" + port, peer},
+      {R"("node": 4294967295, )" + port, peer},
+      {node + R"(, "port": 70000)", peer},
+      {node + ", " + port, R"("node": 2, "port": -1)"},
+      {node + ", " + port, R"("node": 2.5, "port": 48212)"},
+      {node + ", " + port + R"(, "shards": 0)", peer},
+      {node + ", " + port + R"(, "shards": 70000)", peer},
+      {node + ", " + port + R"(, "token_hold_ms": -2)", peer},
+      {node + ", " + port + R"(, "max_batch_msgs": 1e30)", peer},
+  };
+  for (const auto& [top, p] : bad) {
+    err.clear();
+    EXPECT_FALSE(RaincoredConfig::load(write_file("bad.json", doc(top, p)),
+                                       cfg, err))
+        << top << " / " << p;
+    EXPECT_FALSE(err.empty()) << top << " / " << p;
+  }
 }
 
 // --- ThreadedNode: two live nodes over loopback UDP ---------------------------

@@ -72,8 +72,9 @@ bool read_views(const Member& m, std::vector<std::size_t>& views) {
   if (!v || !v->is_array()) return false;
   views.clear();
   for (const JsonValue& e : v->items()) {
-    if (!e.is_number()) return false;
-    views.push_back(static_cast<std::size_t>(e.as_number()));
+    std::uint64_t size = 0;
+    if (!e.read_uint(kInvalidNode, size)) return false;
+    views.push_back(static_cast<std::size_t>(size));
   }
   return true;
 }
