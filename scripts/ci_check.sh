@@ -31,6 +31,11 @@
 # (The binary, not the `metrics` label, which also holds the
 # bench_json_emit_* fixtures.)
 #
+# The last stage builds the benchmark (perfbench/, its own CMake tree over
+# ../src, in .bench_build/) and runs its self-test. perfbench calls the
+# node, ring and scheduler entry points directly, so a change that breaks
+# one fails CI here instead of in a benchmark run.
+#
 # Environment:
 #   CHAOS_ROUNDS=50 CHAOS_MS=3000 CHAOS_NODES=5 CHAOS_SEED=1  sweep shape
 #   SOAK_ROUNDS=10 SOAK_MS=2000 SOAK_SEED=301                 soak shape
@@ -103,5 +108,9 @@ ctest --test-dir "$TSAN_BUILD" -L runtime --output-on-failure
 echo "== metrics_test under TSAN (lock-free histogram: concurrent records" \
      "against snapshots, exact merge/diff algebra)"
 "$TSAN_BUILD/tests/metrics_test"
+
+echo "== perfbench self-test (builds the benchmark over ../src; recorder," \
+     "timeline, output checkers and kv-sim seed determinism)"
+python3 "$ROOT/perfbench/run.py" --selftest
 
 echo "== ci_check OK"

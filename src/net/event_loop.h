@@ -33,6 +33,10 @@ class EventLoop final : public Scheduler {
 
   /// Schedules fn at an absolute instant (clamped to now()).
   TimerId schedule_at(Time when, EventFn fn) override;
+  /// Virtual time wakes exactly on every event already.
+  TimerId schedule_exact_at(Time when, EventFn fn) override {
+    return schedule_at(when, std::move(fn));
+  }
 
   /// Cancels a pending event; no-op if it already ran, was cancelled, or
   /// never existed (stale ids must not poison the pending() accounting).

@@ -37,6 +37,10 @@ class NodeEnv {
 
   /// One-shot timer; returns an id usable with cancel().
   virtual TimerId schedule(Time delay, EventFn fn) = 0;
+  /// One-shot timer whose deadline the loop wakes for on time
+  /// (Scheduler::schedule_exact_at); only the token's pass deadline uses
+  /// it. An env whose loop has no coarse wakes treats it as schedule().
+  virtual TimerId schedule_exact(Time delay, EventFn fn) = 0;
   virtual void cancel(TimerId id) = 0;
 
   virtual Time now() const = 0;

@@ -2,10 +2,13 @@
 
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/prctl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
+#include <ctime>
 #include <stdexcept>
 
 namespace raincore::net {
@@ -13,6 +16,10 @@ namespace raincore::net {
 namespace {
 
 constexpr int kMaxEpollEvents = 64;
+
+// Timer slack is per thread; the default 50 us would defer every wake,
+// exact ones included.
+void use_minimal_timer_slack() { prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL); }
 
 }  // namespace
 
@@ -41,9 +48,12 @@ RealTimeLoop::~RealTimeLoop() {
 }
 
 TimerId RealTimeLoop::schedule_at(Time when, EventFn fn) {
-  Time t = now();
-  if (when < t) when = t;
-  return wheel_.schedule_at(when, std::move(fn));
+  return wheel_.schedule_at(std::max(when, now()), std::move(fn));
+}
+
+TimerId RealTimeLoop::schedule_exact_at(Time when, EventFn fn) {
+  return wheel_.schedule_at(std::max(when, now()), std::move(fn),
+                            /*exact=*/true);
 }
 
 void RealTimeLoop::post(EventFn fn) {
@@ -96,23 +106,29 @@ bool RealTimeLoop::iterate(Time deadline) {
   wheel_.advance(now());
 
   // Block until the earliest of: next timer, run_for deadline, an fd
-  // becoming readable, or an eventfd wake from post()/stop().
-  Time next = wheel_.next_deadline();
+  // becoming readable, or an eventfd wake from post()/stop(). The wait is
+  // rounded up to whole ms, unless an exact timer falls due before that.
+  const TimerWheel::Deadlines due = wheel_.next_deadlines();
+  Time next = due.any;
   if (deadline >= 0 && (next < 0 || deadline < next)) next = deadline;
   int timeout_ms = -1;
+  Time exact_ns = -1;
   if (next >= 0) {
-    Time gap = next - now();
+    const Time t = now();
+    const Time gap = next - t;
     if (gap <= 0) {
       timeout_ms = 0;
     } else {
       // Round up so we never wake a hair early and spin.
       timeout_ms = static_cast<int>((gap + kNanosPerMilli - 1) / kNanosPerMilli);
+      if (due.exact >= 0 && due.exact - t < timeout_ms * kNanosPerMilli) {
+        exact_ns = due.exact - t;
+      }
     }
   }
 
   epoll_event events[kMaxEpollEvents];
-  int n = epoll_wait(epoll_fd_, events, kMaxEpollEvents, timeout_ms);
-  if (n < 0 && errno != EINTR) throw std::runtime_error("epoll_wait failed");
+  const int n = wait(events, timeout_ms, exact_ns);
 
   for (int i = 0; i < n; ++i) {
     int fd = events[i].data.fd;
@@ -134,7 +150,26 @@ bool RealTimeLoop::iterate(Time deadline) {
   return !stop_.load(std::memory_order_acquire);
 }
 
+int RealTimeLoop::wait(epoll_event* events, int timeout_ms, Time exact_ns) {
+  int n;
+  if (exact_ns >= 0 && exact_waits_) {
+    const timespec ts{static_cast<std::time_t>(exact_ns / kNanosPerSec),
+                      static_cast<long>(exact_ns % kNanosPerSec)};
+    n = epoll_pwait2(epoll_fd_, events, kMaxEpollEvents, &ts, nullptr);
+    if (n < 0 && (errno == ENOSYS || errno == EPERM)) {
+      exact_waits_ = false;
+      n = epoll_wait(epoll_fd_, events, kMaxEpollEvents, timeout_ms);
+    }
+  } else {
+    n = epoll_wait(epoll_fd_, events, kMaxEpollEvents, timeout_ms);
+  }
+  wakeups_.fetch_add(1, std::memory_order_relaxed);
+  if (n < 0 && errno != EINTR) throw std::runtime_error("epoll_wait failed");
+  return n < 0 ? 0 : n;
+}
+
 void RealTimeLoop::run() {
+  use_minimal_timer_slack();
   stop_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   while (iterate(-1)) {
@@ -144,6 +179,7 @@ void RealTimeLoop::run() {
 }
 
 void RealTimeLoop::run_for(Time d) {
+  use_minimal_timer_slack();
   stop_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   Time deadline = now() + d;

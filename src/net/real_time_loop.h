@@ -13,9 +13,19 @@
 //
 // post() is the ONLY cross-thread entry point; schedule/cancel/watch_fd
 // belong to the loop thread (calling them before run() starts, while the
-// owning thread is still setting up, is also fine). The epoll_wait timeout
-// is derived from the wheel's next deadline, so timers fire within one
-// wheel granularity of their deadline without any periodic tick when idle.
+// owning thread is still setting up, is also fine).
+//
+// The wait ends at the wheel's next deadline, with no periodic tick when
+// idle, and timers come in two classes:
+//   * ordinary (schedule_at): the wait is rounded up to whole
+//     milliseconds, so a thread re-arming a sub-millisecond ticker (a load
+//     generator's next due time) wakes about once per ms and fires every
+//     overdue tick in deadline order, not once per tick;
+//   * exact (schedule_exact_at): when its deadline falls before that
+//     rounded wake, the loop sleeps to it with nanosecond precision
+//     (epoll_pwait2), and run()/run_for() set the thread's timer slack to
+//     1 ns so the kernel does not defer the wake by its default 50 us.
+//     Only the session token's pass deadline is exact (DESIGN.md §5i).
 #pragma once
 
 #include <atomic>
@@ -28,6 +38,8 @@
 #include "common/types.h"
 #include "net/scheduler.h"
 #include "net/timer_wheel.h"
+
+struct epoll_event;
 
 namespace raincore::net {
 
@@ -43,6 +55,7 @@ class RealTimeLoop final : public Scheduler {
   // Scheduler interface (loop thread).
   Time now() const override { return clock_.now(); }
   TimerId schedule_at(Time when, EventFn fn) override;
+  TimerId schedule_exact_at(Time when, EventFn fn) override;
   void cancel(TimerId id) override { wheel_.cancel(id); }
   std::size_t pending() const override { return wheel_.pending(); }
 
@@ -81,10 +94,19 @@ class RealTimeLoop final : public Scheduler {
   /// True between run() entry and exit (approximate, for assertions).
   bool running() const { return running_.load(std::memory_order_acquire); }
 
+  /// Thread-safe: returns from the epoll wait so far, one per loop
+  /// iteration (the CPU side of the wake policy above).
+  std::uint64_t wakeups() const {
+    return wakeups_.load(std::memory_order_relaxed);
+  }
+
  private:
   /// One poll-dispatch cycle. `deadline` bounds the epoll timeout (-1 =
   /// none). Returns false when the stop flag was observed.
   bool iterate(Time deadline);
+  /// Blocks for `timeout_ms` (-1 = forever), or for exactly `exact_ns`
+  /// when that is >= 0. Returns the number of ready events.
+  int wait(epoll_event* events, int timeout_ms, Time exact_ns);
   void drain_posted();
   void wake();
 
@@ -100,6 +122,10 @@ class RealTimeLoop final : public Scheduler {
 
   std::atomic<bool> stop_{false};
   std::atomic<bool> running_{false};
+  std::atomic<std::uint64_t> wakeups_{0};
+  /// Cleared for good when the kernel (before 5.11) or a seccomp filter
+  /// refuses epoll_pwait2; exact timers then wait like ordinary ones.
+  bool exact_waits_ = true;
 };
 
 }  // namespace raincore::net

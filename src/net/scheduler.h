@@ -15,6 +15,9 @@
 //   * Handlers may schedule and cancel freely, including a zero-delay
 //     timer from inside a handler; it runs in the same drain pass, after
 //     every event already due.
+//   * schedule_exact_at() obeys the same rules; it only asks the loop to
+//     wake on time for the deadline. The virtual-time loop has no wake to
+//     round, so for it the two calls are the same.
 //
 // Threading: schedule/cancel are owner-thread operations on both loops.
 // Cross-thread submission goes through RealTimeLoop::post(), never through
@@ -44,6 +47,16 @@ class Scheduler {
   /// Schedules fn to run at now() + delay (delay may be 0).
   TimerId schedule(Time delay, EventFn fn) {
     return schedule_at(now() + delay, std::move(fn));
+  }
+
+  /// schedule_at() for a deadline that must be met to the microsecond,
+  /// not to the loop's wake granularity. Reserved for the session token's
+  /// pass deadline: every exact timer costs the real-time loop a wake of
+  /// its own.
+  virtual TimerId schedule_exact_at(Time when, EventFn fn) = 0;
+
+  TimerId schedule_exact(Time delay, EventFn fn) {
+    return schedule_exact_at(now() + delay, std::move(fn));
   }
 
   /// Cancels a pending event; no-op for stale/unknown ids.

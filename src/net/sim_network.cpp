@@ -43,6 +43,9 @@ class SimNetwork::SimNodeEnv final : public NodeEnv {
   TimerId schedule(Time delay, EventFn fn) override {
     return net_.loop_.schedule(delay, std::move(fn));
   }
+  TimerId schedule_exact(Time delay, EventFn fn) override {
+    return schedule(delay, std::move(fn));
+  }
   void cancel(TimerId id) override { net_.loop_.cancel(id); }
   Time now() const override { return net_.loop_.now(); }
   Rng& rng() override { return rng_; }

@@ -21,9 +21,9 @@ TimerWheel::TimerWheel(Time granularity, std::size_t slots)
       mask_(pow2_at_least(slots ? slots : kDefaultSlots) - 1),
       buckets_(mask_ + 1) {}
 
-TimerId TimerWheel::schedule_at(Time when, EventFn fn) {
+TimerId TimerWheel::schedule_at(Time when, EventFn fn, bool exact) {
   TimerId id = next_id_++;
-  Entry e{when, next_seq_++, id, std::move(fn)};
+  Entry e{when, next_seq_++, id, std::move(fn), exact};
   live_.insert(id);
   if (firing_ && when <= firing_now_) {
     // Due already — the sweep cursor has passed this instant's bucket, so
@@ -100,16 +100,17 @@ std::size_t TimerWheel::advance(Time now) {
   return fired;
 }
 
-Time TimerWheel::next_deadline() const {
-  if (live_.empty()) return -1;
-  Time best = -1;
+TimerWheel::Deadlines TimerWheel::next_deadlines() const {
+  Deadlines d;
+  if (live_.empty()) return d;
   for (const auto& bucket : buckets_) {
     for (const Entry& e : bucket) {
       if (!live_.count(e.id)) continue;
-      if (best < 0 || e.when < best) best = e.when;
+      if (d.any < 0 || e.when < d.any) d.any = e.when;
+      if (e.exact && (d.exact < 0 || e.when < d.exact)) d.exact = e.when;
     }
   }
-  return best;
+  return d;
 }
 
 }  // namespace raincore::net

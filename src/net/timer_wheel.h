@@ -36,8 +36,10 @@ class TimerWheel {
   TimerWheel(const TimerWheel&) = delete;
   TimerWheel& operator=(const TimerWheel&) = delete;
 
-  /// Registers fn to fire once advance() reaches `when` (absolute).
-  TimerId schedule_at(Time when, EventFn fn);
+  /// Registers fn to fire once advance() reaches `when` (absolute). An
+  /// `exact` timer fires in the same order as any other; it only shows up
+  /// in next_deadlines().exact, for a loop that wakes on time for it.
+  TimerId schedule_at(Time when, EventFn fn, bool exact = false);
 
   /// Lazily removes a pending timer (the entry is dropped when its bucket
   /// is next swept, or skipped if already collected into a firing batch).
@@ -49,9 +51,13 @@ class TimerWheel {
   /// number fired.
   std::size_t advance(Time now);
 
-  /// Earliest pending deadline, or -1 when no timer is live (feeds the
-  /// epoll_wait timeout).
-  Time next_deadline() const;
+  /// Earliest pending deadline of any timer and of exact timers alone, -1
+  /// when there is none (they feed the loop's wait).
+  struct Deadlines {
+    Time any = -1;
+    Time exact = -1;
+  };
+  Deadlines next_deadlines() const;
 
   std::size_t pending() const { return live_.size(); }
 
@@ -61,6 +67,7 @@ class TimerWheel {
     std::uint64_t seq;
     TimerId id;
     EventFn fn;
+    bool exact;
   };
 
   std::int64_t tick_of(Time when) const { return when / granularity_; }

@@ -58,6 +58,11 @@ class UdpEndpoint final : public NodeEnv {
   TimerId schedule(Time delay, EventFn fn) override {
     return loop_.schedule(delay, std::move(fn));
   }
+  /// The I/O thread's transport timers tolerate whole-ms wakes; rings,
+  /// whose pass deadline needs exact wakes, run on a WorkerEnv.
+  TimerId schedule_exact(Time delay, EventFn fn) override {
+    return schedule(delay, std::move(fn));
+  }
   void cancel(TimerId id) override { loop_.cancel(id); }
   Time now() const override { return loop_.now(); }
   Rng& rng() override { return rng_; }

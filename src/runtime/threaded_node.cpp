@@ -219,9 +219,12 @@ bool ThreadedNode::all_converged(std::size_t n) {
 
 metrics::Snapshot ThreadedNode::metrics_snapshot() const {
   metrics::Snapshot s = transport_.metrics().snapshot();
-  for (const auto& w : workers_) {
-    s.merge(w->ring->metrics().snapshot());
-    if (w->store) s.merge(w->store->metrics().snapshot());
+  s.counters["runtime.loop.io.wakeups"] = io_loop_.wakeups();
+  for (std::size_t k = 0; k < workers_.size(); ++k) {
+    const Worker& w = *workers_[k];
+    s.merge(w.ring->metrics().snapshot());
+    if (w.store) s.merge(w.store->metrics().snapshot());
+    s.counters[shard_prefix(k) + "runtime.loop.wakeups"] = w.loop.wakeups();
   }
   s.merge(runtime_reg_.snapshot());
   return s;

@@ -118,9 +118,11 @@ class ThreadedNode {
   }
   /// Runtime-layer instruments (proxy overflow/retry counters).
   metrics::Registry& runtime_metrics() { return runtime_reg_; }
-  /// Merged snapshot: transport + every ring + runtime instruments. Safe
-  /// while running (instruments are thread-safe; registries mutex their
-  /// maps) — values are per-instrument coherent, not a global cut.
+  /// Merged snapshot: transport + every ring + runtime instruments, plus
+  /// each loop's wake count ("runtime.loop.io.wakeups",
+  /// "shard<k>.runtime.loop.wakeups"). Safe while running (instruments are
+  /// thread-safe; registries mutex their maps) — values are per-instrument
+  /// coherent, not a global cut.
   metrics::Snapshot metrics_snapshot() const;
 
  private:

@@ -35,6 +35,9 @@ class WorkerEnv final : public net::NodeEnv {
   net::TimerId schedule(Time delay, net::EventFn fn) override {
     return loop_.schedule(delay, std::move(fn));
   }
+  net::TimerId schedule_exact(Time delay, net::EventFn fn) override {
+    return loop_.schedule_exact(delay, std::move(fn));
+  }
   void cancel(net::TimerId id) override { loop_.cancel(id); }
   Time now() const override { return loop_.now(); }
   Rng& rng() override { return rng_; }

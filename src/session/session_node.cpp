@@ -321,8 +321,14 @@ void SessionNode::arm_hold_timer() {
   // Clamp to a small positive hold: a zero hold in a singleton group would
   // re-enter the eating cycle at the same instant forever (virtual time
   // would never advance under the simulator).
-  Time hold = std::max<Time>(cfg_.token_hold, micros(10));
-  hold_timer_ = env_.schedule(hold, [this] {
+  const Time hold = std::max<Time>(cfg_.token_hold, micros(10));
+  // The pass deadline is anchored at the cycle's start, so the token
+  // leaves `hold` after it arrived however long the visit's merge,
+  // delivery and run_exclusive work took on a real clock (in virtual time
+  // that work takes none). It is the one exact timer: a loop that rounds
+  // its wakes would stretch every hold, and with it every rotation.
+  const Time left = std::max<Time>(eating_since_ + hold - env_.now(), 0);
+  hold_timer_ = env_.schedule_exact(left, [this] {
     hold_timer_ = 0;
     pass_token();
   });

@@ -53,7 +53,10 @@ enum class Ordering : std::uint8_t {
 
 struct SessionConfig {
   /// How long a node holds the token before passing it on ("passed at a
-  /// regular time interval", §2.2). Token roundtrip rate L ≈ 1/(N·hold).
+  /// regular time interval", §2.2), counted from the token's arrival: the
+  /// visit's merge, delivery and run_exclusive work runs inside the hold,
+  /// and the real-time runtime wakes exactly for its end. Token roundtrip
+  /// rate L ≈ 1/(N·(hold + hop)).
   Time token_hold = millis(5);
   /// HUNGRY → STARVING timeout (§2.3). Must exceed a worst-case roundtrip
   /// including one failure-detection chain.
@@ -436,6 +439,8 @@ class SessionNode {
   // Timers.
   net::TimerId hungry_timer_ = 0;
   net::TimerId hold_timer_ = 0;
+  /// Start of the current eating cycle: the hold is counted from here.
+  Time eating_since_ = 0;
   net::TimerId bodyodor_timer_ = 0;
   net::TimerId starving_timer_ = 0;
   net::TimerId join_timer_ = 0;

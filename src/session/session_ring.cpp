@@ -154,6 +154,9 @@ void SessionNode::begin_eating(Token&& t) {
 }
 
 void SessionNode::eating_cycle() {
+  // The hold starts now: the work below runs inside it, not before it.
+  eating_since_ = env_.now();
+
   // 1. Fold in any held foreign (TBM) tokens — the merge proper (§2.4).
   if (!pending_foreign_.empty()) {
     token_ = merge_tokens(std::move(token_));

@@ -1,10 +1,13 @@
 // Real-time loop semantics: timer-wheel firing order and cancel-while-
 // firing, scheduling-contract parity between the virtual-time EventLoop
-// and the epoll RealTimeLoop (the same test body runs against both), the
-// eventfd wakeup path under concurrent cross-thread posts, and the SPSC
-// handoff queue. ctest -L runtime
+// and the epoll RealTimeLoop (the same test body runs against both, for
+// ordinary and exact timers), the wake policy (whole-ms wakes for a
+// sub-ms ticker, on-time wakes for exact deadlines), the eventfd wakeup
+// path under concurrent cross-thread posts, and the SPSC handoff queue.
+// ctest -L runtime
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -26,11 +29,24 @@ TEST(TimerWheelTest, FiresInDeadlineThenSubmissionOrder) {
   wheel.schedule_at(millis(3), [&] { order.push_back(3); });
   wheel.schedule_at(millis(3), [&] { order.push_back(4); });  // FIFO at 3ms
   EXPECT_EQ(wheel.pending(), 3u);
-  EXPECT_EQ(wheel.next_deadline(), millis(3));
+  EXPECT_EQ(wheel.next_deadlines().any, millis(3));
   EXPECT_EQ(wheel.advance(millis(10)), 3u);
   EXPECT_EQ(order, (std::vector<int>{3, 4, 5}));
   EXPECT_EQ(wheel.pending(), 0u);
-  EXPECT_EQ(wheel.next_deadline(), -1);
+  EXPECT_EQ(wheel.next_deadlines().any, -1);
+}
+
+TEST(TimerWheelTest, ReportsEarliestExactDeadlineSeparately) {
+  net::TimerWheel wheel;
+  wheel.schedule_at(millis(2), [] {});
+  const net::TimerId early = wheel.schedule_at(millis(4), [] {}, true);
+  wheel.schedule_at(millis(7), [] {}, true);
+  EXPECT_EQ(wheel.next_deadlines().any, millis(2));
+  EXPECT_EQ(wheel.next_deadlines().exact, millis(4));
+  wheel.cancel(early);
+  EXPECT_EQ(wheel.next_deadlines().exact, millis(7));
+  EXPECT_EQ(wheel.advance(millis(10)), 2u);
+  EXPECT_EQ(wheel.next_deadlines().exact, -1);
 }
 
 TEST(TimerWheelTest, CancelWhileFiring) {
@@ -77,26 +93,36 @@ TEST(TimerWheelTest, WrapsPastOneRevolution) {
 
 // --- Scheduling-contract parity ----------------------------------------------
 
-// The body every Scheduler implementation must satisfy identically: FIFO
-// among equal deadlines, cancel-while-firing honoured, and zero-delay
-// timers scheduled from handlers running in the same pass, before any
-// later deadline. Delays are widely spaced so the real-time run cannot
-// collapse two deadlines into one wake-up even on a loaded machine.
+// The body every Scheduler implementation must satisfy identically, with
+// exact and ordinary timers mixed: FIFO among equal deadlines, cancel
+// before and during firing honoured, and zero-delay timers scheduled from
+// handlers running in the same pass, before any later deadline. Delays are
+// widely spaced so the real-time run cannot collapse two deadlines into
+// one wake-up even on a loaded machine.
 void scheduling_contract_body(net::Scheduler& s,
                               const std::function<void()>& run_all) {
   std::vector<int> order;
   net::TimerId victim = 0;
+  net::TimerId exact_victim = 0;
+  const Time at = s.now() + millis(10);
   s.schedule(millis(250), [&] { order.push_back(2); });
-  s.schedule(millis(10), [&] {
+  s.schedule_exact(millis(100), [&] { order.push_back(3); });
+  s.schedule_at(at, [&] {
     order.push_back(1);
     s.schedule(0, [&] { order.push_back(10); });
-    s.schedule(0, [&] { order.push_back(11); });
+    s.schedule_exact(0, [&] { order.push_back(11); });
+    s.schedule(0, [&] { order.push_back(13); });
     s.cancel(victim);
+    s.cancel(exact_victim);
   });
-  s.schedule(millis(10), [&] { order.push_back(12); });
-  victim = s.schedule(millis(10), [&] { order.push_back(99); });
+  s.schedule_exact_at(at, [&] { order.push_back(12); });
+  victim = s.schedule_at(at, [&] { order.push_back(99); });
+  exact_victim = s.schedule_exact_at(at, [&] { order.push_back(98); });
+  s.schedule_at(at, [&] { order.push_back(14); });
+  s.cancel(s.schedule_exact(millis(5), [&] { order.push_back(97); }));
   run_all();
-  EXPECT_EQ(order, (std::vector<int>{1, 12, 10, 11, 2}));
+  EXPECT_EQ(order, (std::vector<int>{1, 12, 14, 10, 11, 13, 3, 2}));
+  EXPECT_EQ(s.pending(), 0u);
 }
 
 TEST(SchedulerParityTest, VirtualLoopContract) {
@@ -115,6 +141,50 @@ TEST(SchedulerParityTest, RealTimeLoopContract) {
       loop.run_for(millis(50));
     }
   });
+}
+
+// --- Wake policy ----------------------------------------------------------------
+
+// A 160 us ordinary ticker that catches up on every due tick and re-arms
+// for the next (how a load generator follows its timeline) beside a chain
+// of exact timers 2 ms apart (how the token's pass deadline recurs). The
+// exact chain must fire on time, and the ticker must keep its whole-ms
+// batching: about one wake per ms, not one per tick (6.25 per ms).
+TEST(RealTimeLoopTest, ExactChainFiresOnTimeBesideBatchedTicker) {
+  constexpr Time kTick = micros(160);
+  constexpr Time kChainGap = millis(2);
+  net::RealTimeLoop loop;
+  const Time start = loop.now();
+
+  std::int64_t ticks = 0;
+  std::function<void()> tick = [&] {
+    while (start + (ticks + 1) * kTick <= loop.now()) ++ticks;
+    loop.schedule_at(start + (ticks + 1) * kTick, tick);
+  };
+  loop.schedule_at(start + kTick, tick);
+
+  std::vector<Time> lateness;
+  Time due = start + kChainGap;
+  std::function<void()> link = [&] {
+    lateness.push_back(loop.now() - due);
+    due += kChainGap;
+    loop.schedule_exact_at(due, link);
+  };
+  loop.schedule_exact_at(due, link);
+
+  const std::uint64_t wakes_before = loop.wakeups();
+  loop.run_for(millis(500));
+  const double elapsed_ms = to_millis(loop.now() - start);
+  const double wakes_per_ms =
+      static_cast<double>(loop.wakeups() - wakes_before) / elapsed_ms;
+
+  ASSERT_GE(lateness.size(), 200u);
+  std::nth_element(lateness.begin(), lateness.begin() + lateness.size() / 2,
+                   lateness.end());
+  const Time median_late = lateness[lateness.size() / 2];
+  EXPECT_LT(median_late, micros(250)) << "exact timers fire late";
+  EXPECT_LE(wakes_per_ms, 1.5) << "the ticker wakes the loop once per tick";
+  EXPECT_GE(ticks, 3000) << "the ticker fell behind its timeline";
 }
 
 // --- Cross-thread post / eventfd wakeup --------------------------------------

@@ -1,7 +1,8 @@
 // Production runtime assembly: PeerStatusBoard snapshot semantics, the
-// raincored config file format, and a live two-node ThreadedNode cluster
+// raincored config file format, a live two-node ThreadedNode cluster
 // over kernel UDP loopback (ephemeral ports, discovery merge, cross-node
-// delivery, clean shutdown). ctest -L runtime
+// delivery, clean shutdown), the token hold anchored at arrival, and
+// 4 x 4-ring formations. ctest -L runtime
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -12,6 +13,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -253,11 +255,77 @@ TEST(ThreadedNodeTest, TwoNodeClusterDeliversAcrossKernelUdp) {
   }
   EXPECT_TRUE(saw_shard1);
   EXPECT_TRUE(saw_proxy);
+  // Every loop's wake count: the I/O loop and one per shard worker.
+  EXPECT_GT(snap.counters["runtime.loop.io.wakeups"], 0u);
+  EXPECT_GT(snap.counters["shard0.runtime.loop.wakeups"], 0u);
+  EXPECT_GT(snap.counters["shard1.runtime.loop.wakeups"], 0u);
 
   n1->stop();
   n2->stop();
   EXPECT_FALSE(n1->running());
   n1->stop();  // idempotent
+}
+
+// --- ThreadedNode: the hold is anchored at token arrival ---------------------
+
+// A visit's arrival-time work (here a deliver handler that spins 1 ms on
+// the first peer message of each visit) runs inside the hold, so node 1
+// still passes the token token_hold after it arrived. A hold armed only
+// after that work would make every dwell read token_hold + 1 ms or more.
+TEST(ThreadedNodeTest, HoldEndsTokenHoldAfterArrivalDespiteSlowDelivery) {
+  constexpr Time kHold = millis(2);
+  constexpr auto kSpin = std::chrono::milliseconds(1);
+  std::vector<std::unique_ptr<ThreadedNode>> nodes;
+  for (NodeId id = 1; id <= 2; ++id) {
+    ThreadedNodeConfig c;
+    c.node = id;
+    c.ring.eligible = {1, 2};
+    c.ring.token_hold = kHold;
+    nodes.push_back(std::make_unique<ThreadedNode>(c));
+  }
+  nodes[0]->add_peer(2, 0, "127.0.0.1", nodes[1]->port(0));
+  nodes[1]->add_peer(1, 0, "127.0.0.1", nodes[0]->port(0));
+
+  // Runs on node 1's worker, the ring's owner thread. The token's seq at
+  // arrival names the visit.
+  session::SessionNode& ring = nodes[0]->ring_unsafe(0);
+  std::optional<TokenSeq> spun_seq;
+  std::atomic<int> spun_visits{0};
+  ring.set_deliver_handler([&](NodeId origin, const Slice&, session::Ordering) {
+    if (origin == 1 || spun_seq == ring.last_copy().seq) return;
+    spun_seq = ring.last_copy().seq;
+    const auto until = std::chrono::steady_clock::now() + kSpin;
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    spun_visits.fetch_add(1, std::memory_order_relaxed);
+  });
+
+  for (auto& n : nodes) n->start();
+  for (auto& n : nodes) n->found_all();
+  ASSERT_TRUE(poll_until([&] {
+    return nodes[0]->all_converged(2) && nodes[1]->all_converged(2);
+  })) << "ring did not converge";
+
+  const std::string dwell = "shard0.session.state.eating_dwell_ns";
+  const metrics::Snapshot before = nodes[0]->metrics_snapshot();
+  const int spun_before = spun_visits.load();
+  // Node 2 multicasts every millisecond, so each of node 1's visits
+  // delivers a few of its messages at arrival.
+  const auto t_end = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (std::chrono::steady_clock::now() < t_end) {
+    nodes[1]->post_to_shard(0, [](session::SessionNode& r) {
+      r.multicast(Bytes{1, 2, 3});
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const metrics::Snapshot window = nodes[0]->metrics_snapshot().diff(before);
+  for (auto& n : nodes) n->stop();
+
+  EXPECT_GE(spun_visits.load() - spun_before, 50) << "too few slow visits";
+  const metrics::HistStat& d = window.histograms.at(dwell);
+  ASSERT_GE(d.count, 50u);
+  EXPECT_LT(d.p50, static_cast<double>(kHold + micros(500)))
+      << "the hold started after the visit's work, not at arrival";
 }
 
 // --- ThreadedNode: cluster formation over loopback UDP ------------------------
