@@ -10,6 +10,11 @@
 #   asan-build-dir  defaults to <repo>/build-asan (configured on demand)
 #   tsan-build-dir  defaults to <repo>/build-tsan (configured on demand)
 #
+# The TimerQueue both event loops keep their timers in runs its own tests
+# and the loop-parity body under the same ASAN tree: a timer is moved out
+# of the heap before it runs, and cancel churn rebuilds the heap, so a
+# dangling handler or a bad rebuild fails here.
+#
 # The `durability`-labelled suite then runs under the same ASAN tree:
 # WAL format/torn-tail unit tests plus the restart-storm chaos sweep
 # (seeds 1..25) whose oracle allows ZERO acked-write losses and ZERO
@@ -22,7 +27,7 @@
 # removed while its process was alive) than SOAK_FALSE_RM_BUDGET.
 #
 # A ThreadSanitizer pass closes the gate: the `runtime`-labelled suite
-# (timer wheel + loop parity, SPSC stress, cross-thread eventfd posts,
+# (timer queue + loop parity, SPSC stress, cross-thread eventfd posts,
 # live ThreadedNode clusters, the udp_cluster smoke, the kill -9 raincored
 # harness) runs in a separate TSAN tree, since ASAN and TSAN cannot share
 # one build. Any data race in the I/O-thread/worker handoff fails here.
@@ -61,7 +66,7 @@ cmake -B "$BUILD" -S "$ROOT" -DRAINCORE_ASAN=ON
 cmake --build "$BUILD" -j"$JOBS" --target bench_chaos wire_perf_test \
     shard_test bench_shard bench_json_check storage_test durability_test \
     bench_durability batching_test fuzz_robustness_test property_test \
-    bench_saturation reshard_test bench_reshard
+    bench_saturation reshard_test bench_reshard real_time_loop_test
 
 echo "== chaos sweep: $ROUNDS rounds x ${MS}ms, $NODES nodes, seeds $SEED.."
 "$BUILD/bench/bench_chaos" "$ROUNDS" "$MS" "$NODES" "$SEED"
@@ -71,6 +76,11 @@ echo "== lossy-link soak: $SOAK_ROUNDS rounds x ${SOAK_MS}ms at ${SOAK_LOSS} los
 "$BUILD/bench/bench_chaos" "$SOAK_ROUNDS" "$SOAK_MS" "$NODES" "$SOAK_SEED" \
     --loss="$SOAK_LOSS" --adaptive \
     --false-removal-budget="$SOAK_FALSE_RM_BUDGET"
+
+echo "== timer queue and loop parity under ASAN (heap move-out, cancel-churn" \
+     "rebuild, the shared Scheduler contract on both loops)"
+"$BUILD/tests/real_time_loop_test" \
+    --gtest_filter='TimerQueueTest.*:SchedulerParityTest.*'
 
 echo "== perf label under ASAN (allocation/copy budgets, encode-once)"
 ctest --test-dir "$BUILD" -L perf --output-on-failure

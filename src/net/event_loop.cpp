@@ -1,49 +1,28 @@
 #include "net/event_loop.h"
 
+#include <algorithm>
+#include <limits>
+
 namespace raincore::net {
 
 TimerId EventLoop::schedule_at(Time when, EventFn fn) {
-  if (when < now()) when = now();
-  TimerId id = next_id_++;
-  queue_.push(Event{when, next_seq_++, id, std::move(fn)});
-  live_.insert(id);
-  return id;
+  return timers_.push(std::max(when, now()), std::move(fn));
 }
 
-bool EventLoop::step() {
-  while (!queue_.empty()) {
-    const Event& top = queue_.top();
-    if (cancelled_.erase(top.id) > 0) {
-      queue_.pop();
-      continue;
-    }
-    Event ev{top.when, top.seq, top.id, std::move(const_cast<Event&>(top).fn)};
-    queue_.pop();
-    live_.erase(ev.id);
-    clock_.advance_to(ev.when);
-    ev.fn();
-    return true;
-  }
-  return false;
+bool EventLoop::run_next(Time limit) {
+  auto ev = timers_.pop_due(limit);
+  if (!ev) return false;
+  clock_.advance_to(ev->when);
+  ev->fn();
+  return true;
 }
+
+bool EventLoop::step() { return run_next(std::numeric_limits<Time>::max()); }
 
 void EventLoop::run_until(Time deadline) {
-  while (!queue_.empty()) {
-    const Event& top = queue_.top();
-    if (cancelled_.erase(top.id) > 0) {
-      queue_.pop();
-      continue;
-    }
-    if (top.when > deadline) break;
-    Event ev{top.when, top.seq, top.id, std::move(const_cast<Event&>(top).fn)};
-    queue_.pop();
-    live_.erase(ev.id);
-    clock_.advance_to(ev.when);
-    ev.fn();
+  while (run_next(deadline)) {
   }
   clock_.advance_to(deadline);
 }
-
-bool EventLoop::idle() const { return pending() == 0; }
 
 }  // namespace raincore::net

@@ -7,18 +7,13 @@
 //
 // Implements net::Scheduler, the interface protocol code sees; the
 // epoll-backed RealTimeLoop is the production implementation of the same
-// contract.
+// contract, over the same TimerQueue.
 #pragma once
-
-#include <cstdint>
-#include <functional>
-#include <queue>
-#include <unordered_set>
-#include <vector>
 
 #include "common/clock.h"
 #include "common/types.h"
 #include "net/scheduler.h"
+#include "net/timer_queue.h"
 
 namespace raincore::net {
 
@@ -40,12 +35,10 @@ class EventLoop final : public Scheduler {
 
   /// Cancels a pending event; no-op if it already ran, was cancelled, or
   /// never existed (stale ids must not poison the pending() accounting).
-  void cancel(TimerId id) override {
-    if (live_.erase(id) > 0) cancelled_.insert(id);
-  }
+  void cancel(TimerId id) override { timers_.cancel(id); }
 
   /// Runs events until the queue is empty or the virtual clock would pass
-  /// `deadline`. The clock is left at min(deadline, last event time).
+  /// `deadline`, then advances the clock to `deadline`.
   void run_until(Time deadline);
 
   /// Convenience: run_until(now() + d).
@@ -54,29 +47,15 @@ class EventLoop final : public Scheduler {
   /// Runs a single event if one is pending; returns false when idle.
   bool step();
 
-  bool idle() const;
-  std::size_t pending() const override { return live_.size(); }
+  bool idle() const { return pending() == 0; }
+  std::size_t pending() const override { return timers_.pending(); }
 
  private:
-  struct Event {
-    Time when;
-    std::uint64_t seq;  // tie-break: FIFO among same-instant events
-    TimerId id;
-    EventFn fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
+  /// Runs the earliest event due by `limit`; false when there is none.
+  bool run_next(Time limit);
 
   ManualClock clock_;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<TimerId> live_;  // scheduled, not yet run or cancelled
-  std::unordered_set<TimerId> cancelled_;
-  std::uint64_t next_seq_ = 0;
-  TimerId next_id_ = 1;
+  TimerQueue timers_;
 };
 
 }  // namespace raincore::net

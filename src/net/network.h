@@ -3,17 +3,19 @@
 // Protocol stacks (transport, session, baselines, applications) are passive
 // state machines: they receive datagrams and timer callbacks and emit sends
 // and new timers through this interface. The deterministic simulator
-// (sim_network.h) and the real-socket endpoint (udp_endpoint.h) both
-// implement it, so the exact same protocol bytes run in simulation and on
-// UDP.
+// (sim_network.h), the real-socket endpoint (udp_endpoint.h) and a worker
+// ring's env (runtime/worker_env.h) implement the datagram half, so the
+// exact same protocol bytes run in simulation and on UDP. Timers, the
+// clock and the rng are implemented once, here: they forward to the
+// node's Scheduler and a per-node Rng that the implementation passes in.
 #pragma once
 
 #include <functional>
 
 #include "common/rng.h"
 #include "common/types.h"
-#include "net/event_loop.h"
 #include "net/packet.h"
+#include "net/scheduler.h"
 
 namespace raincore::net {
 
@@ -36,19 +38,32 @@ class NodeEnv {
   }
 
   /// One-shot timer; returns an id usable with cancel().
-  virtual TimerId schedule(Time delay, EventFn fn) = 0;
+  TimerId schedule(Time delay, EventFn fn) {
+    return scheduler_.schedule(delay, std::move(fn));
+  }
   /// One-shot timer whose deadline the loop wakes for on time
   /// (Scheduler::schedule_exact_at); only the token's pass deadline uses
-  /// it. An env whose loop has no coarse wakes treats it as schedule().
-  virtual TimerId schedule_exact(Time delay, EventFn fn) = 0;
-  virtual void cancel(TimerId id) = 0;
+  /// it. The virtual-time loop has no coarse wakes and treats it as
+  /// schedule().
+  TimerId schedule_exact(Time delay, EventFn fn) {
+    return scheduler_.schedule_exact(delay, std::move(fn));
+  }
+  void cancel(TimerId id) { scheduler_.cancel(id); }
 
-  virtual Time now() const = 0;
-  virtual Rng& rng() = 0;
+  Time now() const { return scheduler_.now(); }
+  Rng& rng() { return rng_; }
 
   /// Installs the datagram receiver; exactly one receiver per node, the
   /// bottom of the local protocol stack (normally the Transport Service).
   virtual void set_receiver(ReceiveFn fn) = 0;
+
+ protected:
+  /// The scheduler must outlive the env.
+  NodeEnv(Scheduler& scheduler, Rng rng) : scheduler_(scheduler), rng_(rng) {}
+
+ private:
+  Scheduler& scheduler_;
+  Rng rng_;
 };
 
 }  // namespace raincore::net

@@ -48,12 +48,18 @@ RealTimeLoop::~RealTimeLoop() {
 }
 
 TimerId RealTimeLoop::schedule_at(Time when, EventFn fn) {
-  return wheel_.schedule_at(std::max(when, now()), std::move(fn));
+  return timers_.push(std::max(when, now()), std::move(fn));
 }
 
 TimerId RealTimeLoop::schedule_exact_at(Time when, EventFn fn) {
-  return wheel_.schedule_at(std::max(when, now()), std::move(fn),
-                            /*exact=*/true);
+  return timers_.push(std::max(when, now()), std::move(fn), /*exact=*/true);
+}
+
+void RealTimeLoop::fire_due() {
+  // A handler's zero-delay timer is clamped to a later clock reading than
+  // `t`, so it fires on the next drain, before any later deadline.
+  const Time t = now();
+  while (auto timer = timers_.pop_due(t)) timer->fn();
 }
 
 void RealTimeLoop::post(EventFn fn) {
@@ -103,13 +109,12 @@ bool RealTimeLoop::iterate(Time deadline) {
 
   drain_posted();
   if (service_) service_();
-  wheel_.advance(now());
+  fire_due();
 
   // Block until the earliest of: next timer, run_for deadline, an fd
   // becoming readable, or an eventfd wake from post()/stop(). The wait is
   // rounded up to whole ms, unless an exact timer falls due before that.
-  const TimerWheel::Deadlines due = wheel_.next_deadlines();
-  Time next = due.any;
+  Time next = timers_.next_deadline();
   if (deadline >= 0 && (next < 0 || deadline < next)) next = deadline;
   int timeout_ms = -1;
   Time exact_ns = -1;
@@ -121,8 +126,9 @@ bool RealTimeLoop::iterate(Time deadline) {
     } else {
       // Round up so we never wake a hair early and spin.
       timeout_ms = static_cast<int>((gap + kNanosPerMilli - 1) / kNanosPerMilli);
-      if (due.exact >= 0 && due.exact - t < timeout_ms * kNanosPerMilli) {
-        exact_ns = due.exact - t;
+      const Time exact = timers_.next_exact_deadline();
+      if (exact >= 0 && exact - t < timeout_ms * kNanosPerMilli) {
+        exact_ns = exact - t;
       }
     }
   }
@@ -146,7 +152,7 @@ bool RealTimeLoop::iterate(Time deadline) {
 
   drain_posted();
   if (service_) service_();
-  wheel_.advance(now());
+  fire_due();
   return !stop_.load(std::memory_order_acquire);
 }
 
@@ -186,7 +192,7 @@ void RealTimeLoop::run_for(Time d) {
   while (now() < deadline && iterate(deadline)) {
   }
   drain_posted();
-  wheel_.advance(now());
+  fire_due();
   running_.store(false, std::memory_order_release);
 }
 

@@ -5,8 +5,8 @@
 // sources:
 //   * non-blocking fds registered with watch_fd() (edge-triggered EPOLLIN
 //     — handlers must drain until EAGAIN),
-//   * timers on a hashed TimerWheel (schedule_at/cancel, Scheduler
-//     contract identical to the simulator loop),
+//   * timers in a TimerQueue, the simulator loop's own timer store
+//     (schedule_at/cancel, the same Scheduler contract),
 //   * closures post()ed from other threads, handed over under a short
 //     mutex and signalled through an eventfd so a blocked epoll_wait wakes
 //     immediately.
@@ -15,7 +15,7 @@
 // belong to the loop thread (calling them before run() starts, while the
 // owning thread is still setting up, is also fine).
 //
-// The wait ends at the wheel's next deadline, with no periodic tick when
+// The wait ends at the queue's next deadline, with no periodic tick when
 // idle, and timers come in two classes:
 //   * ordinary (schedule_at): the wait is rounded up to whole
 //     milliseconds, so a thread re-arming a sub-millisecond ticker (a load
@@ -37,7 +37,7 @@
 #include "common/clock.h"
 #include "common/types.h"
 #include "net/scheduler.h"
-#include "net/timer_wheel.h"
+#include "net/timer_queue.h"
 
 struct epoll_event;
 
@@ -56,8 +56,8 @@ class RealTimeLoop final : public Scheduler {
   Time now() const override { return clock_.now(); }
   TimerId schedule_at(Time when, EventFn fn) override;
   TimerId schedule_exact_at(Time when, EventFn fn) override;
-  void cancel(TimerId id) override { wheel_.cancel(id); }
-  std::size_t pending() const override { return wheel_.pending(); }
+  void cancel(TimerId id) override { timers_.cancel(id); }
+  std::size_t pending() const override { return timers_.pending(); }
 
   /// Thread-safe: enqueues fn to run on the loop thread and wakes a
   /// blocked epoll_wait via the eventfd. Callable before run() (drained on
@@ -107,13 +107,15 @@ class RealTimeLoop final : public Scheduler {
   /// Blocks for `timeout_ms` (-1 = forever), or for exactly `exact_ns`
   /// when that is >= 0. Returns the number of ready events.
   int wait(epoll_event* events, int timeout_ms, Time exact_ns);
+  /// Fires every timer due at one reading of the clock.
+  void fire_due();
   void drain_posted();
   void wake();
 
   RealClock clock_;
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
-  TimerWheel wheel_;
+  TimerQueue timers_;
   std::unordered_map<int, FdFn> fd_handlers_;
 
   std::mutex post_mu_;

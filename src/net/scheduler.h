@@ -1,6 +1,7 @@
 // Common scheduling interface shared by the virtual-time simulator loop
 // (net/event_loop.h) and the epoll-backed production loop
-// (net/real_time_loop.h).
+// (net/real_time_loop.h). Both keep their timers in one net::TimerQueue
+// (net/timer_queue.h) and differ only in how they wait for the next one.
 //
 // Protocol code — transports, session rings, data services — schedules
 // timers and reads the clock exclusively through this interface, so the
@@ -13,8 +14,9 @@
 //   * cancel() on an id that already fired, was cancelled, or never existed
 //     is a harmless no-op — stale ids must not poison accounting.
 //   * Handlers may schedule and cancel freely, including a zero-delay
-//     timer from inside a handler; it runs in the same drain pass, after
-//     every event already due.
+//     timer from inside a handler; it runs after every event already due
+//     and before any later deadline (the real-time loop fires each drain
+//     at one reading of its clock, so it runs on the next drain).
 //   * schedule_exact_at() obeys the same rules; it only asks the loop to
 //     wake on time for the deadline. The virtual-time loop has no wake to
 //     round, so for it the two calls are the same.

@@ -26,7 +26,7 @@ Time valid_time(Time t) {
 class SimNetwork::SimNodeEnv final : public NodeEnv {
  public:
   SimNodeEnv(SimNetwork& net, NodeId id, std::uint8_t n_ifaces, Rng rng)
-      : net_(net), id_(id), n_ifaces_(n_ifaces), rng_(rng) {}
+      : NodeEnv(net.loop_, rng), net_(net), id_(id), n_ifaces_(n_ifaces) {}
 
   NodeId node() const override { return id_; }
   std::uint8_t iface_count() const override { return n_ifaces_; }
@@ -40,16 +40,6 @@ class SimNetwork::SimNodeEnv final : public NodeEnv {
     net_.do_send(std::move(d));
   }
 
-  TimerId schedule(Time delay, EventFn fn) override {
-    return net_.loop_.schedule(delay, std::move(fn));
-  }
-  TimerId schedule_exact(Time delay, EventFn fn) override {
-    return schedule(delay, std::move(fn));
-  }
-  void cancel(TimerId id) override { net_.loop_.cancel(id); }
-  Time now() const override { return net_.loop_.now(); }
-  Rng& rng() override { return rng_; }
-
   void set_receiver(ReceiveFn fn) override { receiver_ = std::move(fn); }
 
   void deliver(Datagram&& d) {
@@ -60,7 +50,6 @@ class SimNetwork::SimNodeEnv final : public NodeEnv {
   SimNetwork& net_;
   NodeId id_;
   std::uint8_t n_ifaces_;
-  Rng rng_;
   ReceiveFn receiver_;
 };
 

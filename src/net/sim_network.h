@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/stats.h"
+#include "net/event_loop.h"
 #include "net/network.h"
 
 namespace raincore::net {

@@ -17,10 +17,10 @@ namespace raincore::net {
 
 UdpEndpoint::UdpEndpoint(RealTimeLoop& loop, AddressBook& book,
                          UdpEndpointConfig cfg)
-    : loop_(loop),
+    : NodeEnv(loop, Rng(cfg.rng_seed ? cfg.rng_seed : (0xacedull ^ cfg.node))),
+      loop_(loop),
       book_(book),
-      cfg_(std::move(cfg)),
-      rng_(cfg_.rng_seed ? cfg_.rng_seed : (0xacedull ^ cfg_.node)) {
+      cfg_(std::move(cfg)) {
   assert(cfg_.ifaces >= 1);
   fds_.resize(cfg_.ifaces, -1);
   ports_.resize(cfg_.ifaces, 0);

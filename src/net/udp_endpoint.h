@@ -16,13 +16,17 @@
 // Wire framing: [src_node u32 LE][src_iface u8] + payload. The header
 // travels as a separate iovec; the payload Slice is shared with retries
 // and parallel interfaces, never copied or prepended in place.
+//
+// Timers, the clock and the rng are NodeEnv's, on the endpoint's loop:
+// schedule_exact() gets that loop's on-time wake. In a ThreadedNode only
+// the I/O thread's transport runs here (its timers are ordinary); rings
+// run on a WorkerEnv.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "net/address_book.h"
 #include "net/network.h"
 #include "net/real_time_loop.h"
@@ -55,17 +59,6 @@ class UdpEndpoint final : public NodeEnv {
   NodeId node() const override { return cfg_.node; }
   std::uint8_t iface_count() const override { return cfg_.ifaces; }
   void send(const Address& to, Slice payload, std::uint8_t from_iface) override;
-  TimerId schedule(Time delay, EventFn fn) override {
-    return loop_.schedule(delay, std::move(fn));
-  }
-  /// The I/O thread's transport timers tolerate whole-ms wakes; rings,
-  /// whose pass deadline needs exact wakes, run on a WorkerEnv.
-  TimerId schedule_exact(Time delay, EventFn fn) override {
-    return schedule(delay, std::move(fn));
-  }
-  void cancel(TimerId id) override { loop_.cancel(id); }
-  Time now() const override { return loop_.now(); }
-  Rng& rng() override { return rng_; }
   void set_receiver(ReceiveFn fn) override { receiver_ = std::move(fn); }
 
   /// Actual bound port (host order) — the ephemeral-discovery accessor.
@@ -77,7 +70,6 @@ class UdpEndpoint final : public NodeEnv {
   RealTimeLoop& loop_;
   AddressBook& book_;
   UdpEndpointConfig cfg_;
-  Rng rng_;
   ReceiveFn receiver_;
   std::vector<int> fds_;
   std::vector<std::uint16_t> ports_;

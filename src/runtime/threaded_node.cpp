@@ -9,6 +9,11 @@ namespace raincore::runtime {
 
 namespace {
 
+/// SPSC depth per direction per ring.
+constexpr std::size_t kQueueCapacity = 4096;
+/// PeerStatusBoard refresh period on the I/O thread.
+constexpr Time kStatusRefresh = millis(10);
+
 std::string shard_prefix(std::size_t k) {
   return "shard" + std::to_string(k) + ".";
 }
@@ -21,8 +26,8 @@ ThreadedNode::Worker::Worker(ThreadedNode& owner, std::size_t k)
           0x5e551077ull ^ (static_cast<std::uint64_t>(owner.cfg_.node) << 16) ^
               k),
       proxy(owner.io_loop_, loop, owner.transport_, owner.board_,
-            static_cast<transport::MuxGroup>(owner.cfg_.base_group + k),
-            owner.cfg_.queue_capacity, owner.runtime_reg_, shard_prefix(k)) {
+            static_cast<transport::MuxGroup>(k), kQueueCapacity,
+            owner.runtime_reg_, shard_prefix(k)) {
   session::SessionConfig rc = owner.cfg_.ring;
   if (rc.metrics_prefix.empty()) rc.metrics_prefix = shard_prefix(k);
   ring = std::make_unique<session::SessionNode>(env, proxy, proxy.group(), rc);
@@ -239,7 +244,7 @@ void ThreadedNode::publish_peer_status() {
                         : now - since;
     board_.publish(peer, at, transport_.failure_detection_bound(peer));
   }
-  io_loop_.schedule(cfg_.status_refresh, [this] { publish_peer_status(); });
+  io_loop_.schedule(kStatusRefresh, [this] { publish_peer_status(); });
 }
 
 }  // namespace raincore::runtime

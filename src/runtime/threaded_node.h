@@ -35,10 +35,8 @@ namespace raincore::runtime {
 
 struct ThreadedNodeConfig {
   NodeId node = 0;
-  /// K shard rings on demux groups base_group..base_group+K-1, one worker
-  /// thread each.
+  /// K shard rings on demux groups 0..K-1, one worker thread each.
   std::size_t shards = 1;
-  transport::MuxGroup base_group = 0;
   std::string bind_ip = "127.0.0.1";
   std::uint8_t ifaces = 1;
   /// Per-iface bind port; empty or 0 entries bind ephemeral.
@@ -48,10 +46,6 @@ struct ThreadedNodeConfig {
   session::SessionConfig ring;
   /// Every other cluster member (PeerStatusBoard rows, suspect fan-out).
   std::vector<NodeId> peers;
-  /// SPSC depth per direction per ring.
-  std::size_t queue_capacity = 4096;
-  /// PeerStatusBoard refresh period on the I/O thread.
-  Time status_refresh = millis(10);
   /// Per-shard durable delivery journal: when `storage.dir` is non-empty
   /// each worker opens a ShardStore at <dir>/shard<k> and appends every
   /// agreed delivery of its ring to the WAL. drain() flushes these before

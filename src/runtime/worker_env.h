@@ -1,7 +1,9 @@
 // The NodeEnv a worker-pinned session ring runs against (DESIGN.md §5i).
 //
-// Timers, the clock and the rng live on the worker's own RealTimeLoop —
-// single-threaded from the ring's perspective, exactly like the simulator.
+// Timers, the clock and the rng are NodeEnv's; the timers run on the
+// worker's own RealTimeLoop — single-threaded from the ring's perspective,
+// exactly like the simulator — and the ring's exact pass deadline gets
+// that loop's on-time wake.
 // The datagram path does NOT go through this env: a threaded ring sends
 // and receives exclusively through its TransportProxy (the I/O thread owns
 // the sockets and the reliable transport). send()/set_receiver() here are
@@ -11,7 +13,6 @@
 
 #include <cassert>
 
-#include "common/rng.h"
 #include "net/network.h"
 #include "net/real_time_loop.h"
 
@@ -20,7 +21,7 @@ namespace raincore::runtime {
 class WorkerEnv final : public net::NodeEnv {
  public:
   WorkerEnv(net::RealTimeLoop& loop, NodeId node, std::uint64_t rng_seed)
-      : loop_(loop), node_(node), rng_(rng_seed) {}
+      : NodeEnv(loop, Rng(rng_seed)), node_(node) {}
 
   NodeId node() const override { return node_; }
   std::uint8_t iface_count() const override { return 1; }
@@ -32,22 +33,8 @@ class WorkerEnv final : public net::NodeEnv {
     assert(false && "worker rings receive through their TransportProxy");
   }
 
-  net::TimerId schedule(Time delay, net::EventFn fn) override {
-    return loop_.schedule(delay, std::move(fn));
-  }
-  net::TimerId schedule_exact(Time delay, net::EventFn fn) override {
-    return loop_.schedule_exact(delay, std::move(fn));
-  }
-  void cancel(net::TimerId id) override { loop_.cancel(id); }
-  Time now() const override { return loop_.now(); }
-  Rng& rng() override { return rng_; }
-
-  net::RealTimeLoop& loop() { return loop_; }
-
  private:
-  net::RealTimeLoop& loop_;
   NodeId node_;
-  Rng rng_;
 };
 
 }  // namespace raincore::runtime

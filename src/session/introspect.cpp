@@ -5,6 +5,8 @@
 
 namespace raincore::session {
 
+namespace {
+
 const char* state_name(SessionNode::State s) {
   switch (s) {
     case SessionNode::State::kIdle: return "IDLE";
@@ -15,56 +17,36 @@ const char* state_name(SessionNode::State s) {
   return "?";
 }
 
-NodeIntrospection RingIntrospector::inspect(const SessionNode& n) {
-  NodeIntrospection out;
-  out.id = n.id();
-  out.started = n.started();
-  out.state = n.state();
-  out.view_id = n.view().view_id;
-  out.group_id = n.view().group_id;
-  out.members = n.view().members;
-  out.lineage = n.last_copy().lineage;
-  out.last_copy_seq = n.last_copy().seq;
-  out.holds_token = n.holds_token();
-  out.pending_out = n.pending_out();
-  out.pending_foreign = n.pending_foreign_count();
-  return out;
-}
+}  // namespace
 
-std::vector<NodeIntrospection> RingIntrospector::capture() const {
-  std::vector<NodeIntrospection> out;
-  out.reserve(nodes_.size());
-  for (const SessionNode* n : nodes_) out.push_back(inspect(*n));
-  return out;
-}
-
-std::string RingIntrospector::dump() const {
-  const auto nodes = capture();
+std::string dump_rings(const std::vector<const SessionNode*>& nodes) {
   std::string out = "ring state:\n";
   std::vector<NodeId> holders;
   std::set<std::uint64_t> views;
   std::set<GroupId> groups;
   char buf[256];
-  for (const NodeIntrospection& n : nodes) {
+  for (const SessionNode* n : nodes) {
+    const View& v = n->view();
     std::string members;
-    for (std::size_t i = 0; i < n.members.size(); ++i) {
+    for (std::size_t i = 0; i < v.members.size(); ++i) {
       if (i) members += ' ';
-      members += std::to_string(n.members[i]);
+      members += std::to_string(v.members[i]);
     }
     std::snprintf(buf, sizeof(buf),
                   "  node %-4u %-8s %-5s view=%llu group=%u seq=%llu "
                   "lineage=%llx pend=%zu tbm=%zu ring=[%s]\n",
-                  n.id, n.started ? state_name(n.state) : "DOWN",
-                  n.holds_token ? "TOKEN" : "-",
-                  static_cast<unsigned long long>(n.view_id), n.group_id,
-                  static_cast<unsigned long long>(n.last_copy_seq),
-                  static_cast<unsigned long long>(n.lineage), n.pending_out,
-                  n.pending_foreign, members.c_str());
+                  n->id(), n->started() ? state_name(n->state()) : "DOWN",
+                  n->holds_token() ? "TOKEN" : "-",
+                  static_cast<unsigned long long>(v.view_id), v.group_id,
+                  static_cast<unsigned long long>(n->last_copy().seq),
+                  static_cast<unsigned long long>(n->last_copy().lineage),
+                  n->pending_out(), n->pending_foreign_count(),
+                  members.c_str());
     out += buf;
-    if (!n.started) continue;
-    if (n.holds_token) holders.push_back(n.id);
-    views.insert(n.view_id);
-    groups.insert(n.group_id);
+    if (!n->started()) continue;
+    if (n->holds_token()) holders.push_back(n->id());
+    views.insert(v.view_id);
+    groups.insert(v.group_id);
   }
   std::string holder_str;
   for (NodeId h : holders) {
@@ -77,32 +59,6 @@ std::string RingIntrospector::dump() const {
                 holder_str.c_str(), views.size(), groups.size());
   out += buf;
   return out;
-}
-
-JsonValue RingIntrospector::to_json() const {
-  JsonValue arr = JsonValue::array();
-  for (const NodeIntrospection& n : capture()) {
-    JsonValue o = JsonValue::object();
-    o.set("id", JsonValue::number(n.id));
-    o.set("started", JsonValue::boolean(n.started));
-    o.set("state", JsonValue::string(state_name(n.state)));
-    o.set("view_id", JsonValue::number(static_cast<double>(n.view_id)));
-    o.set("group_id", JsonValue::number(n.group_id));
-    JsonValue members = JsonValue::array();
-    for (NodeId m : n.members) members.push_back(JsonValue::number(m));
-    o.set("members", std::move(members));
-    o.set("lineage", JsonValue::number(static_cast<double>(n.lineage)));
-    o.set("last_copy_seq",
-          JsonValue::number(static_cast<double>(n.last_copy_seq)));
-    o.set("holds_token", JsonValue::boolean(n.holds_token));
-    o.set("pending_out", JsonValue::number(static_cast<double>(n.pending_out)));
-    o.set("pending_foreign",
-          JsonValue::number(static_cast<double>(n.pending_foreign)));
-    arr.push_back(std::move(o));
-  }
-  JsonValue root = JsonValue::object();
-  root.set("nodes", std::move(arr));
-  return root;
 }
 
 }  // namespace raincore::session

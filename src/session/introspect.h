@@ -1,54 +1,18 @@
 // Ring-health introspection: renders the live protocol state of a set of
 // SessionNodes — membership, token holder, token sequence, per-node state —
-// for chaos-failure diagnostics and operator tooling. Read-only: it never
-// mutates or perturbs the nodes it observes.
+// for chaos-failure diagnostics. Read-only: it never mutates or perturbs
+// the nodes it observes.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "common/json.h"
 #include "session/session_node.h"
 
 namespace raincore::session {
 
-const char* state_name(SessionNode::State s);
-
-/// Value-type snapshot of one node's ring state.
-struct NodeIntrospection {
-  NodeId id = kInvalidNode;
-  bool started = false;
-  SessionNode::State state = SessionNode::State::kIdle;
-  std::uint64_t view_id = 0;
-  GroupId group_id = kInvalidNode;
-  std::vector<NodeId> members;       ///< ring order as this node sees it
-  std::uint64_t lineage = 0;         ///< token lineage of the last copy
-  TokenSeq last_copy_seq = 0;
-  bool holds_token = false;
-  std::size_t pending_out = 0;       ///< unattached multicasts queued
-  std::size_t pending_foreign = 0;   ///< parked TBM tokens
-};
-
-class RingIntrospector {
- public:
-  /// Registers a node to observe (pointer must outlive the introspector).
-  void watch(const SessionNode& node) { nodes_.push_back(&node); }
-  std::size_t watched() const { return nodes_.size(); }
-
-  static NodeIntrospection inspect(const SessionNode& n);
-
-  /// All watched nodes, in registration order.
-  std::vector<NodeIntrospection> capture() const;
-
-  /// Human-readable multi-line dump: one row per node plus a ring-level
-  /// summary (token holder if unique, distinct views, group partitions).
-  std::string dump() const;
-
-  /// Machine-readable variant of dump() for failure-report artifacts.
-  JsonValue to_json() const;
-
- private:
-  std::vector<const SessionNode*> nodes_;
-};
+/// Human-readable multi-line dump: one row per node, in the given order,
+/// plus a ring-level summary (token holders, distinct views and groups).
+std::string dump_rings(const std::vector<const SessionNode*>& nodes);
 
 }  // namespace raincore::session

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/log.h"
+#include "session/introspect.h"
 
 namespace raincore::testing {
 
@@ -654,9 +655,9 @@ metrics::Snapshot ChaosCluster::metrics_snapshot() const {
 }
 
 std::string ChaosCluster::ring_dump() const {
-  session::RingIntrospector ri;
-  for (const auto& [id, stack] : stacks_) ri.watch(*stack->session);
-  return ri.dump();
+  std::vector<const session::SessionNode*> rings;
+  for (const auto& [id, stack] : stacks_) rings.push_back(stack->session);
+  return session::dump_rings(rings);
 }
 
 std::string ChaosCluster::failure_report() const {
@@ -1201,11 +1202,11 @@ std::string MultiRingChaosCluster::failure_report() const {
   out += "violations (" + std::to_string(violations_.size()) + "):\n";
   for (const std::string& v : violations_) out += "  " + v + "\n";
   out += engine_->describe_schedule();
-  session::RingIntrospector ri;
+  std::vector<const session::SessionNode*> rings;
   for (const auto& [id, st] : stacks_) {
-    for (auto* ring : st->rings) ri.watch(*ring);
+    rings.insert(rings.end(), st->rings.begin(), st->rings.end());
   }
-  out += ri.dump();
+  out += session::dump_rings(rings);
   return out;
 }
 

@@ -33,7 +33,6 @@
 #include "data/lock_manager.h"
 #include "data/replicated_map.h"
 #include "net/sim_network.h"
-#include "session/introspect.h"
 #include "session/session_mux.h"
 #include "session/session_node.h"
 
@@ -217,7 +216,7 @@ class ChaosCluster {
   std::uint64_t false_removals() const { return false_removals_.value(); }
   /// Removals of genuinely crashed nodes.
   std::uint64_t true_removals() const { return true_removals_.value(); }
-  /// Live ring state of every node (RingIntrospector rendering).
+  /// Live ring state of every node (session::dump_rings).
   std::string ring_dump() const;
   /// Diagnostic artifact for a failed round: violations, the replayable
   /// fault schedule, the ring dump, and the final metrics table.

@@ -716,13 +716,13 @@ std::string DurabilityChaosCluster::failure_report() const {
          " acked_lost=" + std::to_string(acked_lost_) +
          " phantoms=" + std::to_string(phantoms_) + "\n";
   out += engine_->describe_schedule();
-  session::RingIntrospector ri;
+  std::vector<const session::SessionNode*> rings;
   for (const auto& [id, st] : stacks_) {
     for (std::size_t s = 0; s < st->plane->shard_count(); ++s) {
-      ri.watch(st->plane->ring(s));
+      rings.push_back(&st->plane->ring(s));
     }
   }
-  out += ri.dump();
+  out += session::dump_rings(rings);
   return out;
 }
 

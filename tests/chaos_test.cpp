@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "session/introspect.h"
 #include "tests/util/test_cluster.h"
 
 namespace raincore::testing {
@@ -114,29 +115,15 @@ TEST(RingIntrospection, DumpShowsStateHolderAndMembership) {
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
 
-  session::RingIntrospector ri;
-  for (NodeId id : c.ids()) ri.watch(c.node(id));
-  EXPECT_EQ(ri.watched(), 3u);
+  std::vector<const session::SessionNode*> rings;
+  for (NodeId id : c.ids()) rings.push_back(&c.node(id));
 
-  auto caps = ri.capture();
-  ASSERT_EQ(caps.size(), 3u);
-  for (const auto& ni : caps) {
-    EXPECT_TRUE(ni.started);
-    EXPECT_EQ(ni.members.size(), 3u);
-    EXPECT_EQ(ni.group_id, 1u);
-  }
-
-  std::string dump = ri.dump();
+  std::string dump = session::dump_rings(rings);
   for (const char* want : {"node 1", "node 2", "node 3", "view=", "seq=",
-                           "ring=[", "distinct_views=1"}) {
+                           "ring=[", "distinct_views=1", "distinct_groups=1"}) {
     EXPECT_NE(dump.find(want), std::string::npos)
         << "missing \"" << want << "\" in:\n" << dump;
   }
-
-  JsonValue j = ri.to_json();
-  const JsonValue* nodes = j.find("nodes");
-  ASSERT_NE(nodes, nullptr);
-  EXPECT_EQ(nodes->items().size(), 3u);
 }
 
 TEST(RingIntrospection, StoppedNodeShowsAsDown) {
@@ -144,10 +131,8 @@ TEST(RingIntrospection, StoppedNodeShowsAsDown) {
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2}, seconds(10)));
   c.node(2).stop();
-  session::RingIntrospector ri;
-  ri.watch(c.node(1));
-  ri.watch(c.node(2));
-  EXPECT_NE(ri.dump().find("DOWN"), std::string::npos) << ri.dump();
+  const std::string dump = session::dump_rings({&c.node(1), &c.node(2)});
+  EXPECT_NE(dump.find("DOWN"), std::string::npos) << dump;
 }
 
 TEST(ChaosFailureReport, InjectedViolationProducesFullDiagnostics) {

@@ -1,9 +1,11 @@
-// Real-time loop semantics: timer-wheel firing order and cancel-while-
-// firing, scheduling-contract parity between the virtual-time EventLoop
-// and the epoll RealTimeLoop (the same test body runs against both, for
-// ordinary and exact timers), the wake policy (whole-ms wakes for a
-// sub-ms ticker, on-time wakes for exact deadlines), the eventfd wakeup
-// path under concurrent cross-thread posts, and the SPSC handoff queue.
+// Real-time loop semantics: the TimerQueue both loops keep their timers in
+// (firing order, cancel-while-firing, the exact-deadline index, the
+// rebuild bound under cancel churn), scheduling-contract parity between
+// the virtual-time EventLoop and the epoll RealTimeLoop (the same test
+// body runs against both, for ordinary and exact timers), the wake policy
+// (whole-ms wakes for a sub-ms ticker, on-time wakes for exact deadlines),
+// the eventfd wakeup path under concurrent cross-thread posts, and the
+// SPSC handoff queue.
 // ctest -L runtime
 #include <gtest/gtest.h>
 
@@ -16,79 +18,136 @@
 #include "common/spsc_queue.h"
 #include "net/event_loop.h"
 #include "net/real_time_loop.h"
-#include "net/timer_wheel.h"
+#include "net/timer_queue.h"
 
 using namespace raincore;
 
-// --- TimerWheel (driven directly with a synthetic clock) ---------------------
+// --- TimerQueue (driven directly with a synthetic clock) ---------------------
 
-TEST(TimerWheelTest, FiresInDeadlineThenSubmissionOrder) {
-  net::TimerWheel wheel;
+namespace {
+
+// Pops and runs every timer due by `t`, the way both loops drain.
+std::size_t drain(net::TimerQueue& q, Time t) {
+  std::size_t fired = 0;
+  while (auto timer = q.pop_due(t)) {
+    timer->fn();
+    ++fired;
+  }
+  return fired;
+}
+
+}  // namespace
+
+TEST(TimerQueueTest, FiresInDeadlineThenSubmissionOrder) {
+  net::TimerQueue q;
   std::vector<int> order;
-  wheel.schedule_at(millis(5), [&] { order.push_back(5); });
-  wheel.schedule_at(millis(3), [&] { order.push_back(3); });
-  wheel.schedule_at(millis(3), [&] { order.push_back(4); });  // FIFO at 3ms
-  EXPECT_EQ(wheel.pending(), 3u);
-  EXPECT_EQ(wheel.next_deadlines().any, millis(3));
-  EXPECT_EQ(wheel.advance(millis(10)), 3u);
+  q.push(millis(5), [&] { order.push_back(5); });
+  q.push(millis(3), [&] { order.push_back(3); });
+  q.push(millis(3), [&] { order.push_back(4); });  // FIFO at 3ms
+  EXPECT_EQ(q.pending(), 3u);
+  EXPECT_EQ(q.next_deadline(), millis(3));
+  EXPECT_EQ(drain(q, millis(10)), 3u);
   EXPECT_EQ(order, (std::vector<int>{3, 4, 5}));
-  EXPECT_EQ(wheel.pending(), 0u);
-  EXPECT_EQ(wheel.next_deadlines().any, -1);
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_EQ(q.next_deadline(), -1);
 }
 
-TEST(TimerWheelTest, ReportsEarliestExactDeadlineSeparately) {
-  net::TimerWheel wheel;
-  wheel.schedule_at(millis(2), [] {});
-  const net::TimerId early = wheel.schedule_at(millis(4), [] {}, true);
-  wheel.schedule_at(millis(7), [] {}, true);
-  EXPECT_EQ(wheel.next_deadlines().any, millis(2));
-  EXPECT_EQ(wheel.next_deadlines().exact, millis(4));
-  wheel.cancel(early);
-  EXPECT_EQ(wheel.next_deadlines().exact, millis(7));
-  EXPECT_EQ(wheel.advance(millis(10)), 2u);
-  EXPECT_EQ(wheel.next_deadlines().exact, -1);
+TEST(TimerQueueTest, ReportsEarliestExactDeadlineSeparately) {
+  net::TimerQueue q;
+  q.push(millis(2), [] {});
+  const net::TimerId early = q.push(millis(4), [] {}, /*exact=*/true);
+  q.push(millis(7), [] {}, /*exact=*/true);
+  EXPECT_EQ(q.next_deadline(), millis(2));
+  EXPECT_EQ(q.next_exact_deadline(), millis(4));
+  q.cancel(early);
+  EXPECT_EQ(q.next_exact_deadline(), millis(7));
+  EXPECT_EQ(drain(q, millis(10)), 2u);
+  EXPECT_EQ(q.next_exact_deadline(), -1);
 }
 
-TEST(TimerWheelTest, CancelWhileFiring) {
-  net::TimerWheel wheel;
+TEST(TimerQueueTest, CancelWhileFiring) {
+  net::TimerQueue q;
   std::vector<int> order;
   net::TimerId victim = 0;
-  // Both deadlines are collected into one firing batch; the first handler
-  // cancels the second, which must then not run.
-  wheel.schedule_at(millis(1), [&] {
+  // Both timers are due in one drain; the first handler cancels the
+  // second, which must then not run.
+  q.push(millis(1), [&] {
     order.push_back(1);
-    EXPECT_TRUE(wheel.cancel(victim));
+    EXPECT_TRUE(q.cancel(victim));
   });
-  victim = wheel.schedule_at(millis(1), [&] { order.push_back(99); });
-  EXPECT_EQ(wheel.advance(millis(2)), 1u);
+  victim = q.push(millis(1), [&] { order.push_back(99); });
+  EXPECT_EQ(drain(q, millis(2)), 1u);
   EXPECT_EQ(order, (std::vector<int>{1}));
-  EXPECT_EQ(wheel.pending(), 0u);
+  EXPECT_EQ(q.pending(), 0u);
   // The id is stale now.
-  EXPECT_FALSE(wheel.cancel(victim));
+  EXPECT_FALSE(q.cancel(victim));
 }
 
-TEST(TimerWheelTest, ZeroDelayFromHandlerFiresInSamePass) {
-  net::TimerWheel wheel;
+TEST(TimerQueueTest, ZeroDelayFromHandlerFiresInSamePass) {
+  net::TimerQueue q;
   std::vector<int> order;
-  wheel.schedule_at(millis(1), [&] {
+  q.push(millis(1), [&] {
     order.push_back(1);
-    wheel.schedule_at(millis(1), [&] { order.push_back(2); });
+    q.push(millis(1), [&] { order.push_back(2); });
   });
-  // One advance() call runs both: the nested timer is already due.
-  EXPECT_EQ(wheel.advance(millis(2)), 2u);
+  // One drain runs both: the nested timer is already due.
+  EXPECT_EQ(drain(q, millis(2)), 2u);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(TimerWheelTest, WrapsPastOneRevolution) {
-  net::TimerWheel wheel(kNanosPerMilli, 8);  // tiny wheel: 8 slots
-  std::vector<int> order;
-  wheel.schedule_at(millis(2), [&] { order.push_back(2); });
-  wheel.schedule_at(millis(10), [&] { order.push_back(10); });  // same bucket
-  wheel.schedule_at(millis(21), [&] { order.push_back(21); });
-  EXPECT_EQ(wheel.advance(millis(5)), 1u);  // only the 2ms timer is due
-  EXPECT_EQ(order, (std::vector<int>{2}));
-  EXPECT_EQ(wheel.advance(millis(30)), 2u);
-  EXPECT_EQ(order, (std::vector<int>{2, 10, 21}));
+TEST(TimerQueueTest, FarFutureTimerFiresOnlyAtItsDeadline) {
+  net::TimerQueue q;
+  const Time far = seconds(600);  // ten minutes
+  int fired = 0;
+  q.push(far, [&] { ++fired; });
+  q.push(millis(2), [] {});
+  EXPECT_EQ(drain(q, millis(5)), 1u);
+  EXPECT_EQ(q.next_deadline(), far);
+  EXPECT_EQ(drain(q, far - 1), 0u);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(drain(q, far), 1u);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(TimerQueueTest, CancellingTheEarliestKeepsTheNextLiveDeadline) {
+  net::TimerQueue q;
+  const net::TimerId first = q.push(millis(1), [] {});
+  const net::TimerId second = q.push(millis(2), [] {});
+  q.push(millis(3), [] {});
+  // Cancel behind the top first, then the top: both tombstones must be
+  // skipped, not reported as the next deadline or popped.
+  EXPECT_TRUE(q.cancel(second));
+  EXPECT_EQ(q.next_deadline(), millis(1));
+  EXPECT_TRUE(q.cancel(first));
+  EXPECT_EQ(q.next_deadline(), millis(3));
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(drain(q, millis(2)), 0u);
+  EXPECT_EQ(drain(q, millis(3)), 1u);
+  EXPECT_EQ(q.next_deadline(), -1);
+}
+
+TEST(TimerQueueTest, CancelChurnStaysWithinTheRebuildBound) {
+  // A timer re-armed minutes ahead and cancelled each time (how a
+  // retransmit or failure timeout behaves while traffic flows). Behind a
+  // live earlier timer, every cancel leaves a tombstone that would wait
+  // for its deadline; the rebuild keeps the heap proportional to the live
+  // timers.
+  net::TimerQueue q;
+  int fired = 0;
+  q.push(millis(1), [&] { ++fired; });
+  q.push(seconds(100), [&] { ++fired; }, /*exact=*/true);
+  for (int i = 0; i < 10000; ++i) {
+    const net::TimerId id =
+        q.push(seconds(300) + i, [&] { fired += 1000; }, /*exact=*/i % 2 == 0);
+    ASSERT_TRUE(q.cancel(id));
+    ASSERT_EQ(q.pending(), 2u);
+    ASSERT_LE(q.stored(), 2 * q.pending() + net::TimerQueue::kSlack);
+  }
+  EXPECT_EQ(q.next_deadline(), millis(1));
+  EXPECT_EQ(q.next_exact_deadline(), seconds(100));
+  EXPECT_EQ(drain(q, seconds(1000)), 2u);
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(q.stored(), 0u);
 }
 
 // --- Scheduling-contract parity ----------------------------------------------
