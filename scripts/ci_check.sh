@@ -15,10 +15,18 @@
 # of the heap before it runs, and cancel churn rebuilds the heap, so a
 # dangling handler or a bad rebuild fails here.
 #
+# The shared ring invariant checkers (src/testing/oracles.h) run their own
+# tests there too: every cluster harness judges its rings through them, so
+# a checker that stops flagging a duplicate or a lost message fails here.
+#
 # The `durability`-labelled suite then runs under the same ASAN tree:
 # WAL format/torn-tail unit tests plus the restart-storm chaos sweep
 # (seeds 1..25) whose oracle allows ZERO acked-write losses and ZERO
 # phantom resurrections, and the bench_durability WAL-overhead gate.
+# bench_reshard then runs twice and the two --json reports must be
+# byte-identical: the simulated benches replay from their seeds, so an
+# instrument fed by the wall clock (or any other non-seeded input) that
+# reaches a report fails here.
 #
 # A lossy-link soak follows the clean sweep: the same invariant checkers
 # under 5% uniform base packet loss with the RTT-inflation and link-flap
@@ -66,7 +74,8 @@ cmake -B "$BUILD" -S "$ROOT" -DRAINCORE_ASAN=ON
 cmake --build "$BUILD" -j"$JOBS" --target bench_chaos wire_perf_test \
     shard_test bench_shard bench_json_check storage_test durability_test \
     bench_durability batching_test fuzz_robustness_test property_test \
-    bench_saturation reshard_test bench_reshard real_time_loop_test
+    bench_saturation reshard_test bench_reshard real_time_loop_test \
+    oracles_test
 
 echo "== chaos sweep: $ROUNDS rounds x ${MS}ms, $NODES nodes, seeds $SEED.."
 "$BUILD/bench/bench_chaos" "$ROUNDS" "$MS" "$NODES" "$SEED"
@@ -82,6 +91,10 @@ echo "== timer queue and loop parity under ASAN (heap move-out, cancel-churn" \
 "$BUILD/tests/real_time_loop_test" \
     --gtest_filter='TimerQueueTest.*:SchedulerParityTest.*'
 
+echo "== ring invariant checkers under ASAN (crafted logs, final batch," \
+     "membership, multi-ring texts, the stability window)"
+"$BUILD/tests/oracles_test"
+
 echo "== perf label under ASAN (allocation/copy budgets, encode-once)"
 ctest --test-dir "$BUILD" -L perf --output-on-failure
 
@@ -93,6 +106,13 @@ echo "== durability label under ASAN (WAL format/torn-tail tests," \
      "restart-storm sweep seeds 1..25 with a zero acked-write-loss and" \
      "zero phantom-resurrection budget, bench_durability 0.6x WAL gate)"
 ctest --test-dir "$BUILD" -L durability --output-on-failure
+
+echo "== bench_reshard replays from its seed: two --json reports, byte-compared"
+REPLAY_DIR="$(mktemp -d)"
+"$BUILD/bench/bench_reshard" --json="$REPLAY_DIR/a.json" > /dev/null
+"$BUILD/bench/bench_reshard" --json="$REPLAY_DIR/b.json" > /dev/null
+cmp "$REPLAY_DIR/a.json" "$REPLAY_DIR/b.json"
+rm -rf "$REPLAY_DIR"
 
 echo "== reshard label under ASAN (versioned-router property tests and the" \
      "live-migration chaos sweeps: kill source mid-snapshot, kill dest" \

@@ -1,27 +1,22 @@
-// Clock abstraction: protocol code never reads wall time directly, so the
-// same objects run under the virtual-time simulator and real UDP drivers.
+// The two clocks behind the schedulers: protocol code never reads wall time
+// directly, only its scheduler's now(), so the same objects run under the
+// virtual-time simulator and the real-time loop.
 #pragma once
 
 #include "common/types.h"
 
 namespace raincore {
 
-class Clock {
+/// Wall clock backed by std::chrono::steady_clock (the real-time loop).
+class RealClock {
  public:
-  virtual ~Clock() = default;
-  virtual Time now() const = 0;
-};
-
-/// Wall clock backed by std::chrono::steady_clock (used by the UDP driver).
-class RealClock final : public Clock {
- public:
-  Time now() const override;
+  Time now() const;
 };
 
 /// Manually advanced clock (owned by the simulation event loop).
-class ManualClock final : public Clock {
+class ManualClock {
  public:
-  Time now() const override { return now_; }
+  Time now() const { return now_; }
   void advance_to(Time t) {
     if (t > now_) now_ = t;
   }

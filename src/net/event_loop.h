@@ -23,7 +23,6 @@ class EventLoop final : public Scheduler {
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  const Clock& clock() const { return clock_; }
   Time now() const override { return clock_.now(); }
 
   /// Schedules fn at an absolute instant (clamped to now()).

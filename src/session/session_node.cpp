@@ -136,7 +136,7 @@ void SessionNode::send_join_request() {
   NodeId contact = join_contacts_[join_contact_idx_++ % join_contacts_.size()];
   Msg911 m{id(), 0, last_copy_.seq};
   transport_.send_on(group_, contact, encode_911(m));
-  join_timer_ = env_.schedule(cfg_.join_retry, [this] {
+  join_timer_ = env_.schedule(kJoinRetry, [this] {
     join_timer_ = 0;
     send_join_request();
   });
@@ -304,7 +304,7 @@ Time SessionNode::effective_hungry_timeout() const {
 }
 
 Time SessionNode::effective_starving_retry() const {
-  if (!transport_.config().adaptive) return cfg_.starving_retry;
+  if (!transport_.config().adaptive) return kStarvingRetry;
   // A 911 round needs every reachable member's reply and every dead
   // member's failure-on-delivery before it can complete; retrying before
   // the detection bound elapses would abandon rounds that were about to

@@ -51,6 +51,17 @@ enum class Ordering : std::uint8_t {
   kSafe,    ///< total order, delivered after a full confirmation round
 };
 
+/// Retry/abandon interval for an unfinished 911 round under the fixed-RTO
+/// detector (the adaptive one derives it from the detection bound).
+constexpr Time kStarvingRetry = millis(250);
+/// Join-request (911 to a contact) retry period for fresh joiners.
+constexpr Time kJoinRetry = millis(300);
+/// After a node removes a peer on a failed token pass, it refuses to
+/// re-admit that peer itself for this long. Another member (whose link to
+/// the peer works) admits it instead — this is what turns the paper's ABCD
+/// ring into ACBD around a broken A→B link (§2.3).
+constexpr Time kReadmitBackoff = millis(1500);
+
 struct SessionConfig {
   /// How long a node holds the token before passing it on ("passed at a
   /// regular time interval", §2.2), counted from the token's arrival: the
@@ -61,17 +72,8 @@ struct SessionConfig {
   /// HUNGRY → STARVING timeout (§2.3). Must exceed a worst-case roundtrip
   /// including one failure-detection chain.
   Time hungry_timeout = millis(800);
-  /// Retry/abandon interval for an unfinished 911 round.
-  Time starving_retry = millis(250);
   /// BODYODOR advert period ("regular, but low frequency", §2.4).
   Time bodyodor_interval = millis(500);
-  /// Join-request (911 to a contact) retry period for fresh joiners.
-  Time join_retry = millis(300);
-  /// After this node removes a peer on a failed token pass, it refuses to
-  /// re-admit that peer itself for this long. Another member (whose link to
-  /// the peer works) admits it instead — this is what turns the paper's
-  /// ABCD ring into ACBD around a broken A→B link (§2.3).
-  Time readmit_backoff = millis(1500);
   /// Probation (adaptive failure detection): when a token pass fails but
   /// the successor has been heard from recently — its link is degraded,
   /// not dead — grant it up to this many extra full transfer attempts

@@ -517,7 +517,7 @@ void SessionNode::on_pass_failure(NodeId failed) {
           id(), unsigned{group_}, failed);
   stats_.removals.inc();
   if (on_removal_) on_removal_(failed);
-  readmit_after_[failed] = env_.now() + cfg_.readmit_backoff;
+  readmit_after_[failed] = env_.now() + kReadmitBackoff;
   Token t = last_copy_;
   t.remove(failed);
   if (t.merge_target == failed) {
@@ -660,7 +660,7 @@ void SessionNode::process_suspects() {
     stats_.removals.inc();
     suspect_removals_.inc();
     if (on_removal_) on_removal_(peer);
-    readmit_after_[peer] = env_.now() + cfg_.readmit_backoff;
+    readmit_after_[peer] = env_.now() + kReadmitBackoff;
     token_.remove(peer);
     if (token_.merge_target == peer) {
       token_.tbm = false;

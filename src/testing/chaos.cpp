@@ -522,6 +522,7 @@ ChaosCluster::ChaosCluster(std::vector<NodeId> ids, ChaosConfig chaos_cfg,
     });
     st->session->set_removal_handler(
         [this, id](NodeId removed) { on_removal_observed(id, removed); });
+    rings_[id] = {st->session};
     stacks_.emplace(id, std::move(st));
   }
   engine_ = std::make_unique<ChaosEngine>(net_, ids_, chaos_cfg_);
@@ -550,22 +551,9 @@ ChaosCluster::~ChaosCluster() {
 
 bool ChaosCluster::bootstrap(Time timeout) {
   for (auto& [id, st] : stacks_) st->session->found();
-  std::vector<NodeId> want = ids_;
-  std::sort(want.begin(), want.end());
-  Time deadline = net_.now() + timeout;
-  while (net_.now() < deadline) {
-    bool conv = true;
-    for (NodeId id : ids_) {
-      const auto& s = *stacks_.at(id)->session;
-      std::vector<NodeId> got = s.view().members;
-      std::sort(got.begin(), got.end());
-      if (!s.started() || got != want) {
-        conv = false;
-        break;
-      }
-    }
-    if (conv) return true;
-    net_.loop().run_for(millis(10));
+  if (run_until(net_.loop(), timeout,
+                [this] { return rings_converged(rings_, ids_); })) {
+    return true;
   }
   violation("bootstrap: cluster never converged");
   return false;
@@ -628,16 +616,18 @@ void ChaosCluster::run_chaos(Time duration) {
   traffic_on_ = true;
   for (NodeId id : ids_) start_traffic(id);
   engine_->start();
-  Time end = net_.now() + duration;
-  while (net_.now() < end) {
-    net_.loop().run_for(millis(10));
-    check_token_uniqueness("during chaos");
-  }
+  run_checking_tokens(net_.loop(), duration, rings_, sink());
 }
 
 void ChaosCluster::violation(std::string what) {
   RC_WARN(kMod, "INVARIANT VIOLATION: %s", what.c_str());
   violations_.push_back(std::move(what));
+}
+
+LogFn ChaosCluster::log_of() const {
+  return [this](NodeId id, std::size_t) -> const std::vector<Delivered>& {
+    return stacks_.at(id)->log;
+  };
 }
 
 metrics::Snapshot ChaosCluster::metrics_snapshot() const {
@@ -671,159 +661,6 @@ std::string ChaosCluster::failure_report() const {
   return out;
 }
 
-void ChaosCluster::check_token_uniqueness(const char* when) {
-  // Sound sampling rule: two nodes may legitimately hold a token each while
-  // their groups have not merged yet (§2.4 strategy 2) — but two nodes with
-  // *identical views* belong to the same logical group and must never both
-  // be EATING.
-  for (auto it = stacks_.begin(); it != stacks_.end(); ++it) {
-    const auto& a = *it->second->session;
-    if (!a.started() || !a.holds_token()) continue;
-    for (auto jt = std::next(it); jt != stacks_.end(); ++jt) {
-      const auto& b = *jt->second->session;
-      if (!b.started() || !b.holds_token()) continue;
-      if (a.view() == b.view()) {
-        violation("token uniqueness (" + std::string(when) + "): nodes " +
-                  std::to_string(it->first) + " and " +
-                  std::to_string(jt->first) +
-                  " both EATING in identical view at t=" +
-                  std::to_string(to_millis(net_.now())) + "ms");
-      }
-    }
-  }
-}
-
-void ChaosCluster::check_membership(const std::vector<NodeId>& live) {
-  std::vector<NodeId> want = live;
-  std::sort(want.begin(), want.end());
-  for (NodeId id : live) {
-    const auto& s = *stacks_.at(id)->session;
-    std::vector<NodeId> got = s.view().members;
-    std::sort(got.begin(), got.end());
-    if (!s.started() || got != want) {
-      std::string members;
-      for (NodeId m : got) members += std::to_string(m) + " ";
-      violation("membership: node " + std::to_string(id) +
-                " did not converge to the live set (has: " + members + ")");
-    }
-  }
-}
-
-void ChaosCluster::check_chaos_deliveries() {
-  // Per receiver incarnation, per origin incarnation: the chaos-traffic
-  // counters must be strictly increasing — gaps are legitimate (partitions
-  // and ring removals drop messages), duplicates and reordering never are.
-  for (auto& [id, st] : stacks_) {
-    std::map<std::tuple<std::uint64_t, NodeId, std::uint64_t>,
-             std::pair<bool, std::uint64_t>>
-        last;  // (recv_epoch, origin, origin_epoch) -> (seen, counter)
-    for (const Delivered& d : st->log) {
-      if (d.payload.rfind("c:", 0) != 0) continue;
-      NodeId origin = 0;
-      std::uint64_t epoch = 0, counter = 0;
-      if (std::sscanf(d.payload.c_str(), "c:%u:%llu:%llu", &origin,
-                      reinterpret_cast<unsigned long long*>(&epoch),
-                      reinterpret_cast<unsigned long long*>(&counter)) != 3) {
-        violation("delivery: node " + std::to_string(id) +
-                  " received unparseable chaos payload '" + d.payload + "'");
-        continue;
-      }
-      if (origin != d.origin) {
-        violation("delivery: node " + std::to_string(id) + " got payload '" +
-                  d.payload + "' attributed to origin " +
-                  std::to_string(d.origin));
-        continue;
-      }
-      auto key = std::make_tuple(d.recv_epoch, origin, epoch);
-      auto& [seen, prev] = last[key];
-      if (seen && counter <= prev) {
-        violation("delivery: node " + std::to_string(id) +
-                  " saw duplicate/out-of-order counter " +
-                  std::to_string(counter) + " after " + std::to_string(prev) +
-                  " from origin " + std::to_string(origin) + " epoch " +
-                  std::to_string(epoch));
-      }
-      seen = true;
-      prev = counter;
-    }
-  }
-}
-
-void ChaosCluster::check_final_batch(const std::vector<NodeId>& live) {
-  // Post-heal gap-free agreed delivery: a fresh batch multicast by every
-  // live node must arrive complete, exactly once, and in the identical
-  // order everywhere.
-  constexpr int kPerNode = 5;
-  std::map<NodeId, std::size_t> mark;
-  for (NodeId id : live) mark[id] = stacks_.at(id)->log.size();
-  for (NodeId id : live) {
-    for (int k = 0; k < kPerNode; ++k) {
-      std::string payload =
-          "f:" + std::to_string(id) + ":" + std::to_string(k);
-      stacks_.at(id)->mux->send(kAppChannel,
-                                Bytes(payload.begin(), payload.end()));
-    }
-  }
-  const std::size_t expect = live.size() * kPerNode;
-  Time deadline = net_.now() + millis(3000);
-  auto batch_of = [&](NodeId id) {
-    std::vector<std::pair<NodeId, std::string>> out;
-    const auto& log = stacks_.at(id)->log;
-    for (std::size_t i = mark[id]; i < log.size(); ++i) {
-      if (log[i].payload.rfind("f:", 0) == 0) {
-        out.emplace_back(log[i].origin, log[i].payload);
-      }
-    }
-    return out;
-  };
-  while (net_.now() < deadline) {
-    bool all = true;
-    for (NodeId id : live) {
-      if (batch_of(id).size() < expect) {
-        all = false;
-        break;
-      }
-    }
-    if (all) break;
-    net_.loop().run_for(millis(10));
-  }
-  auto ref = batch_of(live.front());
-  if (ref.size() != expect) {
-    violation("final batch: node " + std::to_string(live.front()) +
-              " delivered " + std::to_string(ref.size()) + " of " +
-              std::to_string(expect) + " fresh messages");
-  }
-  for (NodeId id : live) {
-    auto got = batch_of(id);
-    if (got != ref) {
-      std::string detail;
-      for (auto& [origin, payload] : got) {
-        if (!detail.empty()) detail += " ";
-        detail += payload;
-      }
-      violation("final batch: node " + std::to_string(id) +
-                " delivered a different sequence than node " +
-                std::to_string(live.front()) + " (" +
-                std::to_string(got.size()) + " vs " +
-                std::to_string(ref.size()) + " messages; got: [" + detail +
-                "])");
-    }
-  }
-  // Completeness + exactly-once against the expected set.
-  std::map<std::string, int> count;
-  for (auto& [origin, payload] : ref) count[payload]++;
-  for (NodeId id : live) {
-    for (int k = 0; k < kPerNode; ++k) {
-      std::string payload =
-          "f:" + std::to_string(id) + ":" + std::to_string(k);
-      if (count[payload] != 1) {
-        violation("final batch: message '" + payload + "' delivered " +
-                  std::to_string(count[payload]) + " times");
-      }
-    }
-  }
-}
-
 void ChaosCluster::check_lock_service(const std::vector<NodeId>& live) {
   // Post-heal mutual exclusion on a fresh lock: every live node requests
   // it, each must be granted exactly once, and no two grants may overlap.
@@ -849,18 +686,12 @@ void ChaosCluster::check_lock_service(const std::vector<NodeId>& live) {
       });
     });
   }
-  Time deadline = net_.now() + millis(5000);
-  while (net_.now() < deadline) {
-    bool all = true;
+  run_until(net_.loop(), millis(5000), [&] {
     for (NodeId id : live) {
-      if (probe->grants[id] != 1) {
-        all = false;
-        break;
-      }
+      if (probe->grants[id] != 1) return false;
     }
-    if (all) break;
-    net_.loop().run_for(millis(10));
-  }
+    return true;
+  });
   for (NodeId id : live) {
     if (probe->grants[id] != 1) {
       violation("lock service: node " + std::to_string(id) + " granted " +
@@ -884,8 +715,7 @@ void ChaosCluster::check_map_convergence(const std::vector<NodeId>& live) {
     stacks_.at(id)->map->put("final-" + std::to_string(id),
                              std::to_string(id));
   }
-  Time deadline = net_.now() + millis(5000);
-  auto settled = [&] {
+  run_until(net_.loop(), millis(5000), [&] {
     const auto& ref = stacks_.at(live.front())->map->contents();
     for (NodeId id : live) {
       const auto& m = *stacks_.at(id)->map;
@@ -893,8 +723,7 @@ void ChaosCluster::check_map_convergence(const std::vector<NodeId>& live) {
       if (!m.contains("final-" + std::to_string(id))) return false;
     }
     return true;
-  };
-  while (net_.now() < deadline && !settled()) net_.loop().run_for(millis(10));
+  });
   const auto& ref = stacks_.at(live.front())->map->contents();
   for (NodeId id : live) {
     const auto& m = *stacks_.at(id)->map;
@@ -918,7 +747,6 @@ void ChaosCluster::check_map_convergence(const std::vector<NodeId>& live) {
 void ChaosCluster::check_vip_coverage(const std::vector<NodeId>& live) {
   const auto& pool = stacks_.at(live.front())->vips->pool();
   std::set<NodeId> live_set(live.begin(), live.end());
-  Time deadline = net_.now() + millis(5000);
   auto covered = [&] {
     for (const std::string& vip : pool) {
       auto owner = stacks_.at(live.front())->vips->owner_of(vip);
@@ -930,7 +758,7 @@ void ChaosCluster::check_vip_coverage(const std::vector<NodeId>& live) {
     }
     return true;
   };
-  while (net_.now() < deadline && !covered()) net_.loop().run_for(millis(20));
+  run_until(net_.loop(), millis(5000), covered, millis(20));
   if (log_enabled(LogLevel::kDebug)) {
     for (const std::string& vip : pool) {
       std::string line = vip + ":";
@@ -968,81 +796,60 @@ void ChaosCluster::check_vip_coverage(const std::vector<NodeId>& live) {
 
 void ChaosCluster::heal_and_check(Time converge_timeout) {
   engine_->stop_and_heal();
-  // Everybody is back up; wait (with traffic still flowing) until the merged
-  // group converges to the full live set — and STAYS converged. A removal
-  // decided during the fault window (e.g. a token pass failed across a
-  // partition that healed an instant later) can land a few milliseconds
-  // after stop_and_heal; sampling a momentarily-converged group would then
-  // run the post-heal checks against a ring that is about to lose a member.
-  // Requiring a continuous stability window lets any such in-flight
-  // removal land, the victim re-join, and the group settle before we judge.
-  std::vector<NodeId> live = ids_;
-  std::vector<NodeId> want = live;
-  std::sort(want.begin(), want.end());
-  auto converged = [&] {
-    for (NodeId id : live) {
-      const auto& s = *stacks_.at(id)->session;
-      std::vector<NodeId> got = s.view().members;
-      std::sort(got.begin(), got.end());
-      if (!s.started() || got != want) return false;
-    }
-    return true;
+  const std::vector<NodeId>& live = ids_;  // everybody is back up
+  settle_and_check_rings(net_.loop(), rings_, live, converge_timeout,
+                         session_cfg_.token_hold,
+                         [this] { traffic_on_ = false; }, log_of(), sink());
+  FinalBatch batch;
+  batch.per_node = 5;
+  batch.timeout = millis(3000);
+  batch.send = [this](NodeId id, std::size_t, const std::string& p) {
+    stacks_.at(id)->mux->send(kAppChannel, Bytes(p.begin(), p.end()));
   };
-  constexpr Time kStableWindow = millis(300);
-  auto wait_stable = [&] {
-    Time deadline = net_.now() + converge_timeout;
-    Time stable_since = -1;
-    while (net_.now() < deadline) {
-      if (converged()) {
-        if (stable_since < 0) stable_since = net_.now();
-        if (net_.now() - stable_since >= kStableWindow) return;
-      } else {
-        stable_since = -1;
-      }
-      net_.loop().run_for(millis(10));
-    }
-  };
-  wait_stable();
-  check_membership(live);
-  // Quiesce: stop the traffic generators and drain in-flight messages.
-  traffic_on_ = false;
-  net_.loop().run_for(millis(300));
-  // Token uniqueness in the quiescent group, sampled across several rounds.
-  for (int i = 0; i < 40; ++i) {
-    check_token_uniqueness("quiescent");
-    net_.loop().run_for(session_cfg_.token_hold / 2 + micros(500));
-  }
-  check_chaos_deliveries();
-  // Re-verify stability before the delivery batch: the quiesce and token
-  // sampling above give a late-landing removal one more chance to fire.
-  wait_stable();
-  check_final_batch(live);
+  check_final_batch(net_.loop(), rings_, live, batch, log_of(), sink());
   check_lock_service(live);
   check_map_convergence(live);
   check_vip_coverage(live);
 }
 
-// --- run_chaos_round -------------------------------------------------------
+// --- round runner ----------------------------------------------------------
 
-ChaosRoundResult run_chaos_round(std::uint64_t seed, Time chaos_duration,
-                                 std::size_t n_nodes, ChaosProfile profile) {
-  ChaosConfig ccfg;
-  ccfg.seed = seed;
-  net::SimNetConfig ncfg;
-  ncfg.seed = seed ^ 0x9e3779b97f4a7c15ULL;
-  ncfg.default_drop = profile.base_loss;
-  session::SessionConfig scfg;
-  scfg.transport.adaptive = profile.adaptive;
-  if (profile.max_batch_msgs > 0) scfg.max_batch_msgs = profile.max_batch_msgs;
-  if (profile.max_batch_bytes > 0) {
-    scfg.max_batch_bytes = profile.max_batch_bytes;
-  }
-  if (profile.flush_deadline > 0) scfg.flush_deadline = profile.flush_deadline;
+namespace {
+
+/// A chaos round's configuration, all derived from its seed.
+struct RoundSetup {
   std::vector<NodeId> ids;
+  ChaosConfig chaos;
+  session::SessionConfig session;
+  net::SimNetConfig net;
+};
+
+/// `net_salt` gives each harness its own network stream for one seed.
+RoundSetup round_setup(std::uint64_t seed, std::size_t n_nodes,
+                       const ChaosProfile& profile, std::uint64_t net_salt) {
+  RoundSetup out;
   for (std::size_t i = 1; i <= n_nodes; ++i) {
-    ids.push_back(static_cast<NodeId>(i));
+    out.ids.push_back(static_cast<NodeId>(i));
   }
-  ChaosCluster cluster(ids, ccfg, scfg, ncfg);
+  out.chaos.seed = seed;
+  out.net.seed = seed ^ net_salt;
+  out.net.default_drop = profile.base_loss;
+  out.session.transport.adaptive = profile.adaptive;
+  if (profile.max_batch_msgs > 0) {
+    out.session.max_batch_msgs = profile.max_batch_msgs;
+  }
+  if (profile.max_batch_bytes > 0) {
+    out.session.max_batch_bytes = profile.max_batch_bytes;
+  }
+  if (profile.flush_deadline > 0) {
+    out.session.flush_deadline = profile.flush_deadline;
+  }
+  return out;
+}
+
+/// Bootstrap → chaos + traffic → heal → invariant checks, then the outcome.
+template <class Cluster>
+ChaosRoundResult run_round(Cluster& cluster, Time chaos_duration) {
   if (cluster.bootstrap()) {
     cluster.run_chaos(chaos_duration);
     cluster.heal_and_check();
@@ -1053,9 +860,19 @@ ChaosRoundResult run_chaos_round(std::uint64_t seed, Time chaos_duration,
   res.faults = cluster.engine().faults_injected();
   res.classes = cluster.engine().classes_seen();
   res.metrics = cluster.metrics_snapshot();
+  if (!res.violations.empty()) res.report = cluster.failure_report();
+  return res;
+}
+
+}  // namespace
+
+ChaosRoundResult run_chaos_round(std::uint64_t seed, Time chaos_duration,
+                                 std::size_t n_nodes, ChaosProfile profile) {
+  RoundSetup setup = round_setup(seed, n_nodes, profile, 0x9e3779b97f4a7c15ULL);
+  ChaosCluster cluster(setup.ids, setup.chaos, setup.session, setup.net);
+  ChaosRoundResult res = run_round(cluster, chaos_duration);
   res.false_removals = cluster.false_removals();
   res.true_removals = cluster.true_removals();
-  if (!res.violations.empty()) res.report = cluster.failure_report();
   return res;
 }
 
@@ -1086,7 +903,7 @@ MultiRingChaosCluster::MultiRingChaosCluster(std::vector<NodeId> ids,
       rcfg.metrics_prefix = "ring" + std::to_string(r) + ".";
       auto& ring =
           st->mux->create_ring(static_cast<transport::MuxGroup>(r), rcfg);
-      st->rings.push_back(&ring);
+      rings_[id].push_back(&ring);
       Stack* stp = st.get();
       ring.set_deliver_handler(
           [stp, r](NodeId origin, const Slice& payload, session::Ordering) {
@@ -1107,7 +924,7 @@ MultiRingChaosCluster::MultiRingChaosCluster(std::vector<NodeId> ids,
     Stack& st = *stacks_.at(id);
     ++st.epoch;
     std::fill(st.counters.begin(), st.counters.end(), 0);
-    for (auto* ring : st.rings) ring->found();  // switches the transport on
+    for (auto* ring : rings_.at(id)) ring->found();  // switches the transport on
   });
 }
 
@@ -1119,27 +936,12 @@ MultiRingChaosCluster::~MultiRingChaosCluster() {
 }
 
 bool MultiRingChaosCluster::bootstrap(Time timeout) {
-  for (auto& [id, st] : stacks_) {
-    for (auto* ring : st->rings) ring->found();
+  for (auto& [id, rings] : rings_) {
+    for (auto* ring : rings) ring->found();
   }
-  std::vector<NodeId> want = ids_;
-  std::sort(want.begin(), want.end());
-  Time deadline = net_.now() + timeout;
-  while (net_.now() < deadline) {
-    bool conv = true;
-    for (auto& [id, st] : stacks_) {
-      for (auto* ring : st->rings) {
-        std::vector<NodeId> got = ring->view().members;
-        std::sort(got.begin(), got.end());
-        if (!ring->started() || got != want) {
-          conv = false;
-          break;
-        }
-      }
-      if (!conv) break;
-    }
-    if (conv) return true;
-    net_.loop().run_for(millis(10));
+  if (run_until(net_.loop(), timeout,
+                [this] { return rings_converged(rings_, ids_); })) {
+    return true;
   }
   violation("bootstrap: not every ring converged");
   return false;
@@ -1156,7 +958,7 @@ void MultiRingChaosCluster::start_traffic(NodeId id) {
     // Round-robin the rings so every shard sees load each epoch.
     const std::size_t r =
         static_cast<std::size_t>(st.traffic_rng.next_below(n_rings_));
-    session::SessionNode& ring = *st.rings[r];
+    session::SessionNode& ring = *rings_.at(id)[r];
     if (ring.started() && ring.view().has(id)) {
       std::string payload = "c:" + std::to_string(id) + ":" +
                             std::to_string(st.epoch) + ":" +
@@ -1171,16 +973,24 @@ void MultiRingChaosCluster::run_chaos(Time duration) {
   traffic_on_ = true;
   for (NodeId id : ids_) start_traffic(id);
   engine_->start();
-  Time end = net_.now() + duration;
-  while (net_.now() < end) {
-    net_.loop().run_for(millis(10));
-    check_ring_token_uniqueness("during chaos");
-  }
+  run_checking_tokens(net_.loop(), duration, rings_, sink());
 }
 
 void MultiRingChaosCluster::violation(std::string what) {
   RC_WARN(kMod, "INVARIANT VIOLATION: %s", what.c_str());
   violations_.push_back(std::move(what));
+}
+
+LogFn MultiRingChaosCluster::log_of() const {
+  return [this](NodeId id, std::size_t r) -> const std::vector<Delivered>& {
+    return stacks_.at(id)->logs[r];
+  };
+}
+
+metrics::Snapshot MultiRingChaosCluster::metrics_snapshot() const {
+  metrics::Snapshot merged;
+  for (const auto& [id, st] : stacks_) merged.merge(st->mux->metrics_snapshot());
+  return merged;
 }
 
 std::uint64_t MultiRingChaosCluster::fanout_removals() const {
@@ -1203,156 +1013,11 @@ std::string MultiRingChaosCluster::failure_report() const {
   for (const std::string& v : violations_) out += "  " + v + "\n";
   out += engine_->describe_schedule();
   std::vector<const session::SessionNode*> rings;
-  for (const auto& [id, st] : stacks_) {
-    rings.insert(rings.end(), st->rings.begin(), st->rings.end());
+  for (const auto& [id, node_rings] : rings_) {
+    rings.insert(rings.end(), node_rings.begin(), node_rings.end());
   }
   out += session::dump_rings(rings);
   return out;
-}
-
-void MultiRingChaosCluster::check_ring_token_uniqueness(const char* when) {
-  // Same sampling rule as the single-ring harness, applied per ring index:
-  // rings with different groups are independent protocols and may each have
-  // a holder; two holders with identical views WITHIN one ring never.
-  for (std::size_t r = 0; r < n_rings_; ++r) {
-    for (auto it = stacks_.begin(); it != stacks_.end(); ++it) {
-      const auto& a = *it->second->rings[r];
-      if (!a.started() || !a.holds_token()) continue;
-      for (auto jt = std::next(it); jt != stacks_.end(); ++jt) {
-        const auto& b = *jt->second->rings[r];
-        if (!b.started() || !b.holds_token()) continue;
-        if (a.view() == b.view()) {
-          violation("ring " + std::to_string(r) + " token uniqueness (" +
-                    std::string(when) + "): nodes " +
-                    std::to_string(it->first) + " and " +
-                    std::to_string(jt->first) +
-                    " both EATING in identical view at t=" +
-                    std::to_string(to_millis(net_.now())) + "ms");
-        }
-      }
-    }
-  }
-}
-
-void MultiRingChaosCluster::check_ring_memberships(
-    const std::vector<NodeId>& live) {
-  std::vector<NodeId> want = live;
-  std::sort(want.begin(), want.end());
-  for (NodeId id : live) {
-    for (std::size_t r = 0; r < n_rings_; ++r) {
-      const auto& ring = *stacks_.at(id)->rings[r];
-      std::vector<NodeId> got = ring.view().members;
-      std::sort(got.begin(), got.end());
-      if (!ring.started() || got != want) {
-        std::string members;
-        for (NodeId m : got) members += std::to_string(m) + " ";
-        violation("membership: node " + std::to_string(id) + " ring " +
-                  std::to_string(r) +
-                  " did not converge to the live set (has: " + members + ")");
-      }
-    }
-  }
-}
-
-void MultiRingChaosCluster::check_ring_deliveries() {
-  // Per ring, per receiver incarnation, per origin incarnation: strictly
-  // increasing chaos counters (gaps fine, duplicates/reordering never).
-  for (auto& [id, st] : stacks_) {
-    for (std::size_t r = 0; r < n_rings_; ++r) {
-      std::map<std::tuple<std::uint64_t, NodeId, std::uint64_t>,
-               std::pair<bool, std::uint64_t>>
-          last;
-      for (const Delivered& d : st->logs[r]) {
-        if (d.payload.rfind("c:", 0) != 0) continue;
-        NodeId origin = 0;
-        std::uint64_t epoch = 0, counter = 0;
-        if (std::sscanf(d.payload.c_str(), "c:%u:%llu:%llu", &origin,
-                        reinterpret_cast<unsigned long long*>(&epoch),
-                        reinterpret_cast<unsigned long long*>(&counter)) !=
-            3) {
-          violation("delivery: node " + std::to_string(id) + " ring " +
-                    std::to_string(r) + " received unparseable payload '" +
-                    d.payload + "'");
-          continue;
-        }
-        auto key = std::make_tuple(d.recv_epoch, origin, epoch);
-        auto& [seen, prev] = last[key];
-        if (seen && counter <= prev) {
-          violation("delivery: node " + std::to_string(id) + " ring " +
-                    std::to_string(r) + " saw duplicate/out-of-order counter " +
-                    std::to_string(counter) + " after " +
-                    std::to_string(prev) + " from origin " +
-                    std::to_string(origin));
-        }
-        seen = true;
-        prev = counter;
-      }
-    }
-  }
-}
-
-void MultiRingChaosCluster::check_ring_final_batches(
-    const std::vector<NodeId>& live) {
-  // Post-heal agreed order, independently per ring: a fresh batch from
-  // every node on every ring must arrive complete, exactly once, and in an
-  // identical per-ring sequence everywhere.
-  constexpr int kPerNode = 3;
-  std::map<NodeId, std::vector<std::size_t>> mark;
-  for (NodeId id : live) {
-    auto& st = *stacks_.at(id);
-    for (std::size_t r = 0; r < n_rings_; ++r) {
-      mark[id].push_back(st.logs[r].size());
-    }
-  }
-  for (NodeId id : live) {
-    for (std::size_t r = 0; r < n_rings_; ++r) {
-      for (int k = 0; k < kPerNode; ++k) {
-        std::string payload = "f:" + std::to_string(id) + ":" +
-                              std::to_string(r) + ":" + std::to_string(k);
-        stacks_.at(id)->rings[r]->multicast(
-            Bytes(payload.begin(), payload.end()));
-      }
-    }
-  }
-  const std::size_t expect = live.size() * kPerNode;
-  auto batch_of = [&](NodeId id, std::size_t r) {
-    std::vector<std::pair<NodeId, std::string>> out;
-    const auto& log = stacks_.at(id)->logs[r];
-    for (std::size_t i = mark[id][r]; i < log.size(); ++i) {
-      if (log[i].payload.rfind("f:", 0) == 0) {
-        out.emplace_back(log[i].origin, log[i].payload);
-      }
-    }
-    return out;
-  };
-  Time deadline = net_.now() + millis(4000);
-  while (net_.now() < deadline) {
-    bool all = true;
-    for (NodeId id : live) {
-      for (std::size_t r = 0; r < n_rings_ && all; ++r) {
-        if (batch_of(id, r).size() < expect) all = false;
-      }
-      if (!all) break;
-    }
-    if (all) break;
-    net_.loop().run_for(millis(10));
-  }
-  for (std::size_t r = 0; r < n_rings_; ++r) {
-    auto ref = batch_of(live.front(), r);
-    if (ref.size() != expect) {
-      violation("final batch: node " + std::to_string(live.front()) +
-                " ring " + std::to_string(r) + " delivered " +
-                std::to_string(ref.size()) + " of " + std::to_string(expect));
-    }
-    for (NodeId id : live) {
-      if (batch_of(id, r) != ref) {
-        violation("final batch: node " + std::to_string(id) + " ring " +
-                  std::to_string(r) +
-                  " delivered a different agreed sequence than node " +
-                  std::to_string(live.front()));
-      }
-    }
-  }
 }
 
 void MultiRingChaosCluster::check_detector_consistency(
@@ -1360,13 +1025,13 @@ void MultiRingChaosCluster::check_detector_consistency(
   // Cross-ring detector consistency: one shared failure detector feeding K
   // rings must leave them agreeing at quiescence...
   for (NodeId id : live) {
-    const auto& st = *stacks_.at(id);
+    const auto& rings = rings_.at(id);
     // Ring order (the token circulation order) legitimately differs per
     // ring — only the member SET must agree.
-    std::vector<NodeId> ref = st.rings[0]->view().members;
+    std::vector<NodeId> ref = rings[0]->view().members;
     std::sort(ref.begin(), ref.end());
     for (std::size_t r = 1; r < n_rings_; ++r) {
-      std::vector<NodeId> got = st.rings[r]->view().members;
+      std::vector<NodeId> got = rings[r]->view().members;
       std::sort(got.begin(), got.end());
       if (got != ref) {
         violation("detector consistency: node " + std::to_string(id) +
@@ -1377,7 +1042,7 @@ void MultiRingChaosCluster::check_detector_consistency(
     // ...and must exist exactly once per node: the shared transport owns
     // `transport.*`; a per-ring copy (e.g. "ring1.transport.rtt_samples")
     // would mean duplicated detection state.
-    const auto snap = st.mux->metrics_snapshot();
+    const auto snap = stacks_.at(id)->mux->metrics_snapshot();
     std::size_t plain = 0, prefixed = 0;
     for (const auto& [name, value] : snap.counters) {
       if (name == "transport.rtt_samples") {
@@ -1397,46 +1062,18 @@ void MultiRingChaosCluster::check_detector_consistency(
 
 void MultiRingChaosCluster::heal_and_check(Time converge_timeout) {
   engine_->stop_and_heal();
-  std::vector<NodeId> live = ids_;
-  std::vector<NodeId> want = live;
-  std::sort(want.begin(), want.end());
-  auto converged = [&] {
-    for (NodeId id : live) {
-      for (auto* ring : stacks_.at(id)->rings) {
-        std::vector<NodeId> got = ring->view().members;
-        std::sort(got.begin(), got.end());
-        if (!ring->started() || got != want) return false;
-      }
-    }
-    return true;
+  // Every ring must hold the full view through the stability window at once.
+  const std::vector<NodeId>& live = ids_;
+  settle_and_check_rings(net_.loop(), rings_, live, converge_timeout,
+                         session_cfg_.token_hold,
+                         [this] { traffic_on_ = false; }, log_of(), sink());
+  FinalBatch batch;
+  batch.per_node = 3;
+  batch.timeout = millis(4000);
+  batch.send = [this](NodeId id, std::size_t r, const std::string& p) {
+    rings_.at(id)[r]->multicast(Bytes(p.begin(), p.end()));
   };
-  // Same continuous-stability rule as the single-ring harness, but EVERY
-  // ring must hold the full view through the window simultaneously.
-  constexpr Time kStableWindow = millis(300);
-  auto wait_stable = [&] {
-    Time deadline = net_.now() + converge_timeout;
-    Time stable_since = -1;
-    while (net_.now() < deadline) {
-      if (converged()) {
-        if (stable_since < 0) stable_since = net_.now();
-        if (net_.now() - stable_since >= kStableWindow) return;
-      } else {
-        stable_since = -1;
-      }
-      net_.loop().run_for(millis(10));
-    }
-  };
-  wait_stable();
-  check_ring_memberships(live);
-  traffic_on_ = false;
-  net_.loop().run_for(millis(300));
-  for (int i = 0; i < 40; ++i) {
-    check_ring_token_uniqueness("quiescent");
-    net_.loop().run_for(session_cfg_.token_hold / 2 + micros(500));
-  }
-  check_ring_deliveries();
-  wait_stable();
-  check_ring_final_batches(live);
+  check_final_batch(net_.loop(), rings_, live, batch, log_of(), sink());
   check_detector_consistency(live);
 }
 
@@ -1444,35 +1081,10 @@ ChaosRoundResult run_multi_ring_round(std::uint64_t seed, Time chaos_duration,
                                       std::size_t n_nodes,
                                       std::size_t n_rings,
                                       ChaosProfile profile) {
-  ChaosConfig ccfg;
-  ccfg.seed = seed;
-  net::SimNetConfig ncfg;
-  ncfg.seed = seed ^ 0xc2b2ae3d27d4eb4fULL;
-  ncfg.default_drop = profile.base_loss;
-  session::SessionConfig scfg;
-  scfg.transport.adaptive = profile.adaptive;
-  if (profile.max_batch_msgs > 0) scfg.max_batch_msgs = profile.max_batch_msgs;
-  if (profile.max_batch_bytes > 0) {
-    scfg.max_batch_bytes = profile.max_batch_bytes;
-  }
-  if (profile.flush_deadline > 0) scfg.flush_deadline = profile.flush_deadline;
-  std::vector<NodeId> ids;
-  for (std::size_t i = 1; i <= n_nodes; ++i) {
-    ids.push_back(static_cast<NodeId>(i));
-  }
-  MultiRingChaosCluster cluster(ids, n_rings, ccfg, scfg, ncfg);
-  if (cluster.bootstrap()) {
-    cluster.run_chaos(chaos_duration);
-    cluster.heal_and_check();
-  }
-  ChaosRoundResult res;
-  res.violations = cluster.violations();
-  res.schedule = cluster.engine().describe_schedule();
-  res.faults = cluster.engine().faults_injected();
-  res.classes = cluster.engine().classes_seen();
-  for (NodeId id : ids) res.metrics.merge(cluster.mux(id).metrics_snapshot());
-  if (!res.violations.empty()) res.report = cluster.failure_report();
-  return res;
+  RoundSetup setup = round_setup(seed, n_nodes, profile, 0xc2b2ae3d27d4eb4fULL);
+  MultiRingChaosCluster cluster(setup.ids, n_rings, setup.chaos,
+                                setup.session, setup.net);
+  return run_round(cluster, chaos_duration);
 }
 
 }  // namespace raincore::testing

@@ -16,6 +16,9 @@
 //   - replicated-map convergence across replicas (§3);
 //   - every virtual IP covered by a live owner the subnet resolves (§3.1).
 //
+// The ring invariants are checked by testing/oracles.h, shared with the
+// durability harness and TestCluster; the application invariants live here.
+//
 // Every stochastic decision draws from one seeded Rng in virtual time, so a
 // violation report carries the seed and the full fault schedule: re-running
 // with the same seed reproduces the failure bit-for-bit.
@@ -35,6 +38,7 @@
 #include "net/sim_network.h"
 #include "session/session_mux.h"
 #include "session/session_node.h"
+#include "testing/oracles.h"
 
 namespace raincore::testing {
 
@@ -228,14 +232,14 @@ class ChaosCluster {
   void start_traffic(NodeId id);
   void record_delivery(NodeId receiver, NodeId origin, const Slice& payload);
   void on_removal_observed(NodeId remover, NodeId removed);
-  void check_token_uniqueness(const char* when);
-  void check_membership(const std::vector<NodeId>& live);
-  void check_chaos_deliveries();
-  void check_final_batch(const std::vector<NodeId>& live);
   void check_lock_service(const std::vector<NodeId>& live);
   void check_map_convergence(const std::vector<NodeId>& live);
   void check_vip_coverage(const std::vector<NodeId>& live);
   void violation(std::string what);
+  ViolationFn sink() {
+    return [this](std::string what) { violation(std::move(what)); };
+  }
+  LogFn log_of() const;
 
   net::SimNetwork net_;
   session::SessionConfig session_cfg_;
@@ -243,11 +247,6 @@ class ChaosCluster {
   apps::Subnet subnet_;
   std::unique_ptr<ChaosEngine> engine_;
 
-  struct Delivered {
-    std::uint64_t recv_epoch;
-    NodeId origin;
-    std::string payload;
-  };
   struct Stack {
     /// The node: its transport and its one ring (`session`).
     std::unique_ptr<session::SessionMux> node;
@@ -266,6 +265,7 @@ class ChaosCluster {
     bool detection_recorded = false;  ///< latency sampled for this crash
   };
   std::map<NodeId, std::unique_ptr<Stack>> stacks_;
+  RingTable rings_;  ///< each node's one ring
   std::vector<NodeId> ids_;
   bool traffic_on_ = false;
   std::vector<std::string> violations_;
@@ -326,10 +326,11 @@ ChaosRoundResult run_chaos_round(std::uint64_t seed,
 /// — every ring plus the shared transport — and a restart re-enables the
 /// transport and re-founds every ring as a fresh incarnation.
 ///
-/// Checks every per-ring protocol invariant (token uniqueness within a
-/// ring, membership convergence, duplicate-free in-order chaos deliveries,
-/// identical post-heal agreed order) independently per ring, plus the
-/// cross-ring invariants that only exist in the multi-session runtime:
+/// Checks every ring invariant of testing/oracles.h (token uniqueness within
+/// a ring, membership convergence, duplicate-free, in-order and correctly
+/// attributed chaos deliveries, a complete, exactly-once post-heal batch in
+/// one agreed order) independently per ring, plus the cross-ring invariants
+/// that only exist in the multi-session runtime:
 ///   - detector consistency: at quiescence every ring on every node agrees
 ///     on the same live membership (one failure detector feeding K rings
 ///     must not leave them with divergent opinions);
@@ -353,20 +354,17 @@ class MultiRingChaosCluster {
   net::SimNetwork& net() { return net_; }
   session::SessionMux& mux(NodeId id) { return *stacks_.at(id)->mux; }
   std::size_t ring_count() const { return n_rings_; }
+  /// Cluster-wide merge of every node's SessionMux registries (the shared
+  /// transport and every ring). Deterministic for a given seed.
+  metrics::Snapshot metrics_snapshot() const;
   /// Suspicion fan-out removals across all nodes/rings (session.suspect_
   /// removals) — membership updates that cost no extra detection work.
   std::uint64_t fanout_removals() const;
   std::string failure_report() const;
 
  private:
-  struct Delivered {
-    std::uint64_t recv_epoch;
-    NodeId origin;
-    std::string payload;
-  };
   struct Stack {
     std::unique_ptr<session::SessionMux> mux;
-    std::vector<session::SessionNode*> rings;
     std::uint64_t epoch = 0;  ///< incremented on every chaos restart
     std::vector<std::uint64_t> counters;        ///< per-ring traffic counter
     std::vector<std::vector<Delivered>> logs;   ///< per-ring delivery log
@@ -375,12 +373,12 @@ class MultiRingChaosCluster {
   };
 
   void start_traffic(NodeId id);
-  void check_ring_token_uniqueness(const char* when);
-  void check_ring_memberships(const std::vector<NodeId>& live);
-  void check_ring_deliveries();
-  void check_ring_final_batches(const std::vector<NodeId>& live);
   void check_detector_consistency(const std::vector<NodeId>& live);
   void violation(std::string what);
+  ViolationFn sink() {
+    return [this](std::string what) { violation(std::move(what)); };
+  }
+  LogFn log_of() const;
 
   net::SimNetwork net_;
   std::size_t n_rings_;
@@ -388,6 +386,7 @@ class MultiRingChaosCluster {
   ChaosConfig chaos_cfg_;
   std::unique_ptr<ChaosEngine> engine_;
   std::map<NodeId, std::unique_ptr<Stack>> stacks_;
+  RingTable rings_;
   std::vector<NodeId> ids_;
   bool traffic_on_ = false;
   std::vector<std::string> violations_;

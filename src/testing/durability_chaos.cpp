@@ -4,6 +4,7 @@
 
 #include "common/log.h"
 #include "session/introspect.h"
+#include "testing/oracles.h"
 
 namespace raincore::testing {
 
@@ -83,17 +84,15 @@ bool DurabilityChaosCluster::bootstrap(Time timeout) {
     }
     st->plane->found_all();
   }
-  Time deadline = net_.now() + timeout;
-  while (net_.now() < deadline) {
-    bool conv = true;
-    for (auto& [id, st] : stacks_) {
-      if (!st->plane->all_converged(ids_.size()) || !st->map->synced()) {
-        conv = false;
-        break;
-      }
-    }
-    if (conv) return true;
-    net_.loop().run_for(millis(10));
+  if (run_until(net_.loop(), timeout, [this] {
+        for (auto& [id, st] : stacks_) {
+          if (!st->plane->all_converged(ids_.size()) || !st->map->synced()) {
+            return false;
+          }
+        }
+        return true;
+      })) {
+    return true;
   }
   violation("bootstrap: not every shard ring converged");
   return false;
@@ -511,18 +510,9 @@ void DurabilityChaosCluster::heal_and_check(Time converge_timeout) {
     }
     return true;
   };
-  constexpr Time kStableWindow = millis(300);
-  Time deadline = net_.now() + converge_timeout;
-  Time stable_since = -1;
-  while (net_.now() < deadline) {
-    if (converged()) {
-      if (stable_since < 0) stable_since = net_.now();
-      if (net_.now() - stable_since >= kStableWindow) break;
-    } else {
-      stable_since = -1;
-    }
-    net_.loop().run_for(millis(10));
-  }
+  run_until_stable(net_.loop(), converge_timeout, converged);
+  // Judged by a fresh call even after a stable window: each call ticks
+  // every ReshardManager, and the round's schedule includes this tick.
   if (!converged()) {
     violation("heal: not every shard ring re-converged to the full set");
   }
@@ -556,9 +546,8 @@ void DurabilityChaosCluster::heal_and_check(Time converge_timeout) {
 void DurabilityChaosCluster::check_map_convergence(
     const std::vector<NodeId>& live) {
   // Wait until every shard's replicas agree everywhere, then assert it.
-  Time deadline = net_.now() + millis(6000);
   const std::size_t n_shards = stacks_.at(live.front())->plane->shard_count();
-  auto settled = [&] {
+  run_until(net_.loop(), millis(6000), [&] {
     const Stack& ref = *stacks_.at(live.front());
     for (NodeId id : live) {
       const Stack& st = *stacks_.at(id);
@@ -571,8 +560,7 @@ void DurabilityChaosCluster::check_map_convergence(
       }
     }
     return true;
-  };
-  while (net_.now() < deadline && !settled()) net_.loop().run_for(millis(10));
+  });
   const Stack& ref = *stacks_.at(live.front());
   for (NodeId id : live) {
     const Stack& st = *stacks_.at(id);
@@ -704,6 +692,12 @@ metrics::Snapshot DurabilityChaosCluster::metrics_snapshot() const {
       out.merge(st->locks->shard(s).metrics().snapshot());
     }
   }
+  // WAL replay is timed on the wall clock (ShardStore::recover), the only
+  // instrument here not derived from the seed; without it a round's metrics
+  // replay exactly. bench_durability measures recovery time on its own.
+  std::erase_if(out.histograms, [](const auto& h) {
+    return h.first.ends_with("storage.recovery_ns");
+  });
   return out;
 }
 
@@ -727,6 +721,48 @@ std::string DurabilityChaosCluster::failure_report() const {
 }
 
 // --- run_durability_round ----------------------------------------------------
+
+namespace {
+
+/// Bootstrap → restart-storm chaos → heal and check on nodes 1..n_nodes
+/// with the adaptive detector, then the outcome. `net_salt` gives each
+/// round type its own network stream for one seed.
+DurabilityRoundResult run_round(std::uint64_t seed, const std::string& dir,
+                                std::size_t n_nodes, const ChaosConfig& ccfg,
+                                const DurabilityConfig& dcfg,
+                                std::uint64_t net_salt, Time chaos_duration,
+                                Time converge_timeout) {
+  std::vector<NodeId> ids;
+  for (std::size_t i = 1; i <= n_nodes; ++i) {
+    ids.push_back(static_cast<NodeId>(i));
+  }
+  net::SimNetConfig ncfg;
+  ncfg.seed = seed ^ net_salt;
+  session::SessionConfig scfg;
+  scfg.transport.adaptive = true;
+  DurabilityChaosCluster cluster(ids, dir, ccfg, dcfg, scfg, ncfg);
+  if (cluster.bootstrap()) {
+    cluster.run_chaos(chaos_duration);
+    cluster.heal_and_check(converge_timeout);
+  }
+  DurabilityRoundResult res;
+  res.violations = cluster.violations();
+  res.schedule = cluster.engine().describe_schedule();
+  res.faults = cluster.engine().faults_injected();
+  res.classes = cluster.engine().classes_seen();
+  res.acked_ops = cluster.acked_ops();
+  res.voided_ops = cluster.voided_ops();
+  res.acked_lost = cluster.acked_lost();
+  res.phantom_resurrections = cluster.phantom_resurrections();
+  res.metrics = cluster.metrics_snapshot();
+  res.final_epoch = cluster.final_epoch();
+  res.final_shards = cluster.final_shard_count();
+  res.resize_completed = cluster.resize_completed();
+  if (!res.violations.empty()) res.report = cluster.failure_report();
+  return res;
+}
+
+}  // namespace
 
 DurabilityRoundResult run_durability_round(std::uint64_t seed,
                                            const std::string& dir,
@@ -763,36 +799,8 @@ DurabilityRoundResult run_durability_round(std::uint64_t seed,
   dcfg.n_shards = n_shards;
   dcfg.storage.fsync_every = 4;
   dcfg.storage.snapshot_every = 64;
-
-  net::SimNetConfig ncfg;
-  ncfg.seed = seed ^ 0xa0761d6478bd642fULL;
-  session::SessionConfig scfg;
-  scfg.transport.adaptive = true;
-
-  std::vector<NodeId> ids;
-  for (std::size_t i = 1; i <= n_nodes; ++i) {
-    ids.push_back(static_cast<NodeId>(i));
-  }
-  DurabilityChaosCluster cluster(ids, dir, ccfg, dcfg, scfg, ncfg);
-  if (cluster.bootstrap()) {
-    cluster.run_chaos(chaos_duration);
-    cluster.heal_and_check();
-  }
-  DurabilityRoundResult res;
-  res.violations = cluster.violations();
-  res.schedule = cluster.engine().describe_schedule();
-  res.faults = cluster.engine().faults_injected();
-  res.classes = cluster.engine().classes_seen();
-  res.acked_ops = cluster.acked_ops();
-  res.voided_ops = cluster.voided_ops();
-  res.acked_lost = cluster.acked_lost();
-  res.phantom_resurrections = cluster.phantom_resurrections();
-  res.metrics = cluster.metrics_snapshot();
-  res.final_epoch = cluster.final_epoch();
-  res.final_shards = cluster.final_shard_count();
-  res.resize_completed = cluster.resize_completed();
-  if (!res.violations.empty()) res.report = cluster.failure_report();
-  return res;
+  return run_round(seed, dir, n_nodes, ccfg, dcfg, 0xa0761d6478bd642fULL,
+                   chaos_duration, millis(20000));
 }
 
 DurabilityRoundResult run_reshard_round(std::uint64_t seed,
@@ -830,36 +838,8 @@ DurabilityRoundResult run_reshard_round(std::uint64_t seed,
   dcfg.resize_to = opts.resize_to;
   dcfg.resize_at = opts.resize_at;
   dcfg.migration_fault = opts.fault;
-
-  net::SimNetConfig ncfg;
-  ncfg.seed = seed ^ 0xe7037ed1a0b428dbULL;
-  session::SessionConfig scfg;
-  scfg.transport.adaptive = true;
-
-  std::vector<NodeId> ids;
-  for (std::size_t i = 1; i <= n_nodes; ++i) {
-    ids.push_back(static_cast<NodeId>(i));
-  }
-  DurabilityChaosCluster cluster(ids, dir, ccfg, dcfg, scfg, ncfg);
-  if (cluster.bootstrap()) {
-    cluster.run_chaos(chaos_duration);
-    cluster.heal_and_check(millis(30000));
-  }
-  DurabilityRoundResult res;
-  res.violations = cluster.violations();
-  res.schedule = cluster.engine().describe_schedule();
-  res.faults = cluster.engine().faults_injected();
-  res.classes = cluster.engine().classes_seen();
-  res.acked_ops = cluster.acked_ops();
-  res.voided_ops = cluster.voided_ops();
-  res.acked_lost = cluster.acked_lost();
-  res.phantom_resurrections = cluster.phantom_resurrections();
-  res.metrics = cluster.metrics_snapshot();
-  res.final_epoch = cluster.final_epoch();
-  res.final_shards = cluster.final_shard_count();
-  res.resize_completed = cluster.resize_completed();
-  if (!res.violations.empty()) res.report = cluster.failure_report();
-  return res;
+  return run_round(seed, dir, n_nodes, ccfg, dcfg, 0xe7037ed1a0b428dbULL,
+                   chaos_duration, millis(30000));
 }
 
 }  // namespace raincore::testing

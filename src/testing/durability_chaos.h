@@ -131,7 +131,8 @@ class DurabilityChaosCluster {
   }
 
   /// Merged storage.* + data.* + session/transport instruments of every
-  /// node (the storage counters ride the per-shard registries).
+  /// node (the storage counters ride the per-shard registries), less the
+  /// wall-clock storage.recovery_ns histograms: deterministic per seed.
   metrics::Snapshot metrics_snapshot() const;
   std::string failure_report() const;
 
@@ -256,8 +257,8 @@ struct DurabilityRoundResult {
   std::uint64_t voided_ops = 0;
   std::uint64_t acked_lost = 0;
   std::uint64_t phantom_resurrections = 0;
-  /// Cluster-wide merged instruments. Contains wall-clock recovery
-  /// histograms — compare counters/violations across seeds, not this.
+  /// Cluster-wide merged instruments (metrics_snapshot()); identical for
+  /// identical seeds.
   metrics::Snapshot metrics;
   std::string report;  ///< non-empty only when the round had violations
   /// Migration outcome (zero / n_shards / false for plain rounds).

@@ -15,19 +15,6 @@ double LinkHealth::score(NodeId peer, std::uint8_t iface) const {
   return it != links_.end() ? it->second : 1.0;
 }
 
-std::uint8_t LinkHealth::best_iface(NodeId peer, std::uint8_t n_ifaces) const {
-  std::uint8_t best = 0;
-  double best_score = -1.0;
-  for (std::uint8_t i = 0; i < n_ifaces; ++i) {
-    const double s = score(peer, i);
-    if (s > best_score) {
-      best_score = s;
-      best = i;
-    }
-  }
-  return best;
-}
-
 std::vector<std::uint8_t> LinkHealth::ranked(NodeId peer,
                                              std::uint8_t n_ifaces) const {
   std::vector<std::uint8_t> order(n_ifaces);

@@ -9,15 +9,10 @@
 //
 // so roughly the last 1/gain attempts dominate. The transport feeds it one
 // success sample per acknowledged attempt and one failure sample per RTO
-// expiry, and consumes it two ways (§2.1 multi-address sending, made
-// adaptive):
-//
-//  - kSequential starts at the healthiest address instead of always
-//    address 0, so a dead primary link stops costing a full attempt budget
-//    on every transfer;
-//  - kAdaptive sends on the single best link while it is healthy and
-//    escalates to all links (kParallel behaviour) when the best score drops
-//    below a threshold.
+// expiry. In adaptive mode kSequential walks the addresses healthiest-first
+// (ranked()) instead of always starting at address 0, so a dead primary
+// link stops costing a full attempt budget on every transfer (§2.1
+// multi-address sending, made adaptive).
 //
 // Unknown links score 1.0 (optimistic: new links get a chance), and ties
 // break toward the lowest interface index so ordering is deterministic.
@@ -41,9 +36,6 @@ class LinkHealth {
 
   /// Current score; 1.0 for links never sampled.
   double score(NodeId peer, std::uint8_t iface) const;
-
-  /// Healthiest of the peer's first `n_ifaces` links (ties -> lowest index).
-  std::uint8_t best_iface(NodeId peer, std::uint8_t n_ifaces) const;
 
   /// All interface indices [0, n_ifaces) ordered healthiest-first; the sort
   /// is stable so equal scores keep ascending index order.

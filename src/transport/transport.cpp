@@ -16,6 +16,13 @@ constexpr std::size_t kDataHeader = 15;
 constexpr std::size_t kRawHeader = 3;    // type u8 + group u16
 constexpr std::size_t kAckLen = 13;      // type u8 + epoch u32 + seq u64
 constexpr std::size_t kChecksumLen = 4;  // trailing FNV-1a u32
+/// Adaptive mode: per-attempt RTO multiplier (exponential backoff across
+/// the retries of one transfer).
+constexpr double kRtoBackoff = 2.0;
+/// Adaptive mode: each attempt waits rto + uniform[0, rto * kRtoJitter),
+/// drawn from a node-seeded stream, so synchronized retry storms decohere
+/// without breaking seeded-run replayability.
+constexpr double kRtoJitter = 0.1;
 
 /// FNV-1a over the frame body. Every frame carries this as a trailing u32:
 /// the end-to-end integrity check that turns in-flight bit flips (modelled
@@ -97,8 +104,8 @@ Time ReliableTransport::failure_detection_bound(NodeId peer) const {
     const Time rto =
         std::clamp(static_cast<Time>(static_cast<double>(base) * mult),
                    b.min_rto, b.max_rto);
-    bound += rto + static_cast<Time>(static_cast<double>(rto) * cfg_.rto_jitter) + 1;
-    mult *= cfg_.rto_backoff;
+    bound += rto + static_cast<Time>(static_cast<double>(rto) * kRtoJitter) + 1;
+    mult *= kRtoBackoff;
   }
   return bound;
 }
@@ -266,19 +273,19 @@ void ReliableTransport::refresh_health_gauge() {
 Time ReliableTransport::attempt_rto(const InFlight& f, int backoff_step) {
   if (!cfg_.adaptive) return cfg_.rto;
   const RtoBounds b = rto_bounds();
-  // Single-link attempts pace on that link's estimate; multi-link rounds
-  // (parallel, or adaptive escalated) pace on the slowest link so a slow
-  // path is not retried before its ack could possibly arrive.
+  // Single-link attempts pace on that link's estimate; parallel rounds pace
+  // on the slowest link so a slow path is not retried before its ack could
+  // possibly arrive.
   const Time base = f.last_tx.size() == 1
                         ? rtt_.rto(f.dst, f.last_tx.front(), b)
                         : rtt_.max_rto(f.dst, peer_iface_count(f.dst), b);
   double scaled = static_cast<double>(base);
-  for (int k = 0; k < backoff_step; ++k) scaled *= cfg_.rto_backoff;
+  for (int k = 0; k < backoff_step; ++k) scaled *= kRtoBackoff;
   const Time rto =
       std::clamp(static_cast<Time>(scaled), b.min_rto, b.max_rto);
   rto_gauge_.set(static_cast<double>(rto));
   const Time jitter = static_cast<Time>(
-      static_cast<double>(rto) * cfg_.rto_jitter * jitter_rng_.next_double());
+      static_cast<double>(rto) * kRtoJitter * jitter_rng_.next_double());
   return rto + jitter;
 }
 
@@ -321,25 +328,6 @@ void ReliableTransport::attempt(TransferId id) {
       for (std::uint8_t a = 0; a < n_addrs; ++a) {
         transmit(f, a);
         f.last_tx.push_back(a);
-      }
-      ++f.rounds_done;
-      break;
-    }
-    case SendStrategy::kAdaptive: {
-      if (f.rounds_done >= cfg_.attempts_per_address) {
-        finish(id, /*ok=*/false);
-        return;
-      }
-      const std::uint8_t best = health_.best_iface(f.dst, n_addrs);
-      if (health_.score(f.dst, best) < cfg_.health_degraded_below) {
-        // Degraded even on the best link: escalate to every link at once.
-        for (std::uint8_t a = 0; a < n_addrs; ++a) {
-          transmit(f, a);
-          f.last_tx.push_back(a);
-        }
-      } else {
-        transmit(f, best);
-        f.last_tx.push_back(best);
       }
       ++f.rounds_done;
       break;

@@ -187,7 +187,7 @@ class ReliableTransport : public TransportHandle {
     Time started = 0;            // send() time, for ack-latency measurement
     Slice frame;                 // framed once; shared by every (re)send
     int attempts_done = 0;   // attempts on the current address (sequential)
-    int rounds_done = 0;     // attempt rounds (parallel/adaptive)
+    int rounds_done = 0;     // attempt rounds (parallel)
     int total_attempts = 0;  // all attempts so far (backoff exponent)
     bool retransmitted = false;  // Karn: acks no longer yield RTT samples
     std::uint8_t addr_index = 0;
@@ -220,9 +220,7 @@ class ReliableTransport : public TransportHandle {
   Time attempt_rto(const InFlight& f, int backoff_step);
   void transmit(const InFlight& f, std::uint8_t to_iface);
   std::uint8_t peer_iface_count(NodeId peer) const;
-  RtoBounds rto_bounds() const {
-    return RtoBounds{cfg_.rto, cfg_.min_rto, cfg_.max_rto};
-  }
+  RtoBounds rto_bounds() const { return RtoBounds{cfg_.rto}; }
   /// Publishes the worst health score across tracked links to the
   /// transport.link_health gauge.
   void refresh_health_gauge();

@@ -28,7 +28,6 @@ namespace raincore::transport {
 enum class SendStrategy : std::uint8_t {
   kSequential,  ///< exhaust address 0, then address 1, ...
   kParallel,    ///< every attempt round sends on all address pairs at once
-  kAdaptive,    ///< healthiest single address; all addresses once degraded
 };
 
 struct TransportConfig {
@@ -45,26 +44,15 @@ struct TransportConfig {
   /// overflow advances the watermark over the oldest gap.
   std::size_t max_recv_tracked = 4096;
 
-  // --- Adaptive failure detection ------------------------------------------
-  /// Master switch. Off (the default) reproduces the paper's fixed-interval
-  /// schedule exactly: every attempt waits `rto`, no jitter, no health
-  /// steering, and failure_detection_bound() is the closed-form constant.
+  /// Adaptive failure detection. Off (the default) reproduces the paper's
+  /// fixed-interval schedule exactly: every attempt waits `rto`, no jitter,
+  /// no health steering, and failure_detection_bound() is the closed-form
+  /// constant. On, each attempt waits the link's Jacobson/Karels RTO
+  /// (`rto` until the first sample) clamped to [5 ms, 400 ms]
+  /// (RtoBounds), doubled per retry of one transfer, plus a seeded jitter
+  /// of up to 10% (transport.cpp); kSequential walks addresses
+  /// healthiest-first.
   bool adaptive = false;
-  /// Dynamic RTO clamp (Jacobson/Karels SRTT + 4*RTTVAR, `rto` until the
-  /// first sample).
-  Time min_rto = millis(5);
-  Time max_rto = millis(400);
-  /// Per-attempt RTO multiplier (exponential backoff across retries of one
-  /// transfer).
-  double rto_backoff = 2.0;
-  /// Deterministic jitter: each attempt waits rto + uniform[0, rto*jitter),
-  /// drawn from a node-seeded stream, so synchronized retry storms decohere
-  /// without breaking seeded-run replayability.
-  double rto_jitter = 0.1;
-  /// kAdaptive escalation threshold: while the best link's health score is
-  /// at or above this, send on that link alone; below it, send on all links
-  /// (kParallel behaviour) until the link recovers.
-  double health_degraded_below = 0.6;
 };
 
 /// Identifies one in-flight transfer at the sender.

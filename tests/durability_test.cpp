@@ -359,9 +359,8 @@ TEST_F(DurabilityTest, RestartStormSweepSeeds13To25) {
 }
 
 TEST_F(DurabilityTest, SameSeedSameOutcome) {
-  // Determinism modulo the wall clock: the fault schedule and every oracle
-  // outcome must be identical run-to-run (the metrics snapshot is excluded
-  // — storage.recovery_ns measures real disk time).
+  // The fault schedule, every oracle outcome and the merged metrics must be
+  // identical run-to-run.
   const std::string d1 = (root_ / "a").string();
   const std::string d2 = (root_ / "b").string();
   DurabilityRoundResult r1 = run_durability_round(7, d1);
@@ -373,6 +372,7 @@ TEST_F(DurabilityTest, SameSeedSameOutcome) {
   EXPECT_EQ(r1.voided_ops, r2.voided_ops);
   EXPECT_EQ(r1.acked_lost, r2.acked_lost);
   EXPECT_EQ(r1.phantom_resurrections, r2.phantom_resurrections);
+  EXPECT_EQ(r1.metrics, r2.metrics);
 }
 
 }  // namespace

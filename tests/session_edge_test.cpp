@@ -102,7 +102,7 @@ TEST(SessionEdge, StaleMergeInvitationIsDroppedSoCrossingMergesConverge) {
   EXPECT_TRUE(c.run_until_converged({1, 2, 3}, cfg.bodyodor_interval));
   // Long enough for a parked cycle to reach the escape (hungry_timeout +
   // three starving rounds): nobody may have starved on the way.
-  c.run(cfg.hungry_timeout + 4 * cfg.starving_retry);
+  c.run(cfg.hungry_timeout + 4 * session::kStarvingRetry);
   EXPECT_TRUE(c.converged({1, 2, 3}));
   for (NodeId id : c.ids()) {
     EXPECT_EQ(c.node(id).stats().starvations.value(), 0u) << "node " << id;

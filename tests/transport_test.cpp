@@ -351,10 +351,10 @@ TEST(RttEstimatorTest, JacobsonKarelsMathAndClamping) {
 TEST(LinkHealthTest, EwmaScoresRankingAndTies) {
   transport::LinkHealth h;
   EXPECT_DOUBLE_EQ(h.score(2, 0), 1.0);  // unknown links are optimistic
-  EXPECT_EQ(h.best_iface(2, 2), 0u);     // tie breaks to the lowest index
+  // Ties keep ascending index order.
+  EXPECT_EQ(h.ranked(2, 2), (std::vector<std::uint8_t>{0, 1}));
   h.on_timeout(2, 0);
   EXPECT_DOUBLE_EQ(h.score(2, 0), 0.875);
-  EXPECT_EQ(h.best_iface(2, 2), 1u);
   EXPECT_EQ(h.ranked(2, 2), (std::vector<std::uint8_t>{1, 0}));
   for (int i = 0; i < 30; ++i) h.on_success(2, 0);
   EXPECT_GT(h.score(2, 0), 0.95);  // recovers after sustained successes
@@ -489,7 +489,8 @@ TEST(TransportTest, SequentialStartsAtHealthiestAddressWhenAdaptive) {
   net.loop().run_for(seconds(1));
   ASSERT_TRUE(d1);
   EXPECT_LT(p.t1.link_health().score(2, 0), 1.0);
-  EXPECT_EQ(p.t1.link_health().best_iface(2, 2), 1u);
+  EXPECT_EQ(p.t1.link_health().ranked(2, 2),
+            (std::vector<std::uint8_t>{1, 0}));
   // The next transfer starts at the healthy address: delivery is immediate,
   // no RTO spent probing the dead primary.
   bool d2 = false;
@@ -502,33 +503,6 @@ TEST(TransportTest, SequentialStartsAtHealthiestAddressWhenAdaptive) {
   net.loop().run_for(seconds(1));
   ASSERT_TRUE(d2);
   EXPECT_LT(at - start, millis(5));
-}
-
-TEST(TransportTest, AdaptiveStrategyEscalatesToAllLinksWhenDegraded) {
-  SimNetwork net;
-  TransportConfig tcfg;
-  tcfg.adaptive = true;
-  tcfg.strategy = SendStrategy::kAdaptive;
-  tcfg.rto = millis(10);
-  tcfg.attempts_per_address = 8;
-  Pair p(net, tcfg, 2);
-  // Healthy cluster: single-link delivery works.
-  bool d1 = false;
-  p.t1.send(2, Bytes{1}, [&](transport::TransferId, NodeId) { d1 = true; });
-  net.loop().run_for(millis(50));
-  ASSERT_TRUE(d1);
-  // Cut the preferred link. Timeouts degrade its score below the
-  // escalation threshold, after which attempts fan out to every link and
-  // the survivor delivers all transfers.
-  net.set_link_up(net::Address{1, 0}, net::Address{2, 0}, false);
-  int done = 0;
-  for (int i = 0; i < 6; ++i) {
-    p.t1.send(2, Bytes{static_cast<std::uint8_t>(i)},
-              [&](transport::TransferId, NodeId) { ++done; });
-  }
-  net.loop().run_for(seconds(10));
-  EXPECT_EQ(done, 6);
-  EXPECT_LT(p.t1.link_health().score(2, 0), tcfg.health_degraded_below);
 }
 
 TEST(TransportTest, MalformedDatagramIsIgnored) {

@@ -1,5 +1,6 @@
 // Shared test/bench harness: a simulated cluster of one-ring SessionMux
-// nodes with recorded deliveries and views, plus convergence helpers.
+// nodes with recorded deliveries and views. Convergence is judged and
+// waited for by testing/oracles.h, as in the chaos harnesses.
 #pragma once
 
 #include <map>
@@ -10,6 +11,7 @@
 #include "net/sim_network.h"
 #include "session/session_mux.h"
 #include "testing/chaos.h"
+#include "testing/oracles.h"
 
 namespace raincore::testing {
 
@@ -41,22 +43,22 @@ class TestCluster {
       node->set_view_handler([this, id](const session::View& v) {
         views_[id].push_back(v);
       });
-      nodes_[id] = node;
+      rings_[id] = {node};
       muxes_[id] = std::move(mux);
     }
   }
 
   /// Founds every node (each a singleton group); discovery merges them.
   void found_all() {
-    for (auto& [id, n] : nodes_) n->found();
+    for (auto& [id, rings] : rings_) rings.front()->found();
   }
 
   /// Founds the first node and joins the rest through it.
   void bootstrap_via_join() {
-    auto it = nodes_.begin();
+    auto it = rings_.begin();
     NodeId seed = it->first;
-    it->second->found();
-    for (++it; it != nodes_.end(); ++it) it->second->join({seed});
+    it->second.front()->found();
+    for (++it; it != rings_.end(); ++it) it->second.front()->join({seed});
   }
 
   void run(Time d) { net_.loop().run_for(d); }
@@ -76,7 +78,9 @@ class TestCluster {
   }
   ChaosEngine& engine() { return *chaos_; }
 
-  session::SessionNode& node(NodeId id) { return *nodes_.at(id); }
+  session::SessionNode& node(NodeId id) { return *rings_.at(id).front(); }
+  /// Every node's one ring, for the checks in testing/oracles.h.
+  const RingTable& rings() const { return rings_; }
   /// The node's SessionMux: its transport and its one ring (group 0).
   session::SessionMux& mux(NodeId id) { return *muxes_.at(id); }
   net::SimNetwork& net() { return net_; }
@@ -85,7 +89,7 @@ class TestCluster {
 
   std::vector<NodeId> ids() const {
     std::vector<NodeId> out;
-    for (auto& [id, n] : nodes_) out.push_back(id);
+    for (auto& [id, rings] : rings_) out.push_back(id);
     return out;
   }
 
@@ -93,32 +97,21 @@ class TestCluster {
   /// exactly `expected` (nodes outside the expected set — e.g. cut-off or
   /// crashed ones — are not consulted).
   bool converged(const std::vector<NodeId>& expected) {
-    std::vector<NodeId> want = expected;
-    std::sort(want.begin(), want.end());
-    for (NodeId id : expected) {
-      auto& n = nodes_.at(id);
-      if (!n->started()) return false;
-      std::vector<NodeId> got = n->view().members;
-      std::sort(got.begin(), got.end());
-      if (got != want) return false;
-    }
-    return true;
+    return rings_converged(rings_, expected);
   }
 
-  /// Runs until converged(expected) or timeout; returns success.
+  /// Runs until converged(expected) or timeout; returns success, checking
+  /// once more at the deadline.
   bool run_until_converged(const std::vector<NodeId>& expected, Time timeout) {
-    Time deadline = net_.now() + timeout;
-    while (net_.now() < deadline) {
-      if (converged(expected)) return true;
-      net_.loop().run_for(millis(10));
-    }
-    return converged(expected);
+    return run_until(net_.loop(), timeout,
+                     [&] { return converged(expected); }) ||
+           converged(expected);
   }
 
   /// Multicast a string payload from `from`.
   MsgSeq send(NodeId from, const std::string& s,
               session::Ordering o = session::Ordering::kAgreed) {
-    return nodes_.at(from)->multicast(Bytes(s.begin(), s.end()), o);
+    return node(from).multicast(Bytes(s.begin(), s.end()), o);
   }
 
   /// Delivery sequences (origin, payload) must be identical across all
@@ -127,8 +120,8 @@ class TestCluster {
   std::string check_agreed_order() {
     const std::vector<Delivery>* ref = nullptr;
     NodeId ref_id = 0;
-    for (auto& [id, n] : nodes_) {
-      if (!n->started()) continue;
+    for (auto& [id, rings] : rings_) {
+      if (!rings.front()->started()) continue;
       if (!ref) {
         ref = &deliveries_[id];
         ref_id = id;
@@ -151,7 +144,7 @@ class TestCluster {
   session::SessionConfig cfg_;
   std::unique_ptr<ChaosEngine> chaos_;
   std::map<NodeId, std::unique_ptr<session::SessionMux>> muxes_;
-  std::map<NodeId, session::SessionNode*> nodes_;
+  RingTable rings_;
   std::map<NodeId, std::vector<Delivery>> deliveries_;
   std::map<NodeId, std::vector<session::View>> views_;
 };
