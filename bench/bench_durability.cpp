@@ -45,8 +45,7 @@
 #include "bench/util/bench_json.h"
 #include "bench/util/gc_harness.h"
 #include "data/shard_router.h"
-#include "net/sim_network.h"
-#include "session/session_mux.h"
+#include "testing/cluster.h"
 
 using namespace raincore;
 using raincore::bench::print_banner;
@@ -74,12 +73,6 @@ double wall_ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-struct Stack {
-  std::unique_ptr<session::SessionMux> mux;
-  std::unique_ptr<data::ShardedDataPlane> plane;
-  std::unique_ptr<data::ShardedMap> map;
-};
-
 struct ThroughputResult {
   double wall_ms = 0;
   double msgs_per_s = 0;
@@ -87,79 +80,74 @@ struct ThroughputResult {
   metrics::Snapshot storage;
 };
 
+/// kShards rings per node over stores under `dir` (empty = durability
+/// off), group-committed every `fsync_every` records.
+testing::Cluster::Plane plane_config(const std::string& dir,
+                                     std::size_t fsync_every,
+                                     std::size_t snapshot_every) {
+  testing::Cluster::Plane p;
+  p.shards = kShards;
+  p.storage.dir = dir;
+  p.storage.fsync_every = fsync_every;
+  p.storage.snapshot_every = snapshot_every;
+  return p;
+}
+
+[[noreturn]] void fatal_open(const std::string& dir) {
+  std::fprintf(stderr, "FATAL: cannot open stores under %s\n", dir.c_str());
+  std::exit(1);
+}
+
 /// Phase A: drive msgs_per_node puts per node to full application
 /// everywhere; the returned throughput is messages per WALL second.
 ThroughputResult run_workload(std::size_t msgs_per_node,
                               const std::string& dir) {
-  net::SimNetwork net;
-  std::vector<NodeId> ids;
-  for (NodeId id = 1; id <= kNodes; ++id) ids.push_back(id);
-  session::SessionConfig scfg;
-  scfg.eligible = ids;
-
-  std::map<NodeId, Stack> stacks;
-  for (NodeId id : ids) {
-    Stack& st = stacks[id];
-    st.mux = std::make_unique<session::SessionMux>(net.add_node(id));
-    storage::StorageConfig cfg;  // empty dir = durability off
-    if (!dir.empty()) {
-      cfg.dir = dir + "/node" + std::to_string(id);
-      cfg.fsync_every = g_fsync_every;
-      cfg.snapshot_every = 4096;
-    }
-    st.plane = std::make_unique<data::ShardedDataPlane>(*st.mux, kShards,
-                                                        scfg, 0, cfg);
-    st.map = std::make_unique<data::ShardedMap>(*st.plane, kChannel);
-    if (!dir.empty() && !st.plane->open_storage()) {
-      std::fprintf(stderr, "FATAL: cannot open stores under %s\n",
-                   cfg.dir.c_str());
-      std::exit(1);
-    }
-    st.plane->found_all();
+  testing::Cluster c(testing::node_ids(kNodes),
+                     plane_config(dir, g_fsync_every, 4096));
+  std::map<NodeId, std::unique_ptr<data::ShardedMap>> maps;
+  for (NodeId id : c.ids()) {
+    maps[id] = std::make_unique<data::ShardedMap>(c.plane(id), kChannel);
   }
-  for (int i = 0; i < 2000; ++i) {
-    net.loop().run_for(millis(10));
-    bool ok = true;
-    for (NodeId id : ids) {
-      if (!stacks[id].plane->all_converged(kNodes)) ok = false;
-    }
-    if (ok) break;
+  if (!c.found_all()) fatal_open(dir);
+  if (!c.run_until_converged(c.ids(), seconds(20))) {
+    std::fprintf(stderr, "FATAL: the rings did not form in 20 s\n");
+    std::exit(1);
   }
 
   // Producers: one put per simulated millisecond per node until each has
   // proposed its quota; unique keys, so full application is size-checkable.
   std::map<NodeId, std::uint64_t> sent;
   std::vector<std::unique_ptr<std::function<void()>>> tickers;
-  for (NodeId id : ids) {
+  for (NodeId id : c.ids()) {
     auto tick = std::make_unique<std::function<void()>>();
     std::function<void()>* self = tick.get();
     *tick = [&, id, self] {
       if (sent[id] >= msgs_per_node) return;
       std::uint64_t n = sent[id]++;
-      stacks[id].map->put("n" + std::to_string(id) + ":" + std::to_string(n),
-                          "v" + std::to_string(n));
-      stacks[id].mux->env().schedule(millis(1), *self);
+      maps[id]->put("n" + std::to_string(id) + ":" + std::to_string(n),
+                    "v" + std::to_string(n));
+      c.mux(id).env().schedule(millis(1), *self);
     };
-    stacks[id].mux->env().schedule(millis(1), *tick);
+    c.mux(id).env().schedule(millis(1), *tick);
     tickers.push_back(std::move(tick));
   }
 
   const std::size_t total = kNodes * msgs_per_node;
   auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < 100000; ++i) {
-    net.loop().run_for(millis(20));
+    c.run(millis(20));
     bool done = true;
-    for (NodeId id : ids) {
-      if (stacks[id].map->size() < total) done = false;
+    for (NodeId id : c.ids()) {
+      if (maps[id]->size() < total) done = false;
     }
     if (done) break;
   }
   ThroughputResult r;
   r.wall_ms = wall_ms_since(t0);
-  for (NodeId id : ids) r.applied += stacks[id].map->size();
+  for (NodeId id : c.ids()) r.applied += maps[id]->size();
   if (!dir.empty()) {
-    for (NodeId id : ids) stacks[id].plane->flush_storage();
-    r.storage = stacks[1].plane->storage_snapshot();
+    for (NodeId id : c.ids()) c.plane(id).flush_storage();
+    r.storage = c.plane(1).storage_snapshot();
   }
   r.msgs_per_s = static_cast<double>(total) / (r.wall_ms / 1e3);
   if (r.applied != total * kNodes) {
@@ -199,57 +187,43 @@ struct RecoveryResult {
 /// recovery over the same directory.
 RecoveryResult run_recovery(std::size_t entries, const std::string& dir) {
   fs::remove_all(dir);
-  storage::StorageConfig cfg;
-  cfg.dir = dir;
-  cfg.fsync_every = kFsyncEvery;
-  cfg.snapshot_every = 0;  // never compact: recovery must replay the log
-  session::SessionConfig scfg;
-  scfg.eligible = {1};
+  // Never compact: recovery must replay the log.
+  const testing::Cluster::Plane one_node = plane_config(dir, kFsyncEvery, 0);
   {
-    net::SimNetwork net;
-    session::SessionMux mux(net.add_node(1));
-    data::ShardedDataPlane plane(mux, kShards, scfg, 0, cfg);
-    data::ShardedMap map(plane, kChannel);
-    if (!plane.open_storage()) {
-      std::fprintf(stderr, "FATAL: cannot open stores under %s\n",
-                   dir.c_str());
-      std::exit(1);
-    }
-    plane.found_all();
-    net.loop().run_for(millis(50));
+    testing::Cluster c({1}, one_node);
+    data::ShardedMap map(c.plane(1), kChannel);
+    if (!c.found_all()) fatal_open(dir);
+    c.run(millis(50));
     std::size_t written = 0;
     while (written < entries) {
       // Propose in token-sized clumps; the singleton ring applies them all.
       for (std::size_t b = 0; b < 64 && written < entries; ++b, ++written) {
         map.put("k" + std::to_string(written), "v" + std::to_string(written));
       }
-      net.loop().run_for(millis(5));
+      c.run(millis(5));
     }
-    net.loop().run_for(millis(200));
+    c.run(millis(200));
     if (map.size() != entries) {
       std::fprintf(stderr, "FATAL: only %zu of %zu entries applied\n",
                    map.size(), entries);
       std::exit(1);
     }
-    plane.flush_storage();
+    c.plane(1).flush_storage();
   }
 
-  // Cold start: a brand-new stack over the same directory.
-  net::SimNetwork net;
-  session::SessionMux mux(net.add_node(1));
-  data::ShardedDataPlane plane(mux, kShards, scfg, 0, cfg);
+  // Cold start: a brand-new node over the same directory. Only the replay
+  // is timed, so the stores are opened, recovered and founded by hand.
+  testing::Cluster c({1}, one_node);
+  data::ShardedDataPlane& plane = c.plane(1);
   data::ShardedMap map(plane, kChannel);
-  if (!plane.open_storage()) {
-    std::fprintf(stderr, "FATAL: reopen failed under %s\n", dir.c_str());
-    std::exit(1);
-  }
+  if (!plane.open_storage()) fatal_open(dir);
   auto t0 = std::chrono::steady_clock::now();
   plane.recover_storage();
   RecoveryResult r;
   r.recovery_ms = wall_ms_since(t0);
   r.entries = entries;
   plane.found_all();  // founding view adopts the recovered shadow
-  net.loop().run_for(millis(100));
+  c.run(millis(100));
   const metrics::Snapshot snap = plane.storage_snapshot();
   for (const auto& [name, v] : snap.counters) {
     if (name.find("storage.wal.replayed") != std::string::npos) {

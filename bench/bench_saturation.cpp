@@ -22,6 +22,7 @@
 // offered load only converts into backpressure stalls and latency. README
 // "Tuning the batch knobs" walks through using this output.
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -30,8 +31,7 @@
 #include "bench/util/bench_json.h"
 #include "bench/util/gc_harness.h"
 #include "data/shard_router.h"
-#include "net/sim_network.h"
-#include "session/session_mux.h"
+#include "testing/cluster.h"
 
 using namespace raincore;
 using raincore::bench::print_banner;
@@ -64,35 +64,23 @@ struct Point {
   metrics::Snapshot node1;
 };
 
-struct NodeStack {
-  std::unique_ptr<session::SessionMux> mux;
-  std::unique_ptr<data::ShardedDataPlane> plane;
-};
-
 Point run_point(int burst) {
-  net::SimNetwork net;
-  std::vector<NodeId> ids;
-  for (NodeId id = 1; id <= kNodes; ++id) ids.push_back(id);
+  testing::Cluster::Plane shape;
+  shape.shards = kShards;
+  shape.ring.token_hold = kTokenHold;
+  shape.ring.max_batch_msgs = 512;
+  shape.ring.max_batch_bytes = 256 << 10;
+  testing::Cluster c(testing::node_ids(kNodes), shape);
+  net::SimNetwork& net = c.net();
 
-  session::SessionConfig scfg;
-  scfg.token_hold = kTokenHold;
-  scfg.max_batch_msgs = 512;
-  scfg.max_batch_bytes = 256 << 10;
-  scfg.eligible = ids;
-
-  std::map<NodeId, NodeStack> stacks;
   std::map<NodeId, std::uint64_t> delivered;
   Histogram latency;
   Time window_open = -1;
   Time last_counted = -1;
 
-  for (NodeId id : ids) {
-    NodeStack& st = stacks[id];
-    st.mux = std::make_unique<session::SessionMux>(net.add_node(id));
-    st.plane =
-        std::make_unique<data::ShardedDataPlane>(*st.mux, kShards, scfg);
+  for (NodeId id : c.ids()) {
     for (std::size_t s = 0; s < kShards; ++s) {
-      st.plane->channels(s).subscribe(
+      c.plane(id).channels(s).subscribe(
           kBenchChannel, [&, id](NodeId, const Slice& p, session::Ordering) {
             if (window_open < 0 || p.size() < 8) return;
             ByteReader r(p);
@@ -105,14 +93,11 @@ Point run_point(int burst) {
     }
   }
 
-  for (NodeId id : ids) stacks[id].plane->found_all();
-  for (int i = 0; i < 3000; ++i) {
-    net.loop().run_for(millis(10));
-    bool ok = true;
-    for (NodeId id : ids) {
-      if (!stacks[id].plane->all_converged(kNodes)) ok = false;
-    }
-    if (ok) break;
+  c.found_all();
+  if (!c.run_until_converged(c.ids(), seconds(30))) {
+    std::fprintf(stderr, "FATAL: burst %d: the rings did not form in 30 s\n",
+                 burst);
+    std::exit(1);
   }
 
   // Refusals are counted only inside the window so the fraction matches the
@@ -121,12 +106,12 @@ Point run_point(int burst) {
   std::uint64_t attempted = 0, refused = 0;
   bool producing = true;
   std::vector<std::unique_ptr<std::function<void()>>> tickers;
-  for (NodeId id : ids) {
+  for (NodeId id : c.ids()) {
     auto tick = std::make_unique<std::function<void()>>();
     std::function<void()>* self = tick.get();
     *tick = [&, id, burst, self] {
       if (!producing) return;
-      data::ShardedDataPlane& plane = *stacks[id].plane;
+      data::ShardedDataPlane& plane = c.plane(id);
       for (int b = 0; b < burst; ++b) {
         std::string key =
             "n" + std::to_string(id) + ":" + std::to_string(seq[id]++);
@@ -140,9 +125,9 @@ Point run_point(int burst) {
           if (counted) ++refused;
         }
       }
-      stacks[id].mux->env().schedule(kInjectEvery, *self);
+      c.mux(id).env().schedule(kInjectEvery, *self);
     };
-    stacks[id].mux->env().schedule(kInjectEvery, *tick);
+    c.mux(id).env().schedule(kInjectEvery, *tick);
     tickers.push_back(std::move(tick));
   }
 
@@ -153,7 +138,7 @@ Point run_point(int burst) {
   producing = false;
   auto count_total = [&] {
     std::uint64_t total = 0;
-    for (NodeId id : ids) total += delivered[id];
+    for (NodeId id : c.ids()) total += delivered[id];
     return total;
   };
   std::uint64_t total = count_total();
@@ -179,7 +164,7 @@ Point run_point(int burst) {
   p.throughput = static_cast<double>(total) / kNodes / to_seconds(elapsed);
   p.p50_ms = latency.percentile(0.5) / 1e6;
   p.p95_ms = latency.percentile(0.95) / 1e6;
-  p.node1 = stacks[1].mux->metrics_snapshot();
+  p.node1 = c.mux(1).metrics_snapshot();
   return p;
 }
 

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -13,8 +14,7 @@
 #include "baseline/sequencer_gc.h"
 #include "baseline/two_phase_gc.h"
 #include "common/stats.h"
-#include "net/sim_network.h"
-#include "session/session_mux.h"
+#include "testing/cluster.h"
 
 namespace raincore::bench {
 
@@ -31,83 +31,108 @@ inline const char* stack_name(Stack s) {
 }
 
 /// A cluster of N nodes all running the chosen stack, with uniform
-/// multicast workload helpers and metric collection.
+/// multicast workload helpers and metric collection. Raincore nodes are a
+/// testing::Cluster of one ring each; the baselines run on its network.
 class GcCluster {
  public:
   GcCluster(Stack stack, std::size_t n, session::SessionConfig scfg = {},
             net::SimNetConfig ncfg = {})
-      : stack_(stack), net_(ncfg) {
-    for (NodeId id = 1; id <= n; ++id) ids_.push_back(id);
-    scfg.eligible = ids_;
+      : stack_(stack),
+        ids_(testing::node_ids(n)),
+        raincore_(stack == Stack::kRaincore ? ids_ : std::vector<NodeId>{},
+                  std::move(scfg), ncfg) {
     for (NodeId id : ids_) {
-      auto& env = net_.add_node(id);
-      Member m;
+      Member& m = members_[id];
       if (stack == Stack::kRaincore) {
-        m.node = std::make_unique<session::SessionMux>(env, scfg.transport);
-        m.session = &m.node->create_ring(0, scfg);
-        m.session->set_deliver_handler(
-            [this, id](NodeId origin, const Slice& payload, session::Ordering) {
-              on_deliver(id, origin, payload);
+        raincore_.node(id).set_deliver_handler(
+            [this](NodeId, const Slice& payload, session::Ordering) {
+              on_deliver(payload);
             });
-      } else {
-        switch (stack) {
-          case Stack::kBroadcast:
-            m.gc = std::make_unique<baseline::BroadcastGC>(env, ids_);
-            break;
-          case Stack::kSequencer:
-            m.gc = std::make_unique<baseline::SequencerGC>(env, ids_);
-            break;
-          default:
-            m.gc = std::make_unique<baseline::TwoPhaseGC>(env, ids_);
-        }
-        m.gc->set_deliver_handler(
-            [this, id](NodeId origin, const Slice& payload) {
-              on_deliver(id, origin, payload);
-            });
+        continue;
       }
-      members_[id] = std::move(m);
+      auto& env = net().add_node(id);
+      switch (stack) {
+        case Stack::kBroadcast:
+          m.gc = std::make_unique<baseline::BroadcastGC>(env, ids_);
+          break;
+        case Stack::kSequencer:
+          m.gc = std::make_unique<baseline::SequencerGC>(env, ids_);
+          break;
+        default:
+          m.gc = std::make_unique<baseline::TwoPhaseGC>(env, ids_);
+      }
+      m.gc->set_deliver_handler(
+          [this](NodeId, const Slice& payload) { on_deliver(payload); });
     }
   }
 
-  /// Boots the cluster. For Raincore this forms the ring and waits for
-  /// convergence; baselines are static and start instantly.
+  /// Boots the cluster. For Raincore this forms the ring through node 1
+  /// and exits the bench if it does not converge; baselines are static and
+  /// start instantly.
   void start() {
     if (stack_ != Stack::kRaincore) return;
-    auto it = members_.begin();
-    it->second.session->found();
-    NodeId seed = it->first;
-    for (++it; it != members_.end(); ++it) it->second.session->join({seed});
-    // Converge.
-    for (int i = 0; i < 3000; ++i) {
-      net_.loop().run_for(millis(10));
-      bool ok = true;
-      for (auto& [id, m] : members_) {
-        if (m.session->view().members.size() != ids_.size()) ok = false;
-      }
-      if (ok) return;
+    raincore_.bootstrap_via_join();
+    if (!raincore_.run_until_converged(ids_, seconds(30))) {
+      std::fprintf(stderr, "FATAL: the %zu-node ring did not form in 30 s\n",
+                   ids_.size());
+      std::exit(1);
     }
   }
 
-  void run(Time d) { net_.loop().run_for(d); }
+  void run(Time d) { net().loop().run_for(d); }
 
   /// Multicasts a payload of `bytes` bytes stamped with the submit time.
   void multicast(NodeId from, std::size_t bytes) {
     ByteWriter w(bytes + 16);
     w.u64(next_msg_id_);
-    w.i64(net_.now());
+    w.i64(net().now());
     for (std::size_t i = w.size(); i < bytes; ++i) w.u8(0xab);
-    submit_time_[next_msg_id_] = net_.now();
     ++next_msg_id_;
-    Member& m = members_.at(from);
-    if (m.session) {
-      m.session->multicast(w.take());
+    if (stack_ == Stack::kRaincore) {
+      raincore_.node(from).multicast(w.take());
     } else {
-      m.gc->multicast(w.take());
+      members_.at(from).gc->multicast(w.take());
     }
   }
 
-  void on_deliver(NodeId at, NodeId, const Slice& payload) {
-    (void)at;
+  /// Resets all measurement state (call after warmup).
+  void reset_metrics() {
+    net().reset_stats();
+    deliveries_ = 0;
+    latency_.reset();
+    for (auto& [id, m] : members_) {
+      m.ts_baseline = task_switches_of(id);
+    }
+  }
+
+  /// Mean per-node task switches since reset_metrics().
+  double mean_task_switches() {
+    double sum = 0;
+    for (auto& [id, m] : members_) {
+      sum += static_cast<double>(task_switches_of(id) - m.ts_baseline);
+    }
+    return sum / static_cast<double>(members_.size());
+  }
+
+  net::SimNetwork& net() { return raincore_.net(); }
+  const std::vector<NodeId>& ids() const { return ids_; }
+  std::uint64_t deliveries() const { return deliveries_; }
+  const Histogram& latency() const { return latency_; }
+  session::SessionNode& session(NodeId id) { return raincore_.node(id); }
+
+ private:
+  struct Member {
+    std::unique_ptr<baseline::GroupComm> gc;  // baselines
+    std::uint64_t ts_baseline = 0;
+  };
+
+  std::uint64_t task_switches_of(NodeId id) {
+    return stack_ == Stack::kRaincore
+               ? raincore_.mux(id).transport().task_switches().value()
+               : members_.at(id).gc->task_switches().value();
+  }
+
+  void on_deliver(const Slice& payload) {
     ++deliveries_;
     if (payload.size() >= 16) {
       ByteReader r(payload);
@@ -117,60 +142,19 @@ class GcCluster {
       ++n;
       if (n == ids_.size()) {
         // Message has reached every member: record full-delivery latency.
-        latency_.record_time(net_.now() - sent);
+        latency_.record_time(net().now() - sent);
         deliver_count_.erase(id);
-        submit_time_.erase(id);
       }
     }
   }
 
-  /// Resets all measurement state (call after warmup).
-  void reset_metrics() {
-    net_.reset_stats();
-    deliveries_ = 0;
-    latency_.reset();
-    for (auto& [id, m] : members_) {
-      m.ts_baseline = task_switches_of(id);
-    }
-  }
-
-  std::uint64_t task_switches_of(NodeId id) const {
-    const Member& m = members_.at(id);
-    return m.node ? m.node->transport().task_switches().value()
-                     : m.gc->task_switches().value();
-  }
-
-  /// Mean per-node task switches since reset_metrics().
-  double mean_task_switches() const {
-    double sum = 0;
-    for (auto& [id, m] : members_) {
-      sum += static_cast<double>(task_switches_of(id) - m.ts_baseline);
-    }
-    return sum / static_cast<double>(members_.size());
-  }
-
-  net::SimNetwork& net() { return net_; }
-  const std::vector<NodeId>& ids() const { return ids_; }
-  std::uint64_t deliveries() const { return deliveries_; }
-  const Histogram& latency() const { return latency_; }
-  session::SessionNode& session(NodeId id) { return *members_.at(id).session; }
-
- private:
-  struct Member {
-    std::unique_ptr<session::SessionMux> node;  // raincore
-    session::SessionNode* session = nullptr;    // node's one ring
-    std::unique_ptr<baseline::GroupComm> gc;    // baselines
-    std::uint64_t ts_baseline = 0;
-  };
-
   Stack stack_;
-  net::SimNetwork net_;
   std::vector<NodeId> ids_;
+  testing::Cluster raincore_;  // no nodes when a baseline runs
   std::map<NodeId, Member> members_;
   std::uint64_t next_msg_id_ = 1;
   std::uint64_t deliveries_ = 0;
   std::map<std::uint64_t, std::size_t> deliver_count_;
-  std::map<std::uint64_t, Time> submit_time_;
   Histogram latency_;
 };
 

@@ -44,6 +44,10 @@
 # (The binary, not the `metrics` label, which also holds the
 # bench_json_emit_* fixtures.)
 #
+# Both trees compile with -Werror on top of the project's warning flags
+# (-Wall -Wextra -Wshadow ...), so a change that adds a compiler warning
+# fails here instead of scrolling past in every later build log.
+#
 # The last stage builds the benchmark (perfbench/, its own CMake tree over
 # ../src, in .bench_build/) and runs its self-test. perfbench calls the
 # node, ring and scheduler entry points directly, so a change that breaks
@@ -70,7 +74,7 @@ SOAK_FALSE_RM_BUDGET="${SOAK_FALSE_RM_BUDGET:-12}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
 echo "== configure + build (ASAN) in $BUILD"
-cmake -B "$BUILD" -S "$ROOT" -DRAINCORE_ASAN=ON
+cmake -B "$BUILD" -S "$ROOT" -DRAINCORE_ASAN=ON -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$BUILD" -j"$JOBS" --target bench_chaos wire_perf_test \
     shard_test bench_shard bench_json_check storage_test durability_test \
     bench_durability batching_test fuzz_robustness_test property_test \
@@ -127,7 +131,7 @@ echo "== batching label under ASAN (batch-codec fuzzers over aliased" \
 ctest --test-dir "$BUILD" -L batching --output-on-failure
 
 echo "== configure + build (TSAN) in $TSAN_BUILD"
-cmake -B "$TSAN_BUILD" -S "$ROOT" -DRAINCORE_TSAN=ON
+cmake -B "$TSAN_BUILD" -S "$ROOT" -DRAINCORE_TSAN=ON -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$TSAN_BUILD" -j"$JOBS" --target real_time_loop_test \
     runtime_test udp_cluster raincored cluster_harness metrics_test
 

@@ -61,8 +61,6 @@ class PacketEngine {
   /// Fraction of the last tick's CPU spent on group communication.
   double gc_cpu_fraction() const { return last_gc_cpu_; }
 
-  const Counter& bytes_forwarded() const { return bytes_forwarded_; }
-  const Counter& pkts_forwarded() const { return pkts_forwarded_; }
   const Counter& conns_denied() const { return conns_denied_; }
 
   /// Engine instruments ("app.wall.*"): forwarding counts plus CPU-

@@ -48,10 +48,8 @@ class FirewallPolicy {
       : default_action_(default_action) {}
 
   void add_rule(Rule r) { rules_.push_back(r); }
-  std::size_t rule_count() const { return rules_.size(); }
 
   Action evaluate(const FiveTuple& t) const {
-    evaluations_.inc();
     for (const Rule& r : rules_) {
       if (r.matches(t)) {
         if (r.action == Action::kDeny) denies_.inc();
@@ -62,13 +60,11 @@ class FirewallPolicy {
     return default_action_;
   }
 
-  const Counter& evaluations() const { return evaluations_; }
   const Counter& denies() const { return denies_; }
 
  private:
   Action default_action_;
   std::vector<Rule> rules_;
-  mutable Counter evaluations_;
   mutable Counter denies_;
 };
 

@@ -36,7 +36,6 @@ class JsonValue {
   static JsonValue object();
 
   Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
   bool is_bool() const { return type_ == Type::kBool; }
   bool is_number() const { return type_ == Type::kNumber; }
   bool is_string() const { return type_ == Type::kString; }

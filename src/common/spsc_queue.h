@@ -61,7 +61,6 @@ class SpscQueue {
     std::size_t head = head_.load(std::memory_order_acquire);
     return tail >= head ? tail - head : 0;
   }
-  bool empty_approx() const { return size_approx() == 0; }
 
  private:
   std::vector<T> slots_;

@@ -154,12 +154,10 @@ VersionedRouter::ReadRoute VersionedRouter::route_read(
 ShardedDataPlane::ShardedDataPlane(session::SessionMux& mux,
                                    std::size_t shards,
                                    session::SessionConfig ring_cfg,
-                                   transport::MuxGroup base_group,
                                    storage::StorageConfig storage_cfg)
     : mux_(mux),
       vrouter_(shards),
       ring_cfg_(std::move(ring_cfg)),
-      base_group_(base_group),
       storage_cfg_(std::move(storage_cfg)) {
   rings_.reserve(shards);
   channels_.reserve(shards);
@@ -172,7 +170,7 @@ void ShardedDataPlane::grow_to(std::size_t new_shards) {
     session::SessionConfig cfg = ring_cfg_;
     const std::string prefix = "shard" + std::to_string(s) + ".";
     cfg.metrics_prefix = prefix;
-    auto group = static_cast<transport::MuxGroup>(base_group_ + s);
+    auto group = static_cast<transport::MuxGroup>(s);
     session::SessionNode& ring = mux_.create_ring(group, std::move(cfg));
     rings_.push_back(&ring);
     channels_.push_back(std::make_unique<ChannelMux>(ring));

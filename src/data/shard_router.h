@@ -146,7 +146,7 @@ class VersionedRouter {
 class ReshardManager;
 
 /// Per-node bundle of K shard rings on one SessionMux: creates rings on
-/// groups base..base+K-1 (metrics prefixes "shard<k>.") and wraps each in a
+/// groups 0..K-1 (metrics prefixes "shard<k>.") and wraps each in a
 /// ChannelMux for the data services. The mux must outlive the plane.
 ///
 /// With a non-empty storage config, the plane also owns one
@@ -160,7 +160,6 @@ class ShardedDataPlane {
  public:
   ShardedDataPlane(session::SessionMux& mux, std::size_t shards,
                    session::SessionConfig ring_cfg,
-                   transport::MuxGroup base_group = 0,
                    storage::StorageConfig storage_cfg = {});
 
   std::size_t shard_count() const { return rings_.size(); }
@@ -208,7 +207,6 @@ class ShardedDataPlane {
   session::SessionMux& mux_;
   VersionedRouter vrouter_;
   session::SessionConfig ring_cfg_;     ///< template for grown rings
-  transport::MuxGroup base_group_ = 0;
   storage::StorageConfig storage_cfg_;  ///< template for grown stores
   std::vector<session::SessionNode*> rings_;
   std::vector<std::unique_ptr<ChannelMux>> channels_;

@@ -201,12 +201,6 @@ void ThreadedNode::found_all() {
   }
 }
 
-void ThreadedNode::join_all(std::vector<NodeId> contacts) {
-  for (std::size_t k = 0; k < workers_.size(); ++k) {
-    post_to_shard(k, [contacts](session::SessionNode& r) { r.join(contacts); });
-  }
-}
-
 std::size_t ThreadedNode::view_size(std::size_t k) {
   std::size_t n = 0;
   run_on_shard(k, [&n](session::SessionNode& r) {

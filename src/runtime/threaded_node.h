@@ -92,9 +92,8 @@ class ThreadedNode {
   /// Blocking execution on shard k's worker thread (requires start()ed).
   void run_on_shard(std::size_t k,
                     std::function<void(session::SessionNode&)> fn);
-  /// found()/join() every shard ring on its own worker.
+  /// found() every shard ring on its own worker.
   void found_all();
-  void join_all(std::vector<NodeId> contacts);
   /// Blocking: current member count of shard k's view.
   std::size_t view_size(std::size_t k);
   /// Blocking: every shard ring's view has exactly n members.
@@ -104,14 +103,10 @@ class ThreadedNode {
   std::size_t shard_count() const { return workers_.size(); }
   NodeId node() const { return cfg_.node; }
   net::RealTimeLoop& io_loop() { return io_loop_; }
-  /// Owner-thread access only (I/O thread, or any thread while stopped).
-  transport::ReliableTransport& transport_unsafe() { return transport_; }
   /// Owner-thread access only (worker k, or any thread while stopped).
   session::SessionNode& ring_unsafe(std::size_t k) {
     return *workers_.at(k)->ring;
   }
-  /// Runtime-layer instruments (proxy overflow/retry counters).
-  metrics::Registry& runtime_metrics() { return runtime_reg_; }
   /// Merged snapshot: transport + every ring + runtime instruments, plus
   /// each loop's wake count ("runtime.loop.io.wakeups",
   /// "shard<k>.runtime.loop.wakeups"). Safe while running (instruments are

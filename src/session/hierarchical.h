@@ -79,8 +79,6 @@ class HierarchicalNode {
   bool is_leader() const { return leader_; }
   const View& local_view() const { return local_.view(); }
   const View& global_view() const { return global_.view(); }
-  SessionNode& local_session() { return local_; }
-  SessionNode& global_session() { return global_; }
   /// The shared runtime both rings ride (one transport, one detector).
   SessionMux& mux() { return mux_; }
 

@@ -245,14 +245,10 @@ class SessionNode {
   std::size_t pending_out_bytes() const { return pending_bytes_; }
   /// The environment this ring's timers and rng run on.
   net::NodeEnv& env() { return env_; }
-  /// Demux group this ring's frames are stamped with.
-  transport::MuxGroup mux_group() const { return group_; }
   const SessionConfig& config() const { return cfg_; }
 
   /// Debug/test introspection: TBM tokens held while awaiting our own.
   std::size_t pending_foreign_count() const { return pending_foreign_.size(); }
-  bool hungry_timer_armed() const { return hungry_timer_ != 0; }
-  bool hold_timer_armed() const { return hold_timer_ != 0; }
 
   /// Named views into the node's metrics registry. The field names predate
   /// the registry; both spellings address the same instruments.

@@ -131,9 +131,9 @@ void ChaosEngine::add_revert(Time after, std::function<void()> fn) {
   r.timer = net_.loop().schedule(after, [this, rid] {
     auto it = reverts_.find(rid);
     if (it == reverts_.end()) return;
-    auto fn = std::move(it->second.fn);
+    auto revert = std::move(it->second.fn);
     reverts_.erase(it);
-    fn();
+    revert();
   });
   reverts_.emplace(rid, std::move(r));
 }
@@ -560,10 +560,10 @@ bool ChaosCluster::bootstrap(Time timeout) {
 }
 
 void ChaosCluster::start_traffic(NodeId id) {
-  Stack& st = *stacks_.at(id);
+  Stack& stack = *stacks_.at(id);
   Time gap = millis(8) + static_cast<Time>(
-                             st.traffic_rng.next_below(millis(8)));
-  st.traffic_timer = net_.loop().schedule(gap, [this, id] {
+                             stack.traffic_rng.next_below(millis(8)));
+  stack.traffic_timer = net_.loop().schedule(gap, [this, id] {
     Stack& st = *stacks_.at(id);
     st.traffic_timer = 0;
     if (!traffic_on_) return;
@@ -948,10 +948,10 @@ bool MultiRingChaosCluster::bootstrap(Time timeout) {
 }
 
 void MultiRingChaosCluster::start_traffic(NodeId id) {
-  Stack& st = *stacks_.at(id);
+  Stack& stack = *stacks_.at(id);
   Time gap =
-      millis(8) + static_cast<Time>(st.traffic_rng.next_below(millis(8)));
-  st.traffic_timer = net_.loop().schedule(gap, [this, id] {
+      millis(8) + static_cast<Time>(stack.traffic_rng.next_below(millis(8)));
+  stack.traffic_timer = net_.loop().schedule(gap, [this, id] {
     Stack& st = *stacks_.at(id);
     st.traffic_timer = 0;
     if (!traffic_on_) return;

@@ -17,7 +17,8 @@
 //   - every virtual IP covered by a live owner the subnet resolves (§3.1).
 //
 // The ring invariants are checked by testing/oracles.h, shared with the
-// durability harness and TestCluster; the application invariants live here.
+// durability harness and testing::Cluster; the application invariants live
+// here.
 //
 // Every stochastic decision draws from one seeded Rng in virtual time, so a
 // violation report carries the seed and the full fault schedule: re-running
@@ -97,7 +98,7 @@ struct FaultEvent {
 /// Injects a randomized, seed-replayable fault schedule into a SimNetwork.
 /// The engine owns node up/down state and link overrides while running;
 /// crash/restart of the protocol stack is delegated to the hooks so the
-/// engine works with any harness (TestCluster, ChaosCluster, benches).
+/// engine works with any harness (testing::Cluster, ChaosCluster, benches).
 class ChaosEngine {
  public:
   using NodeHook = std::function<void(NodeId)>;

@@ -39,7 +39,7 @@ DurabilityChaosCluster::DurabilityChaosCluster(std::vector<NodeId> ids,
     storage::StorageConfig scfg = dur_cfg_.storage;
     scfg.dir = root_dir_ + "/node" + std::to_string(id);
     st->plane = std::make_unique<data::ShardedDataPlane>(
-        *st->mux, dur_cfg_.n_shards, session_cfg_, 0, scfg);
+        *st->mux, dur_cfg_.n_shards, session_cfg_, scfg);
     st->map = std::make_unique<data::ShardedMap>(*st->plane, kMapChannel);
     st->locks =
         std::make_unique<data::ShardedLockManager>(*st->plane, kLockChannel);
@@ -101,10 +101,10 @@ bool DurabilityChaosCluster::bootstrap(Time timeout) {
 // --- client traffic + ack tracking -----------------------------------------
 
 void DurabilityChaosCluster::start_traffic(NodeId id) {
-  Stack& st = *stacks_.at(id);
+  Stack& stack = *stacks_.at(id);
   Time gap =
-      millis(3) + static_cast<Time>(st.traffic_rng.next_below(millis(5)));
-  st.traffic_timer = net_.loop().schedule(gap, [this, id] {
+      millis(3) + static_cast<Time>(stack.traffic_rng.next_below(millis(5)));
+  stack.traffic_timer = net_.loop().schedule(gap, [this, id] {
     Stack& st = *stacks_.at(id);
     st.traffic_timer = 0;
     if (!traffic_on_) return;
@@ -158,8 +158,8 @@ void DurabilityChaosCluster::issue_op(NodeId id) {
   if (st.traffic_rng.chance(0.1)) {
     st.locks->acquire("lk:" + key, [this, id](const std::string& name) {
       net_.loop().schedule(millis(1), [this, id, name] {
-        Stack& st = *stacks_.at(id);
-        if (!st.crashed) st.locks->release(name);
+        Stack& holder = *stacks_.at(id);
+        if (!holder.crashed) holder.locks->release(name);
       });
     });
   }
@@ -266,12 +266,6 @@ void DurabilityChaosCluster::void_stale_pending() {
   // allows — exactly the real-world unknown-outcome window.
   for (auto it = pending_.begin(); it != pending_.end();) {
     if (net_.now() - it->second.issued_at > dur_cfg_.op_timeout) {
-      if (::getenv("DCHAOS_DEBUG_VOID")) {
-        std::fprintf(stderr, "VOID key=%s node=%u shard=%zu applied=%d issued_at=%.1fms lsn=%llu\n",
-                     it->first.c_str(), it->second.node, it->second.shard,
-                     it->second.applied ? 1 : 0, to_millis(it->second.issued_at),
-                     (unsigned long long)it->second.applied_lsn);
-      }
       ++voided_ops_;
       it = pending_.erase(it);
     } else {

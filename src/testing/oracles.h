@@ -4,8 +4,8 @@
 // token holder among nodes that share a view (§2.2), one agreed membership
 // once the network is quiet (§2.5), and gap-free multicast delivered in
 // one agreed order (§2.6). ChaosCluster, MultiRingChaosCluster,
-// DurabilityChaosCluster and TestCluster check them, and wait for them,
-// through this one module.
+// DurabilityChaosCluster and testing::Cluster check them, and wait for
+// them, through this one module.
 //
 // A harness describes its rings as a RingTable (ring k of every node runs
 // on demux group k), lends its delivery logs through a LogFn, and collects
@@ -36,6 +36,7 @@ struct Delivered {
   std::uint64_t recv_epoch;  ///< the receiver's incarnation at delivery
   NodeId origin;
   std::string payload;
+  session::Ordering ordering = session::Ordering::kAgreed;
 };
 
 /// The delivery log of one node's ring.

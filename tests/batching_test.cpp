@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "testing/chaos.h"
-#include "tests/util/test_cluster.h"
+#include "testing/cluster.h"
 
 namespace raincore {
 namespace {
@@ -15,7 +15,7 @@ using session::Ordering;
 using testing::ChaosProfile;
 using testing::ChaosRoundResult;
 using testing::run_multi_ring_round;
-using testing::TestCluster;
+using testing::Cluster;
 
 double counter_of(const session::SessionNode& n, const std::string& name) {
   const metrics::Snapshot snap = n.metrics().snapshot();
@@ -29,7 +29,7 @@ TEST(BatchFormation, VisitCoalescesBacklogIntoBatchFrames) {
   session::SessionConfig cfg;
   cfg.token_hold = millis(2);
   cfg.max_batch_msgs = 64;
-  TestCluster c({1, 2, 3}, cfg);
+  Cluster c({1, 2, 3}, cfg);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
 
@@ -55,7 +55,7 @@ TEST(BatchFormation, ClassFlipClosesTheFrame) {
   // is still exactly enqueue order.
   session::SessionConfig cfg;
   cfg.token_hold = millis(2);
-  TestCluster c({1, 2, 3}, cfg);
+  Cluster c({1, 2, 3}, cfg);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
 
@@ -81,7 +81,7 @@ TEST(BatchFormation, OversizedMessageShipsAlone) {
   session::SessionConfig cfg;
   cfg.token_hold = millis(2);
   cfg.max_batch_bytes = 64;  // far below the payload below
-  TestCluster c({1, 2, 3}, cfg);
+  Cluster c({1, 2, 3}, cfg);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
 
@@ -100,7 +100,7 @@ TEST(BatchFormation, FlushDeadlineDefersSlivers) {
   cfg.token_hold = millis(2);
   cfg.max_batch_msgs = 32;
   cfg.flush_deadline = millis(60);
-  TestCluster c({1, 2, 3}, cfg);
+  Cluster c({1, 2, 3}, cfg);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
 
@@ -123,7 +123,7 @@ TEST(BatchFormation, FullBatchFlushesBeforeDeadline) {
   cfg.token_hold = millis(2);
   cfg.max_batch_msgs = 8;
   cfg.flush_deadline = seconds(30);  // absurd: only the fill trigger fires
-  TestCluster c({1, 2, 3}, cfg);
+  Cluster c({1, 2, 3}, cfg);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
 
@@ -139,7 +139,7 @@ TEST(BatchFormation, LeavingNodeFlushesDespiteDeadline) {
   session::SessionConfig cfg;
   cfg.token_hold = millis(2);
   cfg.flush_deadline = seconds(30);
-  TestCluster c({1, 2, 3}, cfg);
+  Cluster c({1, 2, 3}, cfg);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
 
@@ -156,7 +156,7 @@ TEST(BatchFormation, LeavingNodeFlushesDespiteDeadline) {
 
 /// Steps the simulation in 20 µs slices until `pred` holds (or `limit`).
 template <typename Pred>
-bool step_until(TestCluster& c, Pred pred, Time limit = seconds(2)) {
+bool step_until(Cluster& c, Pred pred, Time limit = seconds(2)) {
   const Time deadline = c.net().now() + limit;
   while (!pred()) {
     if (c.net().now() >= deadline) return false;
@@ -172,7 +172,7 @@ TEST(PassTimeAttach, MessageSentDuringTheHoldLeavesOnThatPass) {
   // one rotation — it used to wait for the origin's next arrival.
   session::SessionConfig cfg;
   cfg.token_hold = millis(2);
-  TestCluster c({1, 2, 3, 4}, cfg);
+  Cluster c({1, 2, 3, 4}, cfg);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged(c.ids(), seconds(10)));
   c.run(millis(100));
@@ -218,7 +218,7 @@ TEST(PassTimeAttach, BothAttachPointsShareOneVisitBudget) {
     cfg.token_hold = millis(2);
     cfg.max_batch_msgs = caps.max_msgs;
     cfg.max_batch_bytes = caps.max_bytes;
-    TestCluster c({1, 2, 3, 4}, cfg);
+    Cluster c({1, 2, 3, 4}, cfg);
     c.bootstrap_via_join();
     ASSERT_TRUE(c.run_until_converged(c.ids(), seconds(10)));
     c.run(millis(100));
@@ -275,7 +275,7 @@ TEST(Backpressure, TryMulticastRefusesWhenMsgBoundHit) {
   session::SessionConfig cfg;
   cfg.token_hold = millis(2);
   cfg.max_queue_msgs = 4;
-  TestCluster c({1, 2, 3}, cfg);
+  Cluster c({1, 2, 3}, cfg);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
 
@@ -288,7 +288,9 @@ TEST(Backpressure, TryMulticastRefusesWhenMsgBoundHit) {
     std::string s = "q" + std::to_string(i);
     auto seq = n.try_multicast(Bytes(s.begin(), s.end()));
     if (seq) {
-      if (last) EXPECT_EQ(*seq, *last + 1) << "refusals must not burn seqs";
+      if (last) {
+        EXPECT_EQ(*seq, *last + 1) << "refusals must not burn seqs";
+      }
       last = seq;
       ++accepted;
     } else {
@@ -311,7 +313,7 @@ TEST(Backpressure, TryMulticastRefusesWhenMsgBoundHit) {
 TEST(Backpressure, TryMulticastRefusesWhenByteBoundHit) {
   session::SessionConfig cfg;
   cfg.max_queue_bytes = 100;
-  TestCluster c({1, 2, 3}, cfg);
+  Cluster c({1, 2, 3}, cfg);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
 
@@ -328,7 +330,7 @@ TEST(Backpressure, OversizedMessageAdmittedIntoEmptyQueue) {
   // byte bound only refuses when the queue is non-empty.
   session::SessionConfig cfg;
   cfg.max_queue_bytes = 100;
-  TestCluster c({1, 2, 3}, cfg);
+  Cluster c({1, 2, 3}, cfg);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
   EXPECT_TRUE(c.node(1).try_multicast(Bytes(5000, 'x')).has_value());
@@ -343,7 +345,7 @@ TEST(Backpressure, ForceMulticastBypassesBound) {
   // never drop: plain multicast() keeps force-enqueue semantics.
   session::SessionConfig cfg;
   cfg.max_queue_msgs = 2;
-  TestCluster c({1, 2, 3}, cfg);
+  Cluster c({1, 2, 3}, cfg);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
   for (int i = 0; i < 6; ++i) c.send(1, "f" + std::to_string(i));
@@ -367,7 +369,7 @@ TEST(BatchingRaces, DeferredMessagesSurviveTokenHolderCrash) {
   cfg.hungry_timeout = millis(400);
   cfg.max_batch_msgs = 64;
   cfg.flush_deadline = millis(250);
-  TestCluster c({1, 2, 3, 4}, cfg);
+  Cluster c({1, 2, 3, 4}, cfg);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
 

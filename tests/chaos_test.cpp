@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "session/introspect.h"
-#include "tests/util/test_cluster.h"
+#include "testing/cluster.h"
 
 namespace raincore::testing {
 namespace {
@@ -111,7 +111,7 @@ TEST(ChaosMetrics, AdaptiveInstrumentsAppearInMergedSnapshot) {
 // --- Observability: ring introspection and the failure report --------------
 
 TEST(RingIntrospection, DumpShowsStateHolderAndMembership) {
-  TestCluster c({1, 2, 3});
+  Cluster c({1, 2, 3});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
 
@@ -127,7 +127,7 @@ TEST(RingIntrospection, DumpShowsStateHolderAndMembership) {
 }
 
 TEST(RingIntrospection, StoppedNodeShowsAsDown) {
-  TestCluster c({1, 2});
+  Cluster c({1, 2});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2}, seconds(10)));
   c.node(2).stop();
@@ -232,13 +232,13 @@ TEST(ChaosEngineTest, MinAliveIsRespected) {
   }
 }
 
-// --- TestCluster opt-in: background chaos for scenario tests ---------------
+// --- Cluster opt-in: background chaos for scenario tests --------------------
 
 TEST(TestClusterChaos, BackgroundChaosThenHealConverges) {
   std::vector<NodeId> ids{1, 2, 3, 4};
   net::SimNetConfig ncfg;
   ncfg.seed = 21;
-  TestCluster c(ids, {}, ncfg);
+  Cluster c(ids, session::SessionConfig{}, ncfg);
   c.found_all();
   ASSERT_TRUE(c.run_until_converged(ids, seconds(5)));
 

@@ -11,14 +11,14 @@
 #include <vector>
 
 #include "data/shard_router.h"
-#include "net/sim_network.h"
-#include "session/session_mux.h"
+#include "testing/cluster.h"
 #include "testing/durability_chaos.h"
 
 namespace raincore {
 namespace {
 
 namespace fs = std::filesystem;
+using testing::Cluster;
 using testing::DurabilityRoundResult;
 using testing::run_durability_round;
 
@@ -39,129 +39,77 @@ class DurabilityTest : public ::testing::Test {
   fs::path root_;
 };
 
-/// Minimal durable stack per node — enough control to crash, wipe, restart
-/// and rebuild nodes individually (the chaos harness owns the storm case).
-struct DurNode {
-  std::unique_ptr<session::SessionMux> mux;
-  std::unique_ptr<data::ShardedDataPlane> plane;
-  std::unique_ptr<data::ShardedMap> map;
-  std::unique_ptr<data::ShardedLockManager> locks;
+/// `shards` durable rings per node under `root`, fsynced every 2 records
+/// and compacted every 64 (the chaos harness owns the storm case).
+Cluster::Plane durable(const std::string& root, std::size_t shards) {
+  Cluster::Plane plane;
+  plane.shards = shards;
+  plane.storage.dir = root;
+  plane.storage.fsync_every = 2;
+  plane.storage.snapshot_every = 64;
+  return plane;
+}
+
+/// A sharded map and lock manager on one node's plane; they outlive the
+/// node's crashes and restarts.
+struct Services {
+  explicit Services(data::ShardedDataPlane& plane)
+      : map(plane, kMapChannel), locks(plane, kLockChannel) {}
+  data::ShardedMap map;
+  data::ShardedLockManager locks;
 };
+using ServiceMap = std::map<NodeId, std::unique_ptr<Services>>;
 
-struct DurCluster {
-  net::SimNetwork net;
-  session::SessionConfig scfg;
-  storage::StorageConfig stcfg;
-  std::size_t n_shards;
-  std::vector<NodeId> ids;
-  std::map<NodeId, DurNode> nodes;
+ServiceMap services_on(Cluster& c) {
+  ServiceMap out;
+  for (NodeId id : c.ids()) out[id] = std::make_unique<Services>(c.plane(id));
+  return out;
+}
 
-  DurCluster(std::vector<NodeId> node_ids, const std::string& root,
-             std::size_t shards, std::uint64_t net_seed = 42)
-      : net([net_seed] {
-          net::SimNetConfig c;
-          c.seed = net_seed;
-          return c;
-        }()),
-        n_shards(shards),
-        ids(std::move(node_ids)) {
-    scfg.eligible = ids;
-    stcfg.dir = root;  // per-node subdir applied in build()
-    stcfg.fsync_every = 2;
-    stcfg.snapshot_every = 64;
-    for (NodeId id : ids) build(id);
-  }
-
-  void build(NodeId id) {
-    auto& env = net.add_node(id);
-    DurNode n;
-    n.mux = std::make_unique<session::SessionMux>(env, scfg.transport);
-    storage::StorageConfig cfg = stcfg;
-    cfg.dir = stcfg.dir + "/node" + std::to_string(id);
-    n.plane = std::make_unique<data::ShardedDataPlane>(*n.mux, n_shards,
-                                                       scfg, 0, cfg);
-    n.map = std::make_unique<data::ShardedMap>(*n.plane, kMapChannel);
-    n.locks = std::make_unique<data::ShardedLockManager>(*n.plane,
-                                                         kLockChannel);
-    nodes.erase(id);
-    nodes.emplace(id, std::move(n));
-  }
-
-  /// found() installs the founding singleton view synchronously, so any
-  /// recovery MUST happen before it — the shadow is adopted at that view.
-  void start_all(bool recover = false) {
-    for (NodeId id : ids) {
-      ASSERT_TRUE(nodes.at(id).plane->open_storage());
-      if (recover) nodes.at(id).plane->recover_storage();
-      nodes.at(id).plane->found_all();
-    }
-  }
-
-  void run(Time d) { net.loop().run_for(d); }
-
-  bool converged(const std::vector<NodeId>& live) {
+/// Every ring of every node in `live` holds exactly `live`, and every
+/// live map replica is synced.
+::testing::AssertionResult converged(Cluster& c, const ServiceMap& s,
+                                     const std::vector<NodeId>& live) {
+  const bool ok = testing::run_until(c.net().loop(), millis(8000), [&] {
+    if (!c.converged(live)) return false;
     for (NodeId id : live) {
-      if (!nodes.at(id).plane->all_converged(live.size())) return false;
-      if (!nodes.at(id).map->synced()) return false;
+      if (!s.at(id)->map.synced()) return false;
     }
     return true;
-  }
-
-  ::testing::AssertionResult wait_converged(const std::vector<NodeId>& live,
-                                            Time timeout = millis(8000)) {
-    Time deadline = net.now() + timeout;
-    while (net.now() < deadline) {
-      if (converged(live)) return ::testing::AssertionSuccess();
-      net.loop().run_for(millis(10));
-    }
-    return ::testing::AssertionFailure() << "cluster did not converge";
-  }
-
-  /// Power-cut + stop: the unsynced WAL tail is gone, the node is dark.
-  void crash(NodeId id) {
-    nodes.at(id).plane->crash_storage();
-    nodes.at(id).mux->set_enabled(false);
-    net.set_node_up(id, false);
-  }
-
-  /// Restart from disk: recover the shadow BEFORE the rings re-found.
-  void restart(NodeId id) {
-    net.set_node_up(id, true);
-    nodes.at(id).mux->set_enabled(true);
-    ASSERT_TRUE(nodes.at(id).plane->open_storage());
-    nodes.at(id).plane->recover_storage();
-    nodes.at(id).plane->found_all();
-  }
-};
+  });
+  if (ok) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << "cluster did not converge";
+}
 
 TEST_F(DurabilityTest, SingleNodePersistsAcrossFullTeardown) {
   const std::string root = root_.string();
   {
-    DurCluster c({1}, root, /*shards=*/2);
-    c.start_all();
-    ASSERT_TRUE(c.wait_converged({1}));
+    Cluster c({1}, durable(root, 2));
+    auto s = services_on(c);
+    ASSERT_TRUE(c.found_all());
+    ASSERT_TRUE(converged(c, s, {1}));
     for (int i = 0; i < 40; ++i) {
-      c.nodes.at(1).map->put("key" + std::to_string(i),
-                             "val" + std::to_string(i));
+      s.at(1)->map.put("key" + std::to_string(i), "val" + std::to_string(i));
     }
-    c.nodes.at(1).map->erase("key7");
+    s.at(1)->map.erase("key7");
     c.run(millis(500));
-    EXPECT_EQ(c.nodes.at(1).map->size(), 39u);
-    for (NodeId id : c.ids) c.nodes.at(id).plane->flush_storage();
+    EXPECT_EQ(s.at(1)->map.size(), 39u);
+    for (NodeId id : c.ids()) c.plane(id).flush_storage();
   }
   // A brand-new process over the same directory: everything must come back
   // from snapshot+WAL alone, including the deletion.
-  DurCluster c({1}, root, 2);
+  Cluster c({1}, durable(root, 2));
+  auto s = services_on(c);
   // Recovery loads the SHADOW; adoption happens when the founding
   // singleton's first view forms, so recovery must run before found().
-  c.start_all(/*recover=*/true);
-  ASSERT_TRUE(c.wait_converged({1}));
+  ASSERT_TRUE(c.found_all());
+  ASSERT_TRUE(converged(c, s, {1}));
   c.run(millis(300));
-  EXPECT_EQ(c.nodes.at(1).map->size(), 39u);
-  EXPECT_EQ(c.nodes.at(1).map->get("key3"), std::optional<std::string>("val3"));
-  EXPECT_FALSE(c.nodes.at(1).map->contains("key7"));
+  EXPECT_EQ(s.at(1)->map.size(), 39u);
+  EXPECT_EQ(s.at(1)->map.get("key3"), std::optional<std::string>("val3"));
+  EXPECT_FALSE(s.at(1)->map.contains("key7"));
   // The state genuinely travelled through the log/snapshot files.
-  const auto snap = c.nodes.at(1).plane->storage_snapshot();
+  const auto snap = c.plane(1).storage_snapshot();
   std::uint64_t replayed = 0, loads = 0;
   for (const auto& [name, v] : snap.counters) {
     if (name.find("storage.wal.replayed") != std::string::npos) replayed += v;
@@ -177,30 +125,31 @@ TEST_F(DurabilityTest, RestartedNodeDoesNotResurrectEntriesDeletedWhileDown) {
   // must stay deleted (the survivors' tombstones outrank the shadow), the
   // untouched keys must survive, and a key only node 1 knew must be
   // re-proposed back into the group.
-  DurCluster c({1, 2, 3}, root_.string(), 2);
-  c.start_all();
-  ASSERT_TRUE(c.wait_converged({1, 2, 3}));
+  Cluster c({1, 2, 3}, durable(root_.string(), 2));
+  auto s = services_on(c);
+  ASSERT_TRUE(c.found_all());
+  ASSERT_TRUE(converged(c, s, {1, 2, 3}));
 
-  c.nodes.at(1).map->put("shared-a", "1");
-  c.nodes.at(1).map->put("shared-b", "1");
+  s.at(1)->map.put("shared-a", "1");
+  s.at(1)->map.put("shared-b", "1");
   c.run(millis(500));
-  ASSERT_TRUE(c.nodes.at(3).map->contains("shared-b"));
-  c.nodes.at(1).plane->flush_storage();
+  ASSERT_TRUE(s.at(3)->map.contains("shared-b"));
+  c.plane(1).flush_storage();
 
   // While node 1 is dark, the group moves on: one of its keys is deleted,
   // another is overwritten.
   c.crash(1);
-  ASSERT_TRUE(c.wait_converged({2, 3}));
-  c.nodes.at(2).map->erase("shared-a");
-  c.nodes.at(2).map->put("shared-b", "2");
+  ASSERT_TRUE(converged(c, s, {2, 3}));
+  s.at(2)->map.erase("shared-a");
+  s.at(2)->map.put("shared-b", "2");
   c.run(millis(500));
 
   c.restart(1);
-  ASSERT_TRUE(c.wait_converged({1, 2, 3}));
+  ASSERT_TRUE(converged(c, s, {1, 2, 3}));
   c.run(millis(800));  // reconcile + any re-proposals circulate
 
   for (NodeId id : {1, 2, 3}) {
-    const auto& m = *c.nodes.at(id).map;
+    const auto& m = s.at(id)->map;
     EXPECT_FALSE(m.contains("shared-a"))
         << "node " << id << " resurrected a key deleted while node 1 was down";
     EXPECT_EQ(m.get("shared-b"), std::optional<std::string>("2"))
@@ -212,67 +161,63 @@ TEST_F(DurabilityTest, RecoveredOnlyKeysAreReproposedOnRejoin) {
   // Keys that reached node 1's log but never any surviving replica (e.g.
   // every other replica of that shard was since wiped) must be re-proposed
   // by the recovering node so the group regains them.
-  DurCluster c({1, 2}, root_.string(), 1);
-  c.start_all();
-  ASSERT_TRUE(c.wait_converged({1, 2}));
-  c.nodes.at(1).map->put("precious", "p1");
+  Cluster c({1, 2}, durable(root_.string(), 1));
+  auto s = services_on(c);
+  ASSERT_TRUE(c.found_all());
+  ASSERT_TRUE(converged(c, s, {1, 2}));
+  s.at(1)->map.put("precious", "p1");
   c.run(millis(500));
-  c.nodes.at(1).plane->flush_storage();
+  c.plane(1).flush_storage();
   c.crash(1);
-  ASSERT_TRUE(c.wait_converged({2}));
+  ASSERT_TRUE(converged(c, s, {2}));
   // Node 2 loses its replica wholesale: crash + wiped directory = a fresh
   // incarnation with empty state (it was never durable there).
   c.crash(2);
   fs::remove_all(root_ / "node2");
   c.restart(2);
-  ASSERT_TRUE(c.wait_converged({2}));
-  EXPECT_FALSE(c.nodes.at(2).map->contains("precious"));
+  ASSERT_TRUE(converged(c, s, {2}));
+  EXPECT_FALSE(s.at(2)->map.contains("precious"));
 
   c.restart(1);
-  ASSERT_TRUE(c.wait_converged({1, 2}));
+  ASSERT_TRUE(converged(c, s, {1, 2}));
   c.run(millis(800));
   for (NodeId id : {1, 2}) {
-    EXPECT_EQ(c.nodes.at(id).map->get("precious"),
+    EXPECT_EQ(s.at(id)->map.get("precious"),
               std::optional<std::string>("p1"))
         << "node " << id << " missing the re-proposed recovered key";
   }
   // The heal is visible in the instruments.
-  std::uint64_t reproposed = 0;
-  for (std::size_t s = 0; s < 1; ++s) {
-    reproposed += c.nodes.at(1)
-                      .map->shard(s)
-                      .metrics()
-                      .snapshot()
-                      .counters.at("data.map.reproposed");
-  }
-  EXPECT_GT(reproposed, 0u);
+  EXPECT_GT(s.at(1)->map.shard(0).metrics().snapshot().counters.at(
+                "data.map.reproposed"),
+            0u);
 }
 
 TEST_F(DurabilityTest, FullClusterRestartRecoversTheUnionFromDiskAlone) {
-  DurCluster c({1, 2, 3}, root_.string(), 2);
-  c.start_all();
-  ASSERT_TRUE(c.wait_converged({1, 2, 3}));
+  Cluster c({1, 2, 3}, durable(root_.string(), 2));
+  auto s = services_on(c);
+  ASSERT_TRUE(c.found_all());
+  ASSERT_TRUE(converged(c, s, {1, 2, 3}));
   for (NodeId id : {1, 2, 3}) {
     for (int i = 0; i < 8; ++i) {
-      c.nodes.at(id).map->put(
+      s.at(id)->map.put(
           "n" + std::to_string(id) + ":k" + std::to_string(i), "v");
     }
   }
   c.run(millis(600));
-  c.nodes.at(1).map->erase("n2:k0");  // a deletion that must hold
+  s.at(1)->map.erase("n2:k0");  // a deletion that must hold
   c.run(millis(400));
-  ASSERT_EQ(c.nodes.at(3).map->size(), 23u);
-  for (NodeId id : {1, 2, 3}) c.nodes.at(id).plane->flush_storage();
+  ASSERT_EQ(s.at(3)->map.size(), 23u);
+  for (NodeId id : {1, 2, 3}) c.plane(id).flush_storage();
 
   // Lights out everywhere at once: no surviving replica to sync from.
   for (NodeId id : {1, 2, 3}) c.crash(id);
   c.run(millis(200));
   for (NodeId id : {1, 2, 3}) c.restart(id);
-  ASSERT_TRUE(c.wait_converged({1, 2, 3}));
+  ASSERT_TRUE(converged(c, s, {1, 2, 3}));
   c.run(millis(1000));
 
   for (NodeId id : {1, 2, 3}) {
-    const auto& m = *c.nodes.at(id).map;
+    const auto& m = s.at(id)->map;
     EXPECT_EQ(m.size(), 23u) << "node " << id;
     EXPECT_TRUE(m.contains("n1:k5")) << "node " << id;
     EXPECT_TRUE(m.contains("n3:k7")) << "node " << id;
@@ -281,7 +226,7 @@ TEST_F(DurabilityTest, FullClusterRestartRecoversTheUnionFromDiskAlone) {
   }
   // Cross-check: the state came through the WAL (every node replayed).
   for (NodeId id : {1, 2, 3}) {
-    const auto snap = c.nodes.at(id).plane->storage_snapshot();
+    const auto snap = c.plane(id).storage_snapshot();
     std::uint64_t replayed = 0;
     for (const auto& [name, v] : snap.counters) {
       if (name.find("storage.wal.replayed") != std::string::npos) {
@@ -299,25 +244,26 @@ TEST_F(DurabilityTest, LockRecoveryReleasesOwnershipOfTheDeadIncarnation) {
   // entry belongs to a holder with no live outstanding request — the dead
   // incarnation — and releases it through the agreed stream. The lock must
   // come back FREE, not leaked to a ghost, and be re-acquirable.
-  DurCluster c({1}, root_.string(), 1);
-  c.start_all();
-  ASSERT_TRUE(c.wait_converged({1}));
+  Cluster c({1}, durable(root_.string(), 1));
+  auto s = services_on(c);
+  ASSERT_TRUE(c.found_all());
+  ASSERT_TRUE(converged(c, s, {1}));
   bool granted = false;
-  c.nodes.at(1).locks->acquire("the-lock",
+  s.at(1)->locks.acquire("the-lock",
                                [&granted](const std::string&) { granted = true; });
   c.run(millis(500));
   ASSERT_TRUE(granted);
-  c.nodes.at(1).plane->flush_storage();
+  c.plane(1).flush_storage();
   c.crash(1);
   c.restart(1);
-  ASSERT_TRUE(c.wait_converged({1}));
+  ASSERT_TRUE(converged(c, s, {1}));
   c.run(millis(500));
-  EXPECT_EQ(c.nodes.at(1).locks->owner("the-lock"), std::nullopt)
+  EXPECT_EQ(s.at(1)->locks.owner("the-lock"), std::nullopt)
       << "stale ownership from the dead incarnation leaked across restart";
   // ...and the recovered table did not wedge the lock: a fresh acquire by
   // the new incarnation is granted.
   bool regranted = false;
-  c.nodes.at(1).locks->acquire(
+  s.at(1)->locks.acquire(
       "the-lock", [&regranted](const std::string&) { regranted = true; });
   c.run(millis(500));
   EXPECT_TRUE(regranted);

@@ -4,17 +4,17 @@
 #include <gtest/gtest.h>
 
 #include "session/messages.h"
-#include "tests/util/test_cluster.h"
+#include "testing/cluster.h"
 
 namespace raincore {
 namespace {
 
-using testing::TestCluster;
+using testing::Cluster;
 
 class FuzzRobustness : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FuzzRobustness, RandomDatagramsDoNotCrashOrWedgeTheGroup) {
-  TestCluster c({1, 2, 3});
+  Cluster c({1, 2, 3});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
 
@@ -42,7 +42,7 @@ TEST_P(FuzzRobustness, RandomDatagramsDoNotCrashOrWedgeTheGroup) {
 }
 
 TEST_P(FuzzRobustness, TruncatedProtocolMessagesAreRejected) {
-  TestCluster c({1, 2});
+  Cluster c({1, 2});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2}, seconds(10)));
 
@@ -68,7 +68,7 @@ TEST_P(FuzzRobustness, TruncatedProtocolMessagesAreRejected) {
     w.u8(1);
     w.u64(wire_seq++);
     w.raw(payload.data(), payload.size());
-    evil.send(net::Address{1 + (i % 2), 0}, w.take(), 0);
+    evil.send(net::Address{static_cast<NodeId>(1 + i % 2), 0}, w.take(), 0);
     if (i % 50 == 0) c.run(millis(5));
   }
   c.run(seconds(2));
@@ -79,7 +79,7 @@ TEST_P(FuzzRobustness, TruncatedProtocolMessagesAreRejected) {
 }
 
 TEST_P(FuzzRobustness, BitFlippedTokensAreHandled) {
-  TestCluster c({1, 2, 3});
+  Cluster c({1, 2, 3});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
   auto& evil = c.net().add_node(9);
@@ -95,7 +95,7 @@ TEST_P(FuzzRobustness, BitFlippedTokensAreHandled) {
     w.u8(1);
     w.u64(1000000 + i);
     w.raw(msg.data(), msg.size());
-    evil.send(net::Address{1 + (i % 3), 0}, w.take(), 0);
+    evil.send(net::Address{static_cast<NodeId>(1 + i % 3), 0}, w.take(), 0);
     if (i % 25 == 0) c.run(millis(10));
   }
   // Corrupted tokens may transiently disturb membership (they can parse as

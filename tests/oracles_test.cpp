@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "tests/util/test_cluster.h"
+#include "testing/cluster.h"
 
 namespace raincore::testing {
 namespace {
@@ -74,26 +74,13 @@ TEST(CounterOrder, AcceptsGapsAndResetsUnderNewEpochs) {
   EXPECT_TRUE(v.all.empty()) << dump(v.all);
 }
 
-// --- check_final_batch on a small TestCluster ------------------------------
+// --- check_final_batch on a small Cluster ----------------------------------
 
 class FinalBatchTest : public ::testing::Test {
  protected:
   void SetUp() override {
     c_.found_all();
     ASSERT_TRUE(c_.run_until_converged({1, 2, 3}, seconds(10)));
-  }
-
-  /// The batch as each node delivered it; TestCluster logs carry no
-  /// receiver incarnation.
-  LogFn log_of() {
-    return [this](NodeId id, std::size_t) -> const std::vector<Delivered>& {
-      auto& out = logs_[id];
-      out.clear();
-      for (const Delivery& d : c_.delivered(id)) {
-        out.push_back({0, d.origin, d.payload});
-      }
-      return out;
-    };
   }
 
   std::vector<std::string> run(
@@ -105,13 +92,12 @@ class FinalBatchTest : public ::testing::Test {
       send(id, p);
     };
     Violations v;
-    check_final_batch(c_.net().loop(), c_.rings(), {1, 2, 3}, batch, log_of(),
-                      v.sink());
+    check_final_batch(c_.net().loop(), c_.rings(), {1, 2, 3}, batch,
+                      c_.log_of(), v.sink());
     return v.all;
   }
 
-  TestCluster c_{{1, 2, 3}};
-  std::map<NodeId, std::vector<Delivered>> logs_;
+  Cluster c_{{1, 2, 3}};
 };
 
 TEST_F(FinalBatchTest, CleanBatchReportsNothing) {
@@ -143,7 +129,7 @@ TEST_F(FinalBatchTest, DoubledMessageIsReportedTwice) {
 // --- check_membership ------------------------------------------------------
 
 TEST(Membership, NamesStoppedNode) {
-  TestCluster c({1, 2, 3});
+  Cluster c({1, 2, 3});
   c.found_all();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
   Violations clean;
@@ -161,58 +147,37 @@ TEST(Membership, NamesStoppedNode) {
 // --- violation texts on a multi-ring table ---------------------------------
 
 TEST(MultiRingTable, ViolationTextsNameTheRing) {
-  net::SimNetwork net;
-  session::SessionConfig cfg;
-  cfg.eligible = {1, 2, 3};
-  std::vector<std::unique_ptr<session::SessionMux>> muxes;
-  RingTable rings;
-  std::map<std::pair<NodeId, std::size_t>, std::vector<Delivered>> logs;
-  for (NodeId id : cfg.eligible) {
-    muxes.push_back(
-        std::make_unique<session::SessionMux>(net.add_node(id), cfg.transport));
-    for (std::size_t r = 0; r < 2; ++r) {
-      session::SessionConfig rcfg = cfg;
-      rcfg.metrics_prefix = "ring" + std::to_string(r) + ".";
-      auto& ring =
-          muxes.back()->create_ring(static_cast<transport::MuxGroup>(r), rcfg);
-      ring.set_deliver_handler([&logs, id, r](NodeId origin, const Slice& p,
-                                              session::Ordering) {
-        logs[{id, r}].push_back({0, origin, std::string(p.begin(), p.end())});
-      });
-      rings[id].push_back(&ring);
-    }
-  }
-  for (auto& [id, node_rings] : rings) {
-    for (auto* ring : node_rings) ring->found();
-  }
-  ASSERT_TRUE(run_until(net.loop(), seconds(10),
-                        [&] { return rings_converged(rings, {1, 2, 3}); }));
-  LogFn log_of = [&logs](NodeId id,
-                         std::size_t r) -> const std::vector<Delivered>& {
-    return logs[{id, r}];
-  };
+  Cluster c({1, 2, 3}, Cluster::Rings(2));
+  c.found_all();
+  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
 
   // Node 2 sends nothing on ring 1.
   FinalBatch batch;
   batch.per_node = 2;
   batch.timeout = millis(2000);
   batch.send = [&](NodeId id, std::size_t r, const std::string& p) {
-    if (id != 2 || r != 1) rings.at(id)[r]->multicast(Bytes(p.begin(), p.end()));
+    if (id != 2 || r != 1) c.node(id, r).multicast(Bytes(p.begin(), p.end()));
   };
   Violations v;
-  check_final_batch(net.loop(), rings, {1, 2, 3}, batch, log_of, v.sink());
+  check_final_batch(c.net().loop(), c.rings(), {1, 2, 3}, batch, c.log_of(),
+                    v.sink());
   EXPECT_TRUE(v.has("final batch: node 1 ring 1 delivered 4 of 6 fresh messages"))
       << dump(v.all);
   EXPECT_TRUE(v.has("final batch: message 'f:2:1:0' delivered 0 times"))
       << dump(v.all);
   EXPECT_FALSE(v.has("ring 0")) << dump(v.all);
 
-  logs[{2, 1}].push_back({0, 1, "c:1:0:3"});
-  logs[{2, 1}].push_back({0, 1, "c:1:0:3"});
-  rings.at(3)[1]->stop();
+  std::vector<Delivered> doubled = c.delivered(2, 1);
+  doubled.push_back({0, 1, "c:1:0:3"});
+  doubled.push_back({0, 1, "c:1:0:3"});
+  const LogFn log_of = [&](NodeId id,
+                           std::size_t r) -> const std::vector<Delivered>& {
+    return id == 2 && r == 1 ? doubled : c.delivered(id, r);
+  };
+  c.node(3, 1).stop();
   Violations w;
-  check_counter_order(rings, log_of, w.sink());
-  check_membership(rings, {1, 2, 3}, w.sink());
+  check_counter_order(c.rings(), log_of, w.sink());
+  check_membership(c.rings(), {1, 2, 3}, w.sink());
   EXPECT_TRUE(w.has("delivery: node 2 ring 1 saw duplicate/out-of-order"))
       << dump(w.all);
   EXPECT_TRUE(w.has("membership: node 3 ring 1 did not converge"))

@@ -12,13 +12,13 @@
 //   I5  Mutual exclusion: exclusive sections never overlap.
 #include <gtest/gtest.h>
 
-#include "tests/util/test_cluster.h"
+#include "testing/cluster.h"
 
 namespace raincore {
 namespace {
 
 using session::Ordering;
-using testing::TestCluster;
+using testing::Cluster;
 
 struct Params {
   std::size_t nodes;
@@ -36,23 +36,17 @@ std::string param_name(const ::testing::TestParamInfo<Params>& info) {
 
 class SessionProperty : public ::testing::TestWithParam<Params> {
  protected:
-  std::unique_ptr<TestCluster> make_cluster() {
+  std::unique_ptr<Cluster> make_cluster() {
     const Params& p = GetParam();
     net::SimNetConfig ncfg;
     ncfg.default_drop = p.drop;
     ncfg.seed = p.seed;
     session::SessionConfig scfg;
     scfg.hungry_timeout = millis(1200);
-    std::vector<NodeId> ids;
-    for (NodeId i = 1; i <= p.nodes; ++i) ids.push_back(i);
-    return std::make_unique<TestCluster>(ids, scfg, ncfg);
+    return std::make_unique<Cluster>(testing::node_ids(p.nodes), scfg, ncfg);
   }
 
-  std::vector<NodeId> all_ids() {
-    std::vector<NodeId> ids;
-    for (NodeId i = 1; i <= GetParam().nodes; ++i) ids.push_back(i);
-    return ids;
-  }
+  std::vector<NodeId> all_ids() { return testing::node_ids(GetParam().nodes); }
 };
 
 TEST_P(SessionProperty, AgreedOrderIdenticalEverywhere) {
@@ -175,7 +169,7 @@ TEST_P(SessionChaos, SurvivesAndConverges) {
   session::SessionConfig scfg;
   scfg.hungry_timeout = millis(1000);
   std::vector<NodeId> ids = {1, 2, 3, 4, 5, 6};
-  TestCluster c(ids, scfg, ncfg);
+  Cluster c(ids, scfg, ncfg);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged(ids, seconds(60)));
 
@@ -318,7 +312,7 @@ class BatchingProperty : public ::testing::TestWithParam<BatchParams> {
   /// Deterministic mixed-class schedule with random payload sizes; payload
   /// prefix "o<origin>-i<index>:" lets any observer reconstruct per-origin
   /// send order.
-  void run_schedule(TestCluster& c, std::uint64_t seed) {
+  void run_schedule(Cluster& c, std::uint64_t seed) {
     Rng rng(seed * 101);
     std::map<NodeId, int> next_idx;
     for (int i = 0; i < kMsgs; ++i) {
@@ -340,7 +334,7 @@ class BatchingProperty : public ::testing::TestWithParam<BatchParams> {
   /// safe→agreed interleavings span the two attach points. Returns how
   /// many hold-time messages were NOT on the token their origin passed at
   /// the end of that hold.
-  int run_hold_schedule(TestCluster& c, std::uint64_t seed) {
+  int run_hold_schedule(Cluster& c, std::uint64_t seed) {
     Rng rng(seed * 211);
     std::map<NodeId, int> next_idx;
     auto payload = [&](NodeId from) {
@@ -393,17 +387,17 @@ class BatchingProperty : public ::testing::TestWithParam<BatchParams> {
   }
   /// Runs `s` on `c`; returns the hold-time schedule's missed-pass count
   /// (0 for the random schedule).
-  int run(TestCluster& c, Schedule s, std::uint64_t seed) {
+  int run(Cluster& c, Schedule s, std::uint64_t seed) {
     if (s == Schedule::kHold) return run_hold_schedule(c, seed);
     run_schedule(c, seed);
     return 0;
   }
 
   /// B2: per-origin delivered indices are exactly 0,1,2,... at every node.
-  void check_per_origin_fifo(TestCluster& c) {
+  void check_per_origin_fifo(Cluster& c) {
     for (NodeId id : all_ids()) {
       std::map<NodeId, int> expect;
-      for (const testing::Delivery& d : c.delivered(id)) {
+      for (const testing::Delivered& d : c.delivered(id)) {
         const std::string& s = d.payload;
         auto dash = s.find("-i");
         auto colon = s.find(':');
@@ -426,7 +420,7 @@ TEST_P(BatchingProperty, TotalOrderAndExactlyOnceUnderAnyKnobs) {
   std::vector<NodeId> ids = all_ids();
   for (Schedule s : {Schedule::kRandom, Schedule::kHold}) {
     SCOPED_TRACE(schedule_name(s));
-    TestCluster c(ids, knob_config(), ncfg);
+    Cluster c(ids, knob_config(), ncfg);
     c.bootstrap_via_join();
     ASSERT_TRUE(c.run_until_converged(ids, seconds(60)));
 
@@ -451,11 +445,11 @@ TEST_P(BatchingProperty, KnobsPreserveUnbatchedDeliverySemantics) {
   const BatchParams& p = GetParam();
   std::vector<NodeId> ids = all_ids();
 
-  auto origin_streams = [&](TestCluster& c) {
+  auto origin_streams = [&](Cluster& c) {
     // node -> origin -> payload prefixes in delivery order.
     std::map<NodeId, std::map<NodeId, std::vector<std::string>>> out;
     for (NodeId id : ids) {
-      for (const testing::Delivery& d : c.delivered(id)) {
+      for (const testing::Delivered& d : c.delivered(id)) {
         out[id][d.origin].push_back(d.payload.substr(0, d.payload.find(':')));
       }
     }
@@ -470,7 +464,7 @@ TEST_P(BatchingProperty, KnobsPreserveUnbatchedDeliverySemantics) {
     SCOPED_TRACE(schedule_name(s));
     session::SessionConfig reference;  // defaults = pre-batching behaviour
     reference.hungry_timeout = millis(1200);
-    TestCluster ref(ids, reference, ncfg);
+    Cluster ref(ids, reference, ncfg);
     ref.bootstrap_via_join();
     ASSERT_TRUE(ref.run_until_converged(ids, seconds(60)));
     // The defaults (no deadline, a budget far above this load) leave room
@@ -479,7 +473,7 @@ TEST_P(BatchingProperty, KnobsPreserveUnbatchedDeliverySemantics) {
         << "hold-time messages missed their hold's pass";
     ASSERT_TRUE(ref.check_agreed_order().empty());
 
-    TestCluster knobbed(ids, knob_config(), ncfg);
+    Cluster knobbed(ids, knob_config(), ncfg);
     knobbed.bootstrap_via_join();
     ASSERT_TRUE(knobbed.run_until_converged(ids, seconds(60)));
     run(knobbed, s, p.seed);
@@ -499,7 +493,7 @@ TEST_P(BatchingProperty, BoundedQueueHoldsUnderTryOnlyProducers) {
   constexpr std::size_t kCap = 8;
   cfg.max_queue_msgs = kCap;
   std::vector<NodeId> ids = all_ids();
-  TestCluster c(ids, cfg, ncfg);
+  Cluster c(ids, cfg, ncfg);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged(ids, seconds(60)));
 

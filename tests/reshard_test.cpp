@@ -12,7 +12,7 @@
 #include <string>
 
 #include "data/reshard.h"
-#include "net/sim_network.h"
+#include "testing/cluster.h"
 #include "testing/durability_chaos.h"
 
 namespace raincore {
@@ -27,6 +27,7 @@ using data::ShardedLockManager;
 using data::ShardedMap;
 using data::ShardRouter;
 using data::VersionedRouter;
+using testing::Cluster;
 
 // --- VersionedRouter properties ---------------------------------------------
 
@@ -118,122 +119,103 @@ TEST(VersionedRouterTest, ReadRouteFallsBackToOldOwnerDuringWindow) {
   EXPECT_TRUE(saw_moved);
 }
 
-// --- Live migration fixture --------------------------------------------------
+// --- Live migrations on a sim cluster ---------------------------------------
 
 constexpr data::Channel kMapChannel = 1;
 constexpr data::Channel kLockChannel = 2;
 
-struct ReshardFixture {
-  explicit ReshardFixture(std::size_t n_nodes, std::size_t shards,
-                          std::string storage_root = {}) {
-    for (std::size_t i = 1; i <= n_nodes; ++i) {
-      ids.push_back(static_cast<NodeId>(i));
-    }
-    scfg.eligible = ids;
-    for (NodeId id : ids) add_stack(id, shards, storage_root);
-  }
+/// `shards` rings per node, durable under `root` when it is set.
+Cluster::Plane plane(std::size_t shards, const std::string& root = {}) {
+  Cluster::Plane p;
+  p.shards = shards;
+  p.storage.dir = root;
+  return p;
+}
 
-  void add_stack(NodeId id, std::size_t shards,
-                 const std::string& storage_root) {
-    auto& env = net.add_node(id);
-    auto st = std::make_unique<Stack>();
-    storage::StorageConfig sc;
-    if (!storage_root.empty()) {
-      sc.dir = storage_root + "/node" + std::to_string(id);
-    }
-    st->mux = std::make_unique<session::SessionMux>(env, scfg.transport);
-    st->plane =
-        std::make_unique<ShardedDataPlane>(*st->mux, shards, scfg, 0, sc);
-    st->map = std::make_unique<ShardedMap>(*st->plane, kMapChannel);
-    st->locks = std::make_unique<ShardedLockManager>(*st->plane, kLockChannel);
-    ReshardConfig rcfg;
-    rcfg.initial_shards = 2;
-    st->mgr = std::make_unique<ReshardManager>(*st->plane, *st->map,
-                                               *st->locks, rcfg);
-    stacks[id] = std::move(st);
-  }
-
-  bool converge(Time timeout = seconds(20)) {
-    for (auto& [id, st] : stacks) {
-      if (st->plane->durable()) {
-        st->plane->open_storage();
-        st->plane->recover_storage();
-        st->mgr->after_recovery();
-      }
-      st->plane->found_all();
-    }
-    return run_until([&] {
-      for (auto& [id, st] : stacks) {
-        if (!st->plane->all_converged(ids.size())) return false;
-      }
-      return true;
-    }, timeout);
-  }
-
-  /// Runs the sim, ticking every reshard manager, until pred or timeout.
-  template <typename Pred>
-  bool run_until(Pred pred, Time timeout = seconds(30)) {
-    const Time deadline = net.now() + timeout;
-    while (net.now() < deadline) {
-      if (pred()) return true;
-      net.loop().run_for(millis(10));
-      for (auto& [id, st] : stacks) st->mgr->tick();
-    }
-    return pred();
-  }
-
-  bool resize_settled(std::size_t new_k, std::uint64_t epoch) {
-    for (auto& [id, st] : stacks) {
-      if (st->mgr->migrating() || st->mgr->epoch() != epoch) return false;
-      if (st->plane->shard_count() != new_k) return false;
-      if (!st->plane->all_converged(ids.size())) return false;
-      if (!st->map->synced()) return false;
-    }
-    return true;
-  }
-
-  struct Stack {
-    std::unique_ptr<session::SessionMux> mux;
-    std::unique_ptr<ShardedDataPlane> plane;
-    std::unique_ptr<ShardedMap> map;
-    std::unique_ptr<ShardedLockManager> locks;
-    std::unique_ptr<ReshardManager> mgr;
-  };
-  net::SimNetwork net;
-  session::SessionConfig scfg;
-  std::vector<NodeId> ids;
-  std::map<NodeId, std::unique_ptr<Stack>> stacks;
+/// A sharded map, lock manager and reshard manager (deployed at 2 shards)
+/// on one node's plane.
+struct Services {
+  explicit Services(ShardedDataPlane& plane)
+      : map(plane, kMapChannel),
+        locks(plane, kLockChannel),
+        mgr(plane, map, locks, ReshardConfig{.initial_shards = 2}) {}
+  ShardedMap map;
+  ShardedLockManager locks;
+  ReshardManager mgr;
 };
+using ServiceMap = std::map<NodeId, std::unique_ptr<Services>>;
+
+/// The services of every node; a recovering node rebuilds its migration
+/// window from its journals before its rings found.
+ServiceMap services_on(Cluster& c) {
+  ServiceMap out;
+  for (NodeId id : c.ids()) out[id] = std::make_unique<Services>(c.plane(id));
+  c.set_recover_handler(
+      [&svc = out](NodeId id) { svc.at(id)->mgr.after_recovery(); });
+  return out;
+}
+
+/// Runs the sim, ticking every reshard manager after each 10 ms step,
+/// until pred or timeout.
+template <typename Pred>
+bool run_until(Cluster& c, ServiceMap& svc, Pred pred,
+               Time timeout = seconds(30)) {
+  const Time deadline = c.net().now() + timeout;
+  while (c.net().now() < deadline) {
+    if (pred()) return true;
+    c.run(millis(10));
+    for (auto& [id, s] : svc) s->mgr.tick();
+  }
+  return pred();
+}
+
+/// Every node founds every ring; true once all of them converge.
+bool converge(Cluster& c, ServiceMap& svc) {
+  return c.found_all() &&
+         run_until(c, svc, [&] { return c.converged(c.ids()); }, seconds(20));
+}
+
+bool resize_settled(Cluster& c, ServiceMap& svc, std::size_t new_k,
+                    std::uint64_t epoch) {
+  for (auto& [id, st] : svc) {
+    if (st->mgr.migrating() || st->mgr.epoch() != epoch) return false;
+    if (c.plane(id).shard_count() != new_k) return false;
+    if (!c.plane(id).all_converged(c.ids().size())) return false;
+    if (!st->map.synced()) return false;
+  }
+  return true;
+}
 
 TEST(ReshardLiveTest, ResizeMovesEveryKeyToItsNewHome) {
-  ReshardFixture f(3, 2);
-  ASSERT_TRUE(f.converge());
+  Cluster c({1, 2, 3}, plane(2));
+  auto svc = services_on(c);
+  ASSERT_TRUE(converge(c, svc));
 
   const int kKeys = 80;
   for (int i = 0; i < kKeys; ++i) {
-    NodeId w = f.ids[static_cast<std::size_t>(i) % f.ids.size()];
-    f.stacks.at(w)->map->put("mk" + std::to_string(i), "v" + std::to_string(i));
+    NodeId w = c.ids()[static_cast<std::size_t>(i) % c.ids().size()];
+    svc.at(w)->map.put("mk" + std::to_string(i), "v" + std::to_string(i));
   }
-  ASSERT_TRUE(f.run_until([&] {
-    for (auto& [id, st] : f.stacks) {
-      if (!st->map->synced() ||
-          st->map->size() != static_cast<std::size_t>(kKeys)) {
+  ASSERT_TRUE(run_until(c, svc, [&] {
+    for (auto& [id, st] : svc) {
+      if (!st->map.synced() ||
+          st->map.size() != static_cast<std::size_t>(kKeys)) {
         return false;
       }
     }
     return true;
   }));
 
-  f.stacks.at(1)->mgr->start_resize(4);
-  ASSERT_TRUE(f.run_until([&] { return f.resize_settled(4, 1); }))
+  svc.at(1)->mgr.start_resize(4);
+  ASSERT_TRUE(run_until(c, svc, [&] { return resize_settled(c, svc, 4, 1); }))
       << "migration never settled";
 
   const ShardRouter target(4);
   for (int i = 0; i < kKeys; ++i) {
     std::string key = "mk" + std::to_string(i);
     const std::size_t home = target.shard_of(key);
-    for (NodeId id : f.ids) {
-      auto& m = *f.stacks.at(id)->map;
+    for (NodeId id : c.ids()) {
+      auto& m = svc.at(id)->map;
       auto v = m.get(key);
       ASSERT_TRUE(v.has_value()) << "node " << id << " lost " << key;
       EXPECT_EQ(*v, "v" + std::to_string(i));
@@ -248,8 +230,9 @@ TEST(ReshardLiveTest, ResizeMovesEveryKeyToItsNewHome) {
 }
 
 TEST(ReshardLiveTest, WritesDuringTheWindowAreAllServed) {
-  ReshardFixture f(3, 2);
-  ASSERT_TRUE(f.converge());
+  Cluster c({1, 2, 3}, plane(2));
+  auto svc = services_on(c);
+  ASSERT_TRUE(converge(c, svc));
 
   // Single writer per key (cross-epoch multi-writer races resolve by LWW,
   // documented in DESIGN.md §5j); the writer overwrites its keys while the
@@ -260,37 +243,37 @@ TEST(ReshardLiveTest, WritesDuringTheWindowAreAllServed) {
   auto write_round = [&] {
     ++round;
     for (int i = 0; i < 40; ++i) {
-      NodeId w = f.ids[static_cast<std::size_t>(i) % f.ids.size()];
+      NodeId w = c.ids()[static_cast<std::size_t>(i) % c.ids().size()];
       std::string key = "wk" + std::to_string(i);
       std::string val = "r" + std::to_string(round);
-      f.stacks.at(w)->map->put(key, val);
+      svc.at(w)->map.put(key, val);
       expect[key] = val;
     }
   };
   write_round();
-  f.stacks.at(2)->mgr->start_resize(4);
+  svc.at(2)->mgr.start_resize(4);
   for (int burst = 0; burst < 6; ++burst) {
-    f.run_until([] { return false; }, millis(120));
+    run_until(c, svc, [] { return false; }, millis(120));
     write_round();
   }
-  ASSERT_TRUE(f.run_until([&] { return f.resize_settled(4, 1); }))
+  ASSERT_TRUE(run_until(c, svc, [&] { return resize_settled(c, svc, 4, 1); }))
       << "migration never settled under write load";
   // The last round's writes may still be in flight — wait until every node
   // serves every key at its final value before asserting.
   auto all_final = [&] {
     for (const auto& [key, val] : expect) {
-      for (NodeId id : f.ids) {
-        auto v = f.stacks.at(id)->map->get(key);
+      for (NodeId id : c.ids()) {
+        auto v = svc.at(id)->map.get(key);
         if (!v || *v != val) return false;
       }
     }
     return true;
   };
-  ASSERT_TRUE(f.run_until(all_final, seconds(30)))
+  ASSERT_TRUE(run_until(c, svc, all_final, seconds(30)))
       << "some write issued during the window was lost or left stale";
   for (const auto& [key, val] : expect) {
-    for (NodeId id : f.ids) {
-      auto v = f.stacks.at(id)->map->get(key);
+    for (NodeId id : c.ids()) {
+      auto v = svc.at(id)->map.get(key);
       ASSERT_TRUE(v.has_value()) << "node " << id << " lost " << key;
       EXPECT_EQ(*v, val) << "node " << id << " stale " << key;
     }
@@ -298,8 +281,9 @@ TEST(ReshardLiveTest, WritesDuringTheWindowAreAllServed) {
 }
 
 TEST(ReshardLiveTest, LocksStayExclusiveAcrossTheResize) {
-  ReshardFixture f(3, 2);
-  ASSERT_TRUE(f.converge());
+  Cluster c({1, 2, 3}, plane(2));
+  auto svc = services_on(c);
+  ASSERT_TRUE(converge(c, svc));
 
   // Hold a batch of locks across the whole migration; waiters queued behind
   // them must be granted exactly once, after release, wherever the lock's
@@ -310,29 +294,29 @@ TEST(ReshardLiveTest, LocksStayExclusiveAcrossTheResize) {
   }
   std::map<std::string, int> grants1, grants2;
   for (const auto& n : names) {
-    f.stacks.at(1)->locks->acquire(n, [&](const std::string& g) {
+    svc.at(1)->locks.acquire(n, [&](const std::string& g) {
       ++grants1[g];
     });
   }
-  ASSERT_TRUE(f.run_until([&] {
+  ASSERT_TRUE(run_until(c, svc, [&] {
     return grants1.size() == names.size();
   }));
   for (const auto& n : names) {
-    f.stacks.at(2)->locks->acquire(n, [&](const std::string& g) {
+    svc.at(2)->locks.acquire(n, [&](const std::string& g) {
       ++grants2[g];
-      EXPECT_TRUE(f.stacks.at(2)->locks->held_by_me(g));
+      EXPECT_TRUE(svc.at(2)->locks.held_by_me(g));
     });
   }
 
-  f.stacks.at(1)->mgr->start_resize(4);
-  ASSERT_TRUE(f.run_until([&] { return f.resize_settled(4, 1); }));
+  svc.at(1)->mgr.start_resize(4);
+  ASSERT_TRUE(run_until(c, svc, [&] { return resize_settled(c, svc, 4, 1); }));
   // Holder still owns every lock after the hand-off; waiters still pending.
   for (const auto& n : names) {
-    EXPECT_TRUE(f.stacks.at(1)->locks->held_by_me(n)) << n;
+    EXPECT_TRUE(svc.at(1)->locks.held_by_me(n)) << n;
     EXPECT_EQ(grants2.count(n), 0u) << n << " granted while held";
   }
-  for (const auto& n : names) f.stacks.at(1)->locks->release(n);
-  ASSERT_TRUE(f.run_until([&] { return grants2.size() == names.size(); }))
+  for (const auto& n : names) svc.at(1)->locks.release(n);
+  ASSERT_TRUE(run_until(c, svc, [&] { return grants2.size() == names.size(); }))
       << "queued waiters lost across the migration";
   for (const auto& n : names) {
     EXPECT_EQ(grants1[n], 1) << n;
@@ -341,20 +325,21 @@ TEST(ReshardLiveTest, LocksStayExclusiveAcrossTheResize) {
 }
 
 TEST(ReshardLiveTest, SecondResizeUsesTheNextEpoch) {
-  ReshardFixture f(3, 2);
-  ASSERT_TRUE(f.converge());
+  Cluster c({1, 2, 3}, plane(2));
+  auto svc = services_on(c);
+  ASSERT_TRUE(converge(c, svc));
   for (int i = 0; i < 30; ++i) {
-    f.stacks.at(1)->map->put("e" + std::to_string(i), "x");
+    svc.at(1)->map.put("e" + std::to_string(i), "x");
   }
-  f.stacks.at(1)->mgr->start_resize(3);
-  ASSERT_TRUE(f.run_until([&] { return f.resize_settled(3, 1); }));
-  f.stacks.at(2)->mgr->start_resize(5);
-  ASSERT_TRUE(f.run_until([&] { return f.resize_settled(5, 2); }));
+  svc.at(1)->mgr.start_resize(3);
+  ASSERT_TRUE(run_until(c, svc, [&] { return resize_settled(c, svc, 3, 1); }));
+  svc.at(2)->mgr.start_resize(5);
+  ASSERT_TRUE(run_until(c, svc, [&] { return resize_settled(c, svc, 5, 2); }));
   const ShardRouter target(5);
   for (int i = 0; i < 30; ++i) {
     std::string key = "e" + std::to_string(i);
-    for (NodeId id : f.ids) {
-      auto& m = *f.stacks.at(id)->map;
+    for (NodeId id : c.ids()) {
+      auto& m = svc.at(id)->map;
       ASSERT_TRUE(m.get(key).has_value()) << "node " << id << " lost " << key;
       EXPECT_TRUE(m.shard(target.shard_of(key)).contains(key));
     }
@@ -366,33 +351,35 @@ TEST(ReshardDurabilityTest, FullRestartRecoversIntoTheGrownEpoch) {
   std::filesystem::remove_all(root);
   const int kKeys = 40;
   {
-    ReshardFixture f(3, 2, root);
-    ASSERT_TRUE(f.converge());
+    Cluster c({1, 2, 3}, plane(2, root));
+    auto svc = services_on(c);
+    ASSERT_TRUE(converge(c, svc));
     for (int i = 0; i < kKeys; ++i) {
-      f.stacks.at(1)->map->put("dk" + std::to_string(i),
-                               "d" + std::to_string(i));
+      svc.at(1)->map.put("dk" + std::to_string(i), "d" + std::to_string(i));
     }
-    f.stacks.at(1)->mgr->start_resize(4);
-    ASSERT_TRUE(f.run_until([&] { return f.resize_settled(4, 1); }));
-    for (auto& [id, st] : f.stacks) st->plane->flush_storage();
+    svc.at(1)->mgr.start_resize(4);
+    ASSERT_TRUE(
+        run_until(c, svc, [&] { return resize_settled(c, svc, 4, 1); }));
+    for (NodeId id : c.ids()) c.plane(id).flush_storage();
   }
 
   // Full teardown + restart from disk: each plane is reconstructed
   // pre-grown (four shard directories on disk), recovery replays the
   // reshard journal stream, and after_recovery lands every node on the
   // completed epoch — no migration window reopened.
-  ReshardFixture g(3, 4, root);
-  ASSERT_TRUE(g.converge());
-  for (auto& [id, st] : g.stacks) {
-    EXPECT_FALSE(st->mgr->migrating()) << "node " << id;
-    EXPECT_EQ(st->mgr->epoch(), 1u) << "node " << id;
-    EXPECT_EQ(st->plane->vrouter().current().shard_count(), 4u)
+  Cluster g({1, 2, 3}, plane(4, root));
+  auto gsvc = services_on(g);
+  ASSERT_TRUE(converge(g, gsvc));
+  for (auto& [id, st] : gsvc) {
+    EXPECT_FALSE(st->mgr.migrating()) << "node " << id;
+    EXPECT_EQ(st->mgr.epoch(), 1u) << "node " << id;
+    EXPECT_EQ(g.plane(id).vrouter().current().shard_count(), 4u)
         << "node " << id;
   }
-  ASSERT_TRUE(g.run_until([&] {
-    for (auto& [id, st] : g.stacks) {
-      if (!st->map->synced() ||
-          st->map->size() != static_cast<std::size_t>(kKeys)) {
+  ASSERT_TRUE(run_until(g, gsvc, [&] {
+    for (auto& [id, st] : gsvc) {
+      if (!st->map.synced() ||
+          st->map.size() != static_cast<std::size_t>(kKeys)) {
         return false;
       }
     }
@@ -401,11 +388,11 @@ TEST(ReshardDurabilityTest, FullRestartRecoversIntoTheGrownEpoch) {
   const ShardRouter target(4);
   for (int i = 0; i < kKeys; ++i) {
     std::string key = "dk" + std::to_string(i);
-    for (auto& [id, st] : g.stacks) {
-      auto v = st->map->get(key);
+    for (auto& [id, st] : gsvc) {
+      auto v = st->map.get(key);
       ASSERT_TRUE(v.has_value()) << "node " << id << " missing " << key;
       EXPECT_EQ(*v, "d" + std::to_string(i));
-      EXPECT_TRUE(st->map->shard(target.shard_of(key)).contains(key));
+      EXPECT_TRUE(st->map.shard(target.shard_of(key)).contains(key));
     }
   }
   std::filesystem::remove_all(root);
@@ -423,14 +410,15 @@ void run_shard_down_at_completion(bool record_durable) {
                            (record_durable ? "_durable" : "_lost");
   std::filesystem::remove_all(root);
   const int kKeys = 40;
-  ReshardFixture f(3, 2, root);
-  ASSERT_TRUE(f.converge());
+  Cluster c({1, 2, 3}, plane(2, root));
+  auto svc = services_on(c);
+  ASSERT_TRUE(converge(c, svc));
   for (int i = 0; i < kKeys; ++i) {
-    f.stacks.at(1)->map->put("dk" + std::to_string(i), "d" + std::to_string(i));
+    svc.at(1)->map.put("dk" + std::to_string(i), "d" + std::to_string(i));
   }
-  ASSERT_TRUE(f.run_until([&] {
-    for (auto& [id, st] : f.stacks) {
-      if (st->map->size() != static_cast<std::size_t>(kKeys)) return false;
+  ASSERT_TRUE(run_until(c, svc, [&] {
+    for (auto& [id, st] : svc) {
+      if (st->map.size() != static_cast<std::size_t>(kKeys)) return false;
     }
     return true;
   }));
@@ -438,10 +426,10 @@ void run_shard_down_at_completion(bool record_durable) {
   // The epoch opens everywhere and shard 1 journals its record (a write
   // routed to shard 1 announces the epoch on that ring). Unless it is
   // flushed, the power cut below loses that record with the WAL tail.
-  f.stacks.at(1)->mgr->start_resize(4);
-  ASSERT_TRUE(f.run_until([&] {
-    for (auto& [id, st] : f.stacks) {
-      if (!st->mgr->migrating()) return false;
+  svc.at(1)->mgr.start_resize(4);
+  ASSERT_TRUE(run_until(c, svc, [&] {
+    for (auto& [id, st] : svc) {
+      if (!st->mgr.migrating()) return false;
     }
     return true;
   }));
@@ -452,49 +440,49 @@ void run_shard_down_at_completion(bool record_durable) {
     if (before.shard_of(key) == 1) on_shard1 = key;
   }
   ASSERT_FALSE(on_shard1.empty());
-  f.stacks.at(1)->map->put(on_shard1, "announce");
-  f.net.loop().run_for(millis(200));
+  svc.at(1)->map.put(on_shard1, "announce");
+  c.net().loop().run_for(millis(200));
   if (record_durable) {
-    for (auto& [id, st] : f.stacks) st->plane->flush_storage();
+    for (NodeId id : c.ids()) c.plane(id).flush_storage();
   }
 
   // Node 3 is cut off and finishes the epoch alone. Nodes 1 and 2 cannot:
   // their shard-1 stores are down.
-  f.net.partition({{1, 2}, {3}});
+  c.net().partition({{1, 2}, {3}});
   for (NodeId id : {1u, 2u}) {
-    f.stacks.at(id)->plane->crash_store(1);
-    f.stacks.at(id)->plane->ring(1).stop();
+    c.plane(id).crash_store(1);
+    c.plane(id).ring(1).stop();
   }
-  auto& n3 = *f.stacks.at(3);
-  ASSERT_TRUE(f.run_until([&] {
-    return !n3.mgr->migrating() && n3.mgr->epoch() == 1;
+  auto& n3 = *svc.at(3);
+  ASSERT_TRUE(run_until(c, svc, [&] {
+    return !n3.mgr.migrating() && n3.mgr.epoch() == 1;
   })) << "node 3 never finished the epoch";
 
   // Nodes 1 and 2 adopt the finished epoch from node 3's state dump while
   // their shard-1 stores are still down; then those stores restart.
-  f.net.heal_partition();
-  ASSERT_TRUE(f.run_until([&] {
+  c.net().heal_partition();
+  ASSERT_TRUE(run_until(c, svc, [&] {
     for (NodeId id : {1u, 2u}) {
-      const auto& st = *f.stacks.at(id);
-      if (st.mgr->migrating() || st.mgr->epoch() != 1 ||
-          st.plane->ring(0).view().members.size() != 3) {
+      const auto& st = *svc.at(id);
+      if (st.mgr.migrating() || st.mgr.epoch() != 1 ||
+          c.plane(id).ring(0).view().members.size() != 3) {
         return false;
       }
     }
     return true;
   })) << "nodes 1 and 2 never learned that the epoch closed";
   for (NodeId id : {1u, 2u}) {
-    auto& st = *f.stacks.at(id);
-    st.plane->open_store(1);
-    st.plane->recover_store(1);
-    st.mgr->after_recovery();
-    st.plane->ring(1).found();
+    auto& st = *svc.at(id);
+    c.plane(id).open_store(1);
+    c.plane(id).recover_store(1);
+    st.mgr.after_recovery();
+    c.plane(id).ring(1).found();
   }
-  ASSERT_TRUE(f.run_until([&] {
-    if (!f.resize_settled(4, 1)) return false;
+  ASSERT_TRUE(run_until(c, svc, [&] {
+    if (!resize_settled(c, svc, 4, 1)) return false;
     for (NodeId id : {1u, 2u}) {
-      if (f.stacks.at(id)->map->shard(1).contents() !=
-          n3.map->shard(1).contents()) {
+      if (svc.at(id)->map.shard(1).contents() !=
+          n3.map.shard(1).contents()) {
         return false;
       }
     }
@@ -502,14 +490,14 @@ void run_shard_down_at_completion(bool record_durable) {
   })) << "the shard-1 replicas never converged";
 
   const ShardRouter target(4);
-  for (auto& [id, st] : f.stacks) {
-    for (const auto& [key, value] : st->map->shard(1).contents()) {
+  for (auto& [id, st] : svc) {
+    for (const auto& [key, value] : st->map.shard(1).contents()) {
       EXPECT_EQ(target.shard_of(key), 1u)
           << "node " << id << " keeps " << key << " on shard 1";
     }
     for (int i = 0; i < kKeys; ++i) {
       const std::string key = "dk" + std::to_string(i);
-      auto v = st->map->get(key);
+      auto v = st->map.get(key);
       ASSERT_TRUE(v.has_value()) << "node " << id << " lost " << key;
       EXPECT_EQ(*v, key == on_shard1 ? "announce" : "d" + std::to_string(i));
     }

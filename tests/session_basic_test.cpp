@@ -2,17 +2,17 @@
 // agreement, multicast ordering and the mutual exclusion service.
 #include <gtest/gtest.h>
 
-#include "tests/util/test_cluster.h"
+#include "testing/cluster.h"
 
 namespace raincore {
 namespace {
 
 using session::Ordering;
 using session::SessionNode;
-using testing::TestCluster;
+using testing::Cluster;
 
 TEST(SessionBasic, SingletonGroupFormsAndDeliversToSelf) {
-  TestCluster c({1});
+  Cluster c({1});
   c.node(1).found();
   c.send(1, "hello");
   c.run(millis(100));
@@ -23,7 +23,7 @@ TEST(SessionBasic, SingletonGroupFormsAndDeliversToSelf) {
 }
 
 TEST(SessionBasic, FoundAllMergesIntoOneGroupViaDiscovery) {
-  TestCluster c({1, 2, 3, 4});
+  Cluster c({1, 2, 3, 4});
   c.found_all();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)))
       << "discovery/merge did not unify the groups";
@@ -32,13 +32,13 @@ TEST(SessionBasic, FoundAllMergesIntoOneGroupViaDiscovery) {
 }
 
 TEST(SessionBasic, BootstrapViaJoin) {
-  TestCluster c({1, 2, 3, 4, 5});
+  Cluster c({1, 2, 3, 4, 5});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4, 5}, seconds(10)));
 }
 
 TEST(SessionBasic, TokenCirculates) {
-  TestCluster c({1, 2, 3});
+  Cluster c({1, 2, 3});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
   auto before = c.node(2).stats().tokens_received.value();
@@ -48,7 +48,7 @@ TEST(SessionBasic, TokenCirculates) {
 }
 
 TEST(SessionBasic, AgreedMulticastReachesAllMembers) {
-  TestCluster c({1, 2, 3, 4});
+  Cluster c({1, 2, 3, 4});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
   c.send(2, "from-2");
@@ -61,7 +61,7 @@ TEST(SessionBasic, AgreedMulticastReachesAllMembers) {
 }
 
 TEST(SessionBasic, AgreedOrderingIsIdenticalEverywhere) {
-  TestCluster c({1, 2, 3, 4, 5});
+  Cluster c({1, 2, 3, 4, 5});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4, 5}, seconds(10)));
   // Interleave sends from several origins over time.
@@ -79,7 +79,7 @@ TEST(SessionBasic, AgreedOrderingIsIdenticalEverywhere) {
 }
 
 TEST(SessionBasic, SafeMulticastDeliversAfterExtraRound) {
-  TestCluster c({1, 2, 3});
+  Cluster c({1, 2, 3});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
   c.send(1, "safe-msg", Ordering::kSafe);
@@ -92,7 +92,7 @@ TEST(SessionBasic, SafeMulticastDeliversAfterExtraRound) {
 }
 
 TEST(SessionBasic, SafeDeliveryIsLaterThanAgreedForSameSubmission) {
-  TestCluster c({1, 2, 3, 4});
+  Cluster c({1, 2, 3, 4});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
   c.send(1, "agreed", Ordering::kAgreed);
@@ -107,7 +107,7 @@ TEST(SessionBasic, SafeDeliveryIsLaterThanAgreedForSameSubmission) {
 }
 
 TEST(SessionBasic, MutualExclusionRunsExactlyOnceAndWhileEating) {
-  TestCluster c({1, 2, 3});
+  Cluster c({1, 2, 3});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
   int runs = 0;
@@ -122,7 +122,7 @@ TEST(SessionBasic, MutualExclusionRunsExactlyOnceAndWhileEating) {
 }
 
 TEST(SessionBasic, ExclusiveSectionsDoNotOverlapAcrossNodes) {
-  TestCluster c({1, 2, 3, 4});
+  Cluster c({1, 2, 3, 4});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
   int active = 0;
@@ -144,7 +144,7 @@ TEST(SessionBasic, ExclusiveSectionsDoNotOverlapAcrossNodes) {
 }
 
 TEST(SessionBasic, GracefulLeaveShrinksMembership) {
-  TestCluster c({1, 2, 3, 4});
+  Cluster c({1, 2, 3, 4});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
   c.node(3).leave();
@@ -153,7 +153,7 @@ TEST(SessionBasic, GracefulLeaveShrinksMembership) {
 }
 
 TEST(SessionBasic, ViewChangeCallbacksAreMonotonic) {
-  TestCluster c({1, 2, 3});
+  Cluster c({1, 2, 3});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
   const auto& vs = c.views(1);
@@ -164,7 +164,7 @@ TEST(SessionBasic, ViewChangeCallbacksAreMonotonic) {
 }
 
 TEST(SessionBasic, MulticastBeforeJoinIsDeliveredOnceMember) {
-  TestCluster c({1, 2});
+  Cluster c({1, 2});
   c.node(1).found();
   c.run(millis(50));
   c.node(2).join({1});
@@ -178,7 +178,7 @@ TEST(SessionBasic, MulticastBeforeJoinIsDeliveredOnceMember) {
 TEST(SessionBasic, OpenGroupSubmitReachesWholeGroup) {
   // §2.6: "a node can send a message to any member of the Raincore group,
   // and that member then forwards the message to the entire group."
-  TestCluster c({1, 2, 3, 9});  // node 9 stays outside the group
+  Cluster c({1, 2, 3, 9});  // node 9 stays outside the group
   c.node(1).found();
   c.node(2).join({1});
   c.node(3).join({1});
@@ -198,7 +198,7 @@ TEST(SessionBasic, OpenGroupSubmitReachesWholeGroup) {
 TEST(SessionBasic, LargeGroupConverges) {
   std::vector<NodeId> ids;
   for (NodeId i = 1; i <= 16; ++i) ids.push_back(i);
-  TestCluster c(ids);
+  Cluster c(ids);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged(ids, seconds(30)));
   c.send(7, "big-group");

@@ -3,19 +3,19 @@
 // corner cases.
 #include <gtest/gtest.h>
 
-#include "tests/util/test_cluster.h"
+#include "testing/cluster.h"
 
 namespace raincore {
 namespace {
 
 using session::Ordering;
-using testing::TestCluster;
+using testing::Cluster;
 
 TEST(SessionEdge, FlowControlDrainsLargeBacklog) {
   session::SessionConfig cfg;
   cfg.max_batch_msgs = 10;
   cfg.token_hold = millis(2);
-  TestCluster c({1, 2, 3}, cfg);
+  Cluster c({1, 2, 3}, cfg);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
   for (int i = 0; i < 500; ++i) c.send(1, "m" + std::to_string(i));
@@ -29,7 +29,7 @@ TEST(SessionEdge, FlowControlDrainsLargeBacklog) {
 }
 
 TEST(SessionEdge, LargePayloadMulticast) {
-  TestCluster c({1, 2, 3});
+  Cluster c({1, 2, 3});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
   std::string big(100 * 1024, 'x');
@@ -95,7 +95,7 @@ TEST(SessionEdge, SetEligibleOnlineEnablesMerge) {
 // (the §5b #5 escape) broke.
 TEST(SessionEdge, StaleMergeInvitationIsDroppedSoCrossingMergesConverge) {
   session::SessionConfig cfg;
-  TestCluster c({1, 2, 3}, cfg);
+  Cluster c({1, 2, 3}, cfg);
   c.net().set_latency(2, 3, millis(1), 0, /*bidirectional=*/false);
   c.net().set_latency(2, 1, millis(20), 0, /*bidirectional=*/false);
   c.found_all();
@@ -118,7 +118,7 @@ TEST(SessionEdge, StaleMergeInvitationIsDroppedSoCrossingMergesConverge) {
 // next round of adverts.
 TEST(SessionEdge, ReadvertisedLowerGroupIdRefreshesQueuedInvitation) {
   session::SessionConfig cfg;
-  TestCluster c({1, 2, 3, 4}, cfg);
+  Cluster c({1, 2, 3, 4}, cfg);
   // Two pairs merge first: {1,3} and {2,4}. Only node 3 advertises to node
   // 4 across the pairs.
   c.node(1).set_eligible({1, 3});
@@ -150,7 +150,7 @@ TEST(SessionEdge, ReadvertisedLowerGroupIdRefreshesQueuedInvitation) {
 // parked TBM token of ring [3,1]: the merged ring runs 1→2→3, and the old
 // hop budget retired the batch at node 2 before node 3 delivered it.
 TEST(SessionEdge, MergeStretchesRoundsToDisplacedMembers) {
-  TestCluster c({1, 2, 3});
+  Cluster c({1, 2, 3});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
   ASSERT_EQ(c.node(1).view().members, (std::vector<NodeId>{1, 3, 2}));
@@ -175,7 +175,7 @@ TEST(SessionEdge, MergeStretchesRoundsToDisplacedMembers) {
 }
 
 TEST(SessionEdge, AgreedAndSafeInterleaveConsistently) {
-  TestCluster c({1, 2, 3, 4});
+  Cluster c({1, 2, 3, 4});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
   for (int i = 0; i < 10; ++i) {
@@ -191,7 +191,7 @@ TEST(SessionEdge, AgreedAndSafeInterleaveConsistently) {
 }
 
 TEST(SessionEdge, RestartedOriginsMessagesAreDeliveredDespiteOldWatermarks) {
-  TestCluster c({1, 2, 3});
+  Cluster c({1, 2, 3});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
   // Node 3 multicasts, crashes, restarts, multicasts again from seq 1.
@@ -215,14 +215,14 @@ TEST(SessionEdge, RestartedOriginsMessagesAreDeliveredDespiteOldWatermarks) {
 TEST(SessionEdge, ZeroHoldIntervalIsClamped) {
   session::SessionConfig cfg;
   cfg.token_hold = 0;
-  TestCluster c({1}, cfg);
+  Cluster c({1}, cfg);
   c.node(1).found();
   c.run(millis(100));  // must terminate: virtual time must advance
   EXPECT_GT(c.node(1).last_copy().seq, 10u);
 }
 
 TEST(SessionEdge, LeaveWhileHungryCompletesAtNextToken) {
-  TestCluster c({1, 2, 3});
+  Cluster c({1, 2, 3});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
   // Call leave() at an arbitrary moment (node may be HUNGRY).
@@ -232,7 +232,7 @@ TEST(SessionEdge, LeaveWhileHungryCompletesAtNextToken) {
 }
 
 TEST(SessionEdge, CancelLeaveKeepsMembership) {
-  TestCluster c({1, 2, 3});
+  Cluster c({1, 2, 3});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
   // leave() then immediately cancel before the next EATING state.
@@ -246,7 +246,7 @@ TEST(SessionEdge, CancelLeaveKeepsMembership) {
 }
 
 TEST(SessionEdge, PendingMessagesAttachedBeforeGracefulLeave) {
-  TestCluster c({1, 2});
+  Cluster c({1, 2});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2}, seconds(10)));
   c.send(2, "farewell");
@@ -261,7 +261,7 @@ TEST(SessionEdge, PendingMessagesAttachedBeforeGracefulLeave) {
 TEST(SessionEdge, RoundtripStatisticsAreReasonable) {
   session::SessionConfig cfg;
   cfg.token_hold = millis(10);
-  TestCluster c({1, 2, 3, 4}, cfg);
+  Cluster c({1, 2, 3, 4}, cfg);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
   c.node(1).stats().roundtrip.reset();
@@ -273,7 +273,7 @@ TEST(SessionEdge, RoundtripStatisticsAreReasonable) {
 }
 
 TEST(SessionEdge, StaleTokenCounterTracksDuplicates) {
-  TestCluster c({1, 2, 3});
+  Cluster c({1, 2, 3});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
   // Inject a duplicate of the current last copy directly via transport.
@@ -284,7 +284,7 @@ TEST(SessionEdge, StaleTokenCounterTracksDuplicates) {
 }
 
 TEST(SessionEdge, GroupIdTracksLowestMember) {
-  TestCluster c({3, 5, 9});
+  Cluster c({3, 5, 9});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({3, 5, 9}, seconds(10)));
   EXPECT_EQ(c.node(5).view().group_id, 3u);

@@ -5,16 +5,16 @@
 
 #include "common/metrics.h"
 #include "session/messages.h"
-#include "tests/util/test_cluster.h"
+#include "testing/cluster.h"
 
 namespace raincore {
 namespace {
 
 using session::Ordering;
-using testing::TestCluster;
+using testing::Cluster;
 
 TEST(SessionFailure, CrashedNodeIsRemovedFromMembership) {
-  TestCluster c({1, 2, 3, 4});
+  Cluster c({1, 2, 3, 4});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
   // "Cable unplugged": node 3 disappears from the network.
@@ -25,7 +25,7 @@ TEST(SessionFailure, CrashedNodeIsRemovedFromMembership) {
 }
 
 TEST(SessionFailure, FailureDetectionIsFast) {
-  TestCluster c({1, 2, 3, 4});
+  Cluster c({1, 2, 3, 4});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
   c.net().set_node_up(2, false);
@@ -39,7 +39,7 @@ TEST(SessionFailure, FailureDetectionIsFast) {
 }
 
 TEST(SessionFailure, TokenLossIsRecoveredBy911) {
-  TestCluster c({1, 2, 3, 4});
+  Cluster c({1, 2, 3, 4});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
 
@@ -84,7 +84,7 @@ TEST(SessionFailure, MessagesOnLostTokenSurviveRegeneration) {
   // token because local copies retain them (§2.3 + §2.6).
   session::SessionConfig cfg;
   cfg.token_hold = millis(20);  // slow the ring so we can race it
-  TestCluster c({1, 2, 3, 4}, cfg);
+  Cluster c({1, 2, 3, 4}, cfg);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
 
@@ -121,7 +121,7 @@ TEST(SessionFailure, MessagesOnLostTokenSurviveRegeneration) {
 }
 
 TEST(SessionFailure, FalseAlarmNodeRejoinsAutomatically) {
-  TestCluster c({1, 2, 3, 4});
+  Cluster c({1, 2, 3, 4});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
 
@@ -139,7 +139,7 @@ TEST(SessionFailure, BrokenLinkIsBypassedInNewRing) {
   // The paper's ABCD example (§2.3): link A-B fails; B is removed by A,
   // B's 911 is treated as a join by C, and the new ring bypasses the
   // broken link.
-  TestCluster c({1, 2, 3, 4});
+  Cluster c({1, 2, 3, 4});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
 
@@ -181,7 +181,7 @@ TEST(SessionFailure, BrokenLinkIsBypassedInNewRing) {
 }
 
 TEST(SessionFailure, PartitionSplitsThenMergeHeals) {
-  TestCluster c({1, 2, 3, 4, 5, 6});
+  Cluster c({1, 2, 3, 4, 5, 6});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4, 5, 6}, seconds(10)));
 
@@ -221,7 +221,7 @@ TEST(SessionFailure, PartitionSplitsThenMergeHeals) {
 }
 
 TEST(SessionFailure, ThreeWayPartitionMergesWithoutDeadlock) {
-  TestCluster c({1, 2, 3, 4, 5, 6});
+  Cluster c({1, 2, 3, 4, 5, 6});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4, 5, 6}, seconds(10)));
   c.net().partition({{1, 2}, {3, 4}, {5, 6}});
@@ -234,7 +234,7 @@ TEST(SessionFailure, ThreeWayPartitionMergesWithoutDeadlock) {
 }
 
 TEST(SessionFailure, CascadingFailures) {
-  TestCluster c({1, 2, 3, 4, 5, 6, 7, 8});
+  Cluster c({1, 2, 3, 4, 5, 6, 7, 8});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4, 5, 6, 7, 8}, seconds(15)));
   // Kill half the cluster one by one while traffic flows.
@@ -257,7 +257,7 @@ TEST(SessionFailure, CascadingFailures) {
 }
 
 TEST(SessionFailure, AllButOneFailThenGroupOfOneSurvives) {
-  TestCluster c({1, 2, 3});
+  Cluster c({1, 2, 3});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
   c.net().set_node_up(2, false);
@@ -272,7 +272,7 @@ TEST(SessionFailure, AllButOneFailThenGroupOfOneSurvives) {
 }
 
 TEST(SessionFailure, RejoinAfterCrashRestart) {
-  TestCluster c({1, 2, 3});
+  Cluster c({1, 2, 3});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
   c.net().set_node_up(3, false);
@@ -292,7 +292,7 @@ TEST(SessionFailure, RejoinAfterCrashRestart) {
 TEST(SessionFailureMetrics, RemovalCountMatchesInjectedCrashesAndFodFired) {
   // One injected crash must surface as exactly one membership removal
   // cluster-wide, driven by at least one transport failure-on-delivery.
-  TestCluster c({1, 2, 3});
+  Cluster c({1, 2, 3});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
 
@@ -331,7 +331,7 @@ TEST(SessionFailureMetrics, ProbationSavesDegradedPeerFromFalseRemoval) {
   session::SessionConfig cfg;
   cfg.transport.adaptive = true;
   cfg.probation_passes = 2;
-  TestCluster c({1, 2, 3, 4}, cfg);
+  Cluster c({1, 2, 3, 4}, cfg);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
   c.run(millis(200));  // prime the RTT estimators ring-wide
@@ -377,7 +377,7 @@ TEST(SessionFailureMetrics, ProbationSavesDegradedPeerFromFalseRemoval) {
 TEST(SessionFailureMetrics, DenialCounterCountsRefused911s) {
   // A healthy member refuses token-recovery requests carrying an older
   // token copy; each refusal increments "session.911.denials" exactly once.
-  TestCluster c({1, 2});
+  Cluster c({1, 2});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2}, seconds(10)));
   c.run(seconds(1));  // let the token's seq advance well past zero
@@ -400,7 +400,7 @@ TEST(SessionFailureMetrics, TokenLossDrives911RoundsAndStarvingDwell) {
   // Killing the token holder starves the survivors: the 911 machinery must
   // show up in the metrics (rounds ran, STARVING state was dwelt in, one
   // regeneration cluster-wide).
-  TestCluster c({1, 2, 3, 4});
+  Cluster c({1, 2, 3, 4});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
 
@@ -439,7 +439,7 @@ TEST(SessionFailure, LossyNetworkStillConvergesAndOrders) {
   ncfg.seed = 7;
   session::SessionConfig cfg;
   cfg.hungry_timeout = millis(1200);
-  TestCluster c({1, 2, 3, 4}, cfg, ncfg);
+  Cluster c({1, 2, 3, 4}, cfg, ncfg);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(30)));
   for (int i = 0; i < 20; ++i) {

@@ -4,13 +4,14 @@
 // chaos sweep with per-ring and cross-ring invariant checks.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
 
 #include "data/shard_router.h"
-#include "net/sim_network.h"
 #include "testing/chaos.h"
+#include "testing/cluster.h"
 
 namespace raincore {
 namespace {
@@ -19,6 +20,8 @@ using data::ShardedDataPlane;
 using data::ShardedLockManager;
 using data::ShardedMap;
 using data::ShardRouter;
+using testing::Cluster;
+using testing::run_until;
 
 // --- ShardRouter ------------------------------------------------------------
 
@@ -69,66 +72,36 @@ TEST(ShardRouterTest, GrowingShardCountMovesOnlyAFraction) {
   EXPECT_GT(moved, 0) << "new shard received nothing";
 }
 
-// --- Fixture: N nodes x K shards on one shared transport per node -----------
+// --- N nodes x K shards on one shared transport per node --------------------
 
 constexpr data::Channel kMapChannel = 1;
 constexpr data::Channel kLockChannel = 2;
 
-struct ShardFixture {
-  ShardFixture(std::size_t n_nodes, std::size_t shards,
-               net::SimNetConfig ncfg = {})
-      : net(ncfg) {
-    for (std::size_t i = 1; i <= n_nodes; ++i) {
-      ids.push_back(static_cast<NodeId>(i));
-    }
-    session::SessionConfig scfg;
-    scfg.eligible = ids;
-    for (NodeId id : ids) {
-      auto& env = net.add_node(id);
-      auto st = std::make_unique<Stack>();
-      st->mux = std::make_unique<session::SessionMux>(env, scfg.transport);
-      st->plane = std::make_unique<ShardedDataPlane>(*st->mux, shards, scfg);
-      st->map = std::make_unique<ShardedMap>(*st->plane, kMapChannel);
-      st->locks = std::make_unique<ShardedLockManager>(*st->plane, kLockChannel);
-      stacks.emplace(id, std::move(st));
-    }
-  }
-
-  bool converge(Time timeout = seconds(20)) {
-    for (auto& [id, st] : stacks) st->plane->found_all();
-    Time deadline = net.now() + timeout;
-    while (net.now() < deadline) {
-      bool conv = true;
-      for (auto& [id, st] : stacks) {
-        if (!st->plane->all_converged(ids.size())) {
-          conv = false;
-          break;
-        }
-      }
-      if (conv) return true;
-      net.loop().run_for(millis(10));
-    }
-    return false;
-  }
-
-  void run(Time d) { net.loop().run_for(d); }
-
-  struct Stack {
-    std::unique_ptr<session::SessionMux> mux;
-    std::unique_ptr<ShardedDataPlane> plane;
-    std::unique_ptr<ShardedMap> map;
-    std::unique_ptr<ShardedLockManager> locks;
-  };
-  net::SimNetwork net;
-  std::vector<NodeId> ids;
-  std::map<NodeId, std::unique_ptr<Stack>> stacks;
+/// A sharded map and lock manager on one node's plane.
+struct Services {
+  explicit Services(ShardedDataPlane& plane)
+      : map(plane, kMapChannel), locks(plane, kLockChannel) {}
+  ShardedMap map;
+  ShardedLockManager locks;
 };
 
+std::map<NodeId, std::unique_ptr<Services>> services_on(Cluster& c) {
+  std::map<NodeId, std::unique_ptr<Services>> out;
+  for (NodeId id : c.ids()) out[id] = std::make_unique<Services>(c.plane(id));
+  return out;
+}
+
+/// Every node founds every shard ring; true once all of them converge.
+bool converge(Cluster& c) {
+  c.found_all();
+  return c.run_until_converged(c.ids(), seconds(20));
+}
+
 TEST(ShardedPlaneTest, RingsConvergeAndInstrumentsAreDistinct) {
-  ShardFixture f(4, 3);
-  ASSERT_TRUE(f.converge());
-  for (NodeId id : f.ids) {
-    auto& mux = *f.stacks.at(id)->mux;
+  Cluster c({1, 2, 3, 4}, Cluster::Plane{3});
+  ASSERT_TRUE(converge(c));
+  for (NodeId id : c.ids()) {
+    auto& mux = c.mux(id);
     EXPECT_EQ(mux.ring_count(), 3u);
     const auto snap = mux.metrics_snapshot();
     // Every shard ring registers its session instruments under its own
@@ -143,34 +116,33 @@ TEST(ShardedPlaneTest, RingsConvergeAndInstrumentsAreDistinct) {
 }
 
 TEST(ShardedMapTest, KeysRouteByHashAndReplicasConverge) {
-  ShardFixture f(4, 3);
-  ASSERT_TRUE(f.converge());
+  Cluster c({1, 2, 3, 4}, Cluster::Plane{3});
+  auto svc = services_on(c);
+  ASSERT_TRUE(converge(c));
 
   const int kKeys = 30;
   for (int i = 0; i < kKeys; ++i) {
-    NodeId writer = f.ids[static_cast<std::size_t>(i) % f.ids.size()];
-    f.stacks.at(writer)->map->put("k" + std::to_string(i),
-                                  "v" + std::to_string(i));
+    NodeId writer = c.ids()[static_cast<std::size_t>(i) % c.ids().size()];
+    svc.at(writer)->map.put("k" + std::to_string(i), "v" + std::to_string(i));
   }
-  Time deadline = f.net.now() + seconds(10);
   auto settled = [&] {
-    for (NodeId id : f.ids) {
-      auto& m = *f.stacks.at(id)->map;
+    for (NodeId id : c.ids()) {
+      auto& m = svc.at(id)->map;
       if (!m.synced() || m.size() != static_cast<std::size_t>(kKeys)) {
         return false;
       }
     }
     return true;
   };
-  while (f.net.now() < deadline && !settled()) f.run(millis(10));
+  run_until(c.net().loop(), seconds(10), settled);
   ASSERT_TRUE(settled());
 
-  const ShardRouter& router = f.stacks.at(1)->plane->router();
+  const ShardRouter& router = c.plane(1).router();
   for (int i = 0; i < kKeys; ++i) {
     std::string key = "k" + std::to_string(i);
     std::size_t home = router.shard_of(key);
-    for (NodeId id : f.ids) {
-      auto& m = *f.stacks.at(id)->map;
+    for (NodeId id : c.ids()) {
+      auto& m = svc.at(id)->map;
       auto v = m.get(key);
       ASSERT_TRUE(v.has_value()) << "node " << id << " missing " << key;
       EXPECT_EQ(*v, "v" + std::to_string(i));
@@ -184,39 +156,39 @@ TEST(ShardedMapTest, KeysRouteByHashAndReplicasConverge) {
 }
 
 TEST(ShardedLockManagerTest, ExclusionPerLockAndParallelismAcrossShards) {
-  ShardFixture f(3, 3);
-  ASSERT_TRUE(f.converge());
+  Cluster c({1, 2, 3}, Cluster::Plane{3});
+  auto svc = services_on(c);
+  ASSERT_TRUE(converge(c));
 
   // Mutual exclusion on one name: every node acquires, each granted exactly
   // once, never two holders at once.
   auto depth = std::make_shared<int>(0);
   std::map<NodeId, int> grants;
   const std::string contested = "contested-lock";
-  for (NodeId id : f.ids) {
-    f.stacks.at(id)->locks->acquire(
+  for (NodeId id : c.ids()) {
+    svc.at(id)->locks.acquire(
         contested, [&, id, depth](const std::string&) {
           EXPECT_EQ(++*depth, 1) << "two holders of " << contested;
           ++grants[id];
-          f.net.loop().schedule(millis(2), [&, id, depth] {
+          c.net().loop().schedule(millis(2), [&, id, depth] {
             --*depth;
-            f.stacks.at(id)->locks->release(contested);
+            svc.at(id)->locks.release(contested);
           });
         });
   }
-  Time deadline = f.net.now() + seconds(10);
   auto all_granted = [&] {
-    for (NodeId id : f.ids) {
+    for (NodeId id : c.ids()) {
       if (grants[id] != 1) return false;
     }
     return true;
   };
-  while (f.net.now() < deadline && !all_granted()) f.run(millis(10));
+  run_until(c.net().loop(), seconds(10), all_granted);
   EXPECT_TRUE(all_granted());
 
   // Locks homed on different shards are independent: two nodes can hold
   // them simultaneously.
   std::string la, lb;
-  const ShardRouter& router = f.stacks.at(1)->plane->router();
+  const ShardRouter& router = c.plane(1).router();
   for (int i = 0; la.empty() || lb.empty(); ++i) {
     std::string name = "lk" + std::to_string(i);
     if (la.empty() && router.shard_of(name) == 0) la = name;
@@ -224,30 +196,27 @@ TEST(ShardedLockManagerTest, ExclusionPerLockAndParallelismAcrossShards) {
     ASSERT_LT(i, 1000);
   }
   bool held_a = false, held_b = false;
-  f.stacks.at(1)->locks->acquire(la, [&](const std::string&) { held_a = true; });
-  f.stacks.at(2)->locks->acquire(lb, [&](const std::string&) { held_b = true; });
-  deadline = f.net.now() + seconds(5);
-  while (f.net.now() < deadline && !(held_a && held_b)) f.run(millis(10));
+  svc.at(1)->locks.acquire(la, [&](const std::string&) { held_a = true; });
+  svc.at(2)->locks.acquire(lb, [&](const std::string&) { held_b = true; });
+  run_until(c.net().loop(), seconds(5), [&] { return held_a && held_b; });
   EXPECT_TRUE(held_a && held_b);
-  EXPECT_TRUE(f.stacks.at(1)->locks->held_by_me(la));
-  EXPECT_TRUE(f.stacks.at(2)->locks->held_by_me(lb));
+  EXPECT_TRUE(svc.at(1)->locks.held_by_me(la));
+  EXPECT_TRUE(svc.at(2)->locks.held_by_me(lb));
 }
 
 // --- Failure fan-out: one detection, K membership updates -------------------
 
 TEST(MultiRingFailureTest, NodeCrashRemovesItFromEveryRing) {
-  ShardFixture f(4, 3);
-  ASSERT_TRUE(f.converge());
+  Cluster c({1, 2, 3, 4}, Cluster::Plane{3});
+  ASSERT_TRUE(converge(c));
 
   // Node-level crash: the whole mux (all rings + shared transport) dies.
-  f.stacks.at(4)->mux->set_enabled(false);
-  f.net.set_node_up(4, false);
+  c.crash(4);
 
   std::vector<NodeId> survivors{1, 2, 3};
-  Time deadline = f.net.now() + seconds(30);
   auto all_removed = [&] {
     for (NodeId id : survivors) {
-      auto& plane = *f.stacks.at(id)->plane;
+      auto& plane = c.plane(id);
       for (std::size_t s = 0; s < plane.shard_count(); ++s) {
         const auto& m = plane.ring(s).view().members;
         if (m.size() != 3 || plane.ring(s).view().has(4)) return false;
@@ -255,7 +224,7 @@ TEST(MultiRingFailureTest, NodeCrashRemovesItFromEveryRing) {
     }
     return true;
   };
-  while (f.net.now() < deadline && !all_removed()) f.run(millis(10));
+  run_until(c.net().loop(), seconds(30), all_removed);
   EXPECT_TRUE(all_removed())
       << "some ring still believes node 4 is a member";
 
@@ -264,7 +233,7 @@ TEST(MultiRingFailureTest, NodeCrashRemovesItFromEveryRing) {
   // ring's failed transfer instead of a ring-local detection.
   std::uint64_t fanned = 0;
   for (NodeId id : survivors) {
-    const auto snap = f.stacks.at(id)->mux->metrics_snapshot();
+    const auto snap = c.mux(id).metrics_snapshot();
     for (const auto& [name, value] : snap.counters) {
       if (name.find("session.suspect_removals") != std::string::npos) {
         fanned += value;

@@ -3,17 +3,17 @@
 // critical-resource shutdown device.
 #include <gtest/gtest.h>
 
-#include "tests/util/test_cluster.h"
+#include "testing/cluster.h"
 
 namespace raincore {
 namespace {
 
-using testing::TestCluster;
+using testing::Cluster;
 
 TEST(SplitBrain, QuorumDeciderShutsDownMinority) {
   session::SessionConfig cfg;
   cfg.quorum_of = 4;  // N = 4: any view of size <= 2 self-terminates
-  TestCluster c({1, 2, 3, 4}, cfg);
+  Cluster c({1, 2, 3, 4}, cfg);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
 
@@ -33,7 +33,7 @@ TEST(SplitBrain, QuorumDeciderKillsBothHalvesOnEvenSplit) {
   // split of N=4 stops *everything* (both sides are at N/2).
   session::SessionConfig cfg;
   cfg.quorum_of = 4;
-  TestCluster c({1, 2, 3, 4}, cfg);
+  Cluster c({1, 2, 3, 4}, cfg);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
   int shutdowns = 0;
@@ -50,7 +50,7 @@ TEST(SplitBrain, QuorumDeciderKillsBothHalvesOnEvenSplit) {
 
 TEST(SplitBrain, DefaultStrategyKeepsBothHalvesAlive) {
   // Raincore's default (§2.4 strategy 2): both sub-groups stay functional.
-  TestCluster c({1, 2, 3, 4});
+  Cluster c({1, 2, 3, 4});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
   c.net().partition({{1, 2}, {3, 4}});
@@ -71,7 +71,7 @@ TEST(SplitBrain, RedundantLinksPreventPartitionFromSingleLinkFailure) {
   // sub-groups less likely to occur."
   session::SessionConfig cfg;
   cfg.transport.default_peer_ifaces = 2;
-  TestCluster c({1, 2, 3}, cfg, {}, /*ifaces=*/2);
+  Cluster c({1, 2, 3}, cfg, {}, /*ifaces=*/2);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
 
@@ -107,7 +107,7 @@ TEST(SplitBrain, ParallelStrategyMasksPrimaryLinkLossWithoutRtoStall) {
   session::SessionConfig cfg;
   cfg.transport.default_peer_ifaces = 2;
   cfg.transport.strategy = transport::SendStrategy::kParallel;
-  TestCluster c({1, 2}, cfg, {}, /*ifaces=*/2);
+  Cluster c({1, 2}, cfg, {}, /*ifaces=*/2);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2}, seconds(10)));
   c.net().set_link_up(net::Address{1, 0}, net::Address{2, 0}, false);

@@ -7,7 +7,7 @@
 #include "common/metrics.h"
 #include "session/messages.h"
 #include "session/token.h"
-#include "tests/util/test_cluster.h"
+#include "testing/cluster.h"
 
 namespace raincore {
 namespace {
@@ -187,14 +187,14 @@ TEST(SessionMessagesTest, EmptyPayloadPeekFails) {
 namespace ringmetrics {
 
 /// Steps the simulation in small increments until `id` is EATING.
-bool run_until_holder(testing::TestCluster& c, NodeId id) {
+bool run_until_holder(testing::Cluster& c, NodeId id) {
   for (int i = 0; i < 200000 && !c.node(id).holds_token(); ++i) {
     c.run(micros(100));
   }
   return c.node(id).holds_token();
 }
 
-std::uint64_t total_passed(testing::TestCluster& c) {
+std::uint64_t total_passed(testing::Cluster& c) {
   std::uint64_t sum = 0;
   for (NodeId id : c.ids()) sum += c.node(id).stats().tokens_passed.value();
   return sum;
@@ -207,7 +207,7 @@ TEST(TokenRingMetrics, TokenHopCountMatchesSeqDelta) {
   // node's "session.token.passed" counter exactly once, so on a healthy
   // ring (no 911, no merges) the cluster-wide hop count between two
   // sightings of the token at the same node equals the seq delta.
-  testing::TestCluster c({1, 2, 3});
+  testing::Cluster c({1, 2, 3});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
 
@@ -230,7 +230,7 @@ TEST(TokenRingMetrics, TokenHopCountMatchesSeqDelta) {
 }
 
 TEST(TokenRingMetrics, RingSizeGaugeTracksMembership) {
-  testing::TestCluster c({1, 2, 3, 4});
+  testing::Cluster c({1, 2, 3, 4});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
   for (NodeId id : c.ids()) {
@@ -240,7 +240,7 @@ TEST(TokenRingMetrics, RingSizeGaugeTracksMembership) {
 }
 
 TEST(TokenRingMetrics, StateDwellHistogramsPopulateOnAHealthyRing) {
-  testing::TestCluster c({1, 2});
+  testing::Cluster c({1, 2});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2}, seconds(10)));
   c.run(seconds(1));
@@ -260,7 +260,7 @@ TEST(TokenRingMetrics, StateDwellHistogramsPopulateOnAHealthyRing) {
 TEST(TokenRingMetrics, SnapshotDiffIsolatesAQuietWindow) {
   // Registry snapshots taken around an idle window (no app traffic) must
   // show zero message deliveries but continued token circulation.
-  testing::TestCluster c({1, 2, 3});
+  testing::Cluster c({1, 2, 3});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
   c.send(1, "warmup");

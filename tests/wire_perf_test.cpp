@@ -10,22 +10,22 @@
 // unit test instead of silently inflating the benchmarks.
 #include <gtest/gtest.h>
 
-#include "tests/util/test_cluster.h"
+#include "testing/cluster.h"
 #include "transport/transport.h"
 
 namespace raincore {
 namespace {
 
-using testing::TestCluster;
+using testing::Cluster;
 
-std::uint64_t total_hops(TestCluster& c) {
+std::uint64_t total_hops(Cluster& c) {
   std::uint64_t total = 0;
   for (NodeId id : c.ids()) total += c.node(id).stats().tokens_passed.value();
   return total;
 }
 
 TEST(WirePerf, SteadyStateTokenHopAllocationBudget) {
-  TestCluster c({1, 2, 3});
+  Cluster c({1, 2, 3});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
   c.run(seconds(1));  // settle into steady rotation
