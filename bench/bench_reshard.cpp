@@ -74,7 +74,6 @@ int main(int argc, char** argv) {
   // the run so the migration is the only disturbance.
   ccfg.mean_gap = seconds(10000);
   ccfg.mean_duration = millis(1);
-  ccfg.n_shards = kShardsFrom;
 
   testing::DurabilityConfig dcfg;
   dcfg.n_shards = kShardsFrom;
@@ -92,12 +91,9 @@ int main(int argc, char** argv) {
   session::SessionConfig scfg;
   scfg.transport.adaptive = true;
 
-  std::vector<NodeId> ids;
-  for (std::size_t i = 1; i <= kNodes; ++i) {
-    ids.push_back(static_cast<NodeId>(i));
-  }
-  testing::DurabilityChaosCluster cluster(ids, root.string(), ccfg, dcfg,
-                                          scfg, ncfg);
+  testing::DurabilityChaosCluster cluster(testing::node_ids(kNodes),
+                                          root.string(), ccfg, dcfg, scfg,
+                                          ncfg);
   bool booted = cluster.bootstrap();
   if (booted) {
     cluster.run_chaos(kRunFor);

@@ -18,6 +18,10 @@
 # The shared ring invariant checkers (src/testing/oracles.h) run their own
 # tests there too: every cluster harness judges its rings through them, so
 # a checker that stops flagging a duplicate or a lost message fails here.
+# So does chaos_test, less its seed sweep (bench_chaos runs those seeds):
+# its cases hold a ChaosCluster by hand, whose services must die before
+# the testing::Cluster rings they run on (VipManager's destructor cancels
+# its timer through its ring's env).
 #
 # The `durability`-labelled suite then runs under the same ASAN tree:
 # WAL format/torn-tail unit tests plus the restart-storm chaos sweep
@@ -37,7 +41,7 @@
 # A ThreadSanitizer pass closes the gate: the `runtime`-labelled suite
 # (timer queue + loop parity, SPSC stress, cross-thread eventfd posts,
 # live ThreadedNode clusters, the udp_cluster smoke, the kill -9 raincored
-# harness) runs in a separate TSAN tree, since ASAN and TSAN cannot share
+# harness and its rejected command lines) runs in a separate TSAN tree, since ASAN and TSAN cannot share
 # one build. Any data race in the I/O-thread/worker handoff fails here.
 # The metrics_test binary runs in the same tree: its concurrency case
 # records into one histogram from four threads while a fifth snapshots.
@@ -79,7 +83,7 @@ cmake --build "$BUILD" -j"$JOBS" --target bench_chaos wire_perf_test \
     shard_test bench_shard bench_json_check storage_test durability_test \
     bench_durability batching_test fuzz_robustness_test property_test \
     bench_saturation reshard_test bench_reshard real_time_loop_test \
-    oracles_test
+    oracles_test chaos_test
 
 echo "== chaos sweep: $ROUNDS rounds x ${MS}ms, $NODES nodes, seeds $SEED.."
 "$BUILD/bench/bench_chaos" "$ROUNDS" "$MS" "$NODES" "$SEED"
@@ -98,6 +102,10 @@ echo "== timer queue and loop parity under ASAN (heap move-out, cancel-churn" \
 echo "== ring invariant checkers under ASAN (crafted logs, final batch," \
      "membership, multi-ring texts, the stability window)"
 "$BUILD/tests/oracles_test"
+
+echo "== chaos_test under ASAN (failure report, every fault class, min-alive," \
+     "Cluster chaos, epoch and ring dump; the seed sweep ran above)"
+"$BUILD/tests/chaos_test" --gtest_filter='-Seeds/ChaosSweep.*'
 
 echo "== perf label under ASAN (allocation/copy budgets, encode-once)"
 ctest --test-dir "$BUILD" -L perf --output-on-failure

@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "common/log.h"
-#include "session/introspect.h"
+#include "testing/cluster.h"
 
 namespace raincore::testing {
 
@@ -381,9 +381,9 @@ void ChaosEngine::inject_one() {
       // tail lost), then the restart hook recovers each from disk and
       // re-founds the ring. Other shards keep serving throughout — the
       // scenario the per-shard durability split exists for.
-      if (cfg_.n_shards == 0 || !on_shard_crash_ || !on_shard_restart_) break;
+      if (n_shards_ == 0 || !on_shard_crash_ || !on_shard_restart_) break;
       std::vector<std::size_t> up_shards;
-      for (std::size_t s = 0; s < cfg_.n_shards; ++s) {
+      for (std::size_t s = 0; s < n_shards_; ++s) {
         if (shards_down_.count(s) == 0) up_shards.push_back(s);
       }
       if (up_shards.empty()) break;
@@ -489,70 +489,65 @@ std::string ChaosEngine::describe_schedule() const {
 ChaosCluster::ChaosCluster(std::vector<NodeId> ids, ChaosConfig chaos_cfg,
                            session::SessionConfig session_cfg,
                            net::SimNetConfig net_cfg)
-    : net_(net_cfg),
-      session_cfg_(std::move(session_cfg)),
-      chaos_cfg_(chaos_cfg),
-      ids_(std::move(ids)) {
-  session_cfg_.eligible = ids_;
+    : c_(std::make_unique<Cluster>(std::move(ids), std::move(session_cfg),
+                                   net_cfg)),
+      engine_(c_->enable_chaos(chaos_cfg)) {
   // The public side: ARPs from a disconnected node never reach the segment.
-  subnet_.set_reachability([this](NodeId n) { return net_.node_up(n); });
+  subnet_.set_reachability([this](NodeId n) { return net().node_up(n); });
   std::vector<std::string> pool;
-  for (std::size_t i = 0; i < ids_.size() + 2; ++i) {
+  for (std::size_t i = 0; i < c_->ids().size() + 2; ++i) {
     pool.push_back("10.1.0." + std::to_string(i + 1));
   }
-  Rng setup_rng(chaos_cfg_.seed ^ 0x5bd1e995u);
-  for (NodeId id : ids_) {
-    auto& env = net_.add_node(id);
-    auto st = std::make_unique<Stack>();
-    st->node =
-        std::make_unique<session::SessionMux>(env, session_cfg_.transport);
-    st->session = &st->node->create_ring(0, session_cfg_);
-    st->mux = std::make_unique<data::ChannelMux>(*st->session);
-    st->map = std::make_unique<data::ReplicatedMap>(*st->mux, kMapChannel);
-    st->locks = std::make_unique<data::LockManager>(*st->mux, kLockChannel);
+  Rng setup_rng(chaos_cfg.seed ^ 0x5bd1e995u);
+  for (NodeId id : c_->ids()) {
+    session::SessionNode& ring = c_->node(id);
+    Stack& st = stacks_[id];
+    st.mux = std::make_unique<data::ChannelMux>(ring);
+    st.map = std::make_unique<data::ReplicatedMap>(*st.mux, kMapChannel);
+    st.locks = std::make_unique<data::LockManager>(*st.mux, kLockChannel);
     apps::VipConfig vcfg;
     vcfg.pool = pool;
     vcfg.channel = kVipChannel;
-    st->vips = std::make_unique<apps::VipManager>(*st->mux, subnet_, vcfg);
-    st->traffic_rng = setup_rng.fork();
-    st->mux->subscribe(kAppChannel, [this, id](NodeId origin,
-                                               const Slice& payload,
-                                               session::Ordering) {
+    st.vips = std::make_unique<apps::VipManager>(*st.mux, subnet_, vcfg);
+    st.traffic_rng = setup_rng.fork();
+    st.mux->subscribe(kAppChannel, [this, id](NodeId origin,
+                                              const Slice& payload,
+                                              session::Ordering) {
       record_delivery(id, origin, payload);
     });
-    st->session->set_removal_handler(
+    ring.set_removal_handler(
         [this, id](NodeId removed) { on_removal_observed(id, removed); });
-    rings_[id] = {st->session};
-    stacks_.emplace(id, std::move(st));
   }
-  engine_ = std::make_unique<ChaosEngine>(net_, ids_, chaos_cfg_);
-  engine_->set_crash_hook([this](NodeId id) {
-    Stack& st = *stacks_.at(id);
-    st.session->stop();
-    st.crashed_at = net_.now();
+  engine_.set_crash_hook([this](NodeId id) {
+    c_->crash(id);
+    Stack& st = stacks_.at(id);
+    st.crashed_at = net().now();
     st.detection_recorded = false;
   });
-  engine_->set_restart_hook([this](NodeId id) {
-    Stack& st = *stacks_.at(id);
-    ++st.epoch;  // new incarnation: its traffic counters restart from zero
-    st.traffic_counter = 0;
+  engine_.set_restart_hook([this](NodeId id) {
+    Stack& st = stacks_.at(id);
+    st.traffic_counter = 0;  // a new incarnation counts from zero
     st.crashed_at = -1;
-    st.restarted_at = net_.now();
-    st.session->found();  // discovery (BODYODOR) merges it back in
+    st.restarted_at = net().now();
+    c_->restart(id);  // discovery (BODYODOR) merges it back in
   });
 }
 
 ChaosCluster::~ChaosCluster() {
   traffic_on_ = false;
   for (auto& [id, st] : stacks_) {
-    if (st->traffic_timer) net_.loop().cancel(st->traffic_timer);
+    if (st.traffic_timer) net().loop().cancel(st.traffic_timer);
   }
 }
 
+net::SimNetwork& ChaosCluster::net() { return c_->net(); }
+
+session::SessionNode& ChaosCluster::session(NodeId id) { return c_->node(id); }
+
 bool ChaosCluster::bootstrap(Time timeout) {
-  for (auto& [id, st] : stacks_) st->session->found();
-  if (run_until(net_.loop(), timeout,
-                [this] { return rings_converged(rings_, ids_); })) {
+  c_->found_all();
+  if (run_until(net().loop(), timeout,
+                [this] { return c_->converged(c_->ids()); })) {
     return true;
   }
   violation("bootstrap: cluster never converged");
@@ -560,16 +555,17 @@ bool ChaosCluster::bootstrap(Time timeout) {
 }
 
 void ChaosCluster::start_traffic(NodeId id) {
-  Stack& stack = *stacks_.at(id);
+  Stack& stack = stacks_.at(id);
   Time gap = millis(8) + static_cast<Time>(
                              stack.traffic_rng.next_below(millis(8)));
-  stack.traffic_timer = net_.loop().schedule(gap, [this, id] {
-    Stack& st = *stacks_.at(id);
+  stack.traffic_timer = net().loop().schedule(gap, [this, id] {
+    Stack& st = stacks_.at(id);
     st.traffic_timer = 0;
     if (!traffic_on_) return;
-    if (st.session->started() && st.session->view().has(id)) {
+    const session::SessionNode& ring = c_->node(id);
+    if (ring.started() && ring.view().has(id)) {
       std::string payload = "c:" + std::to_string(id) + ":" +
-                            std::to_string(st.epoch) + ":" +
+                            std::to_string(c_->epoch(id)) + ":" +
                             std::to_string(st.traffic_counter++);
       st.mux->send(kAppChannel, Bytes(payload.begin(), payload.end()));
     }
@@ -579,24 +575,24 @@ void ChaosCluster::start_traffic(NodeId id) {
 
 void ChaosCluster::record_delivery(NodeId receiver, NodeId origin,
                                    const Slice& payload) {
-  Stack& st = *stacks_.at(receiver);
-  st.log.push_back(
-      {st.epoch, origin, std::string(payload.begin(), payload.end())});
+  stacks_.at(receiver).log.push_back(
+      {c_->epoch(receiver), origin,
+       std::string(payload.begin(), payload.end())});
 }
 
 void ChaosCluster::on_removal_observed(NodeId remover, NodeId removed) {
   (void)remover;
   auto it = stacks_.find(removed);
   if (it == stacks_.end()) return;
-  Stack& target = *it->second;
-  if (target.session->started()) {
+  Stack& target = it->second;
+  if (c_->node(removed).started()) {
     // A removal landing just after the node's chaos restart was decided
     // while the node was genuinely down — a correct (if stale) detection
     // that raced the rejoin, not a detector error. The grace window covers
     // the worst-case detection bound plus removal propagation.
     constexpr Time kRestartGrace = millis(500);
     if (target.restarted_at >= 0 &&
-        net_.now() - target.restarted_at <= kRestartGrace) {
+        net().now() - target.restarted_at <= kRestartGrace) {
       true_removals_.inc();
       return;
     }
@@ -608,15 +604,15 @@ void ChaosCluster::on_removal_observed(NodeId remover, NodeId removed) {
   true_removals_.inc();
   if (target.crashed_at >= 0 && !target.detection_recorded) {
     target.detection_recorded = true;
-    detection_latency_.record_time(net_.now() - target.crashed_at);
+    detection_latency_.record_time(net().now() - target.crashed_at);
   }
 }
 
 void ChaosCluster::run_chaos(Time duration) {
   traffic_on_ = true;
-  for (NodeId id : ids_) start_traffic(id);
-  engine_->start();
-  run_checking_tokens(net_.loop(), duration, rings_, sink());
+  for (NodeId id : c_->ids()) start_traffic(id);
+  engine_.start();
+  run_checking_tokens(net().loop(), duration, c_->rings(), sink());
 }
 
 void ChaosCluster::violation(std::string what) {
@@ -626,35 +622,29 @@ void ChaosCluster::violation(std::string what) {
 
 LogFn ChaosCluster::log_of() const {
   return [this](NodeId id, std::size_t) -> const std::vector<Delivered>& {
-    return stacks_.at(id)->log;
+    return stacks_.at(id).log;
   };
 }
 
 metrics::Snapshot ChaosCluster::metrics_snapshot() const {
-  metrics::Snapshot merged;
-  for (const auto& [id, stack] : stacks_) {
-    merged.merge(stack->session->metrics().snapshot());
-    merged.merge(stack->node->transport().metrics().snapshot());
-    merged.merge(stack->mux->metrics().snapshot());
-    merged.merge(stack->map->metrics().snapshot());
-    merged.merge(stack->locks->metrics().snapshot());
-    merged.merge(stack->vips->metrics().snapshot());
+  metrics::Snapshot merged = c_->metrics_snapshot();
+  for (const auto& [id, st] : stacks_) {
+    merged.merge(st.mux->metrics().snapshot());
+    merged.merge(st.map->metrics().snapshot());
+    merged.merge(st.locks->metrics().snapshot());
+    merged.merge(st.vips->metrics().snapshot());
   }
   merged.merge(harness_metrics_.snapshot());
   return merged;
 }
 
-std::string ChaosCluster::ring_dump() const {
-  std::vector<const session::SessionNode*> rings;
-  for (const auto& [id, stack] : stacks_) rings.push_back(stack->session);
-  return session::dump_rings(rings);
-}
+std::string ChaosCluster::ring_dump() const { return c_->ring_dump(); }
 
 std::string ChaosCluster::failure_report() const {
   std::string out = "=== chaos failure report ===\n";
   out += "violations (" + std::to_string(violations_.size()) + "):\n";
   for (const std::string& v : violations_) out += "  " + v + "\n";
-  out += engine_->describe_schedule();
+  out += engine_.describe_schedule();
   out += ring_dump();
   out += "final metrics snapshot:\n";
   out += metrics_snapshot().to_table();
@@ -673,20 +663,20 @@ void ChaosCluster::check_lock_service(const std::vector<NodeId>& live) {
   auto probe = std::make_shared<Probe>();
   const std::string lock = "chaos-final";
   for (NodeId id : live) {
-    stacks_.at(id)->locks->acquire(lock, [this, probe, id](const std::string&) {
+    stacks_.at(id).locks->acquire(lock, [this, probe, id](const std::string&) {
       ++probe->depth;
       if (probe->depth != 1) {
         violation("lock exclusion: node " + std::to_string(id) +
                   " granted while another node still holds the lock");
       }
       ++probe->grants[id];
-      net_.loop().schedule(millis(2), [this, probe, id] {
+      net().loop().schedule(millis(2), [this, probe, id] {
         --probe->depth;
-        stacks_.at(id)->locks->release("chaos-final");
+        stacks_.at(id).locks->release("chaos-final");
       });
     });
   }
-  run_until(net_.loop(), millis(5000), [&] {
+  run_until(net().loop(), millis(5000), [&] {
     for (NodeId id : live) {
       if (probe->grants[id] != 1) return false;
     }
@@ -699,9 +689,9 @@ void ChaosCluster::check_lock_service(const std::vector<NodeId>& live) {
     }
   }
   // Let the last release circulate, then every replica must agree: no owner.
-  net_.loop().run_for(millis(500));
+  net().loop().run_for(millis(500));
   for (NodeId id : live) {
-    auto owner = stacks_.at(id)->locks->owner(lock);
+    auto owner = stacks_.at(id).locks->owner(lock);
     if (owner) {
       violation("lock service: node " + std::to_string(id) +
                 " still sees owner " + std::to_string(*owner) +
@@ -712,21 +702,21 @@ void ChaosCluster::check_lock_service(const std::vector<NodeId>& live) {
 
 void ChaosCluster::check_map_convergence(const std::vector<NodeId>& live) {
   for (NodeId id : live) {
-    stacks_.at(id)->map->put("final-" + std::to_string(id),
-                             std::to_string(id));
+    stacks_.at(id).map->put("final-" + std::to_string(id),
+                            std::to_string(id));
   }
-  run_until(net_.loop(), millis(5000), [&] {
-    const auto& ref = stacks_.at(live.front())->map->contents();
+  run_until(net().loop(), millis(5000), [&] {
+    const auto& ref = stacks_.at(live.front()).map->contents();
     for (NodeId id : live) {
-      const auto& m = *stacks_.at(id)->map;
+      const auto& m = *stacks_.at(id).map;
       if (!m.synced() || m.contents() != ref) return false;
       if (!m.contains("final-" + std::to_string(id))) return false;
     }
     return true;
   });
-  const auto& ref = stacks_.at(live.front())->map->contents();
+  const auto& ref = stacks_.at(live.front()).map->contents();
   for (NodeId id : live) {
-    const auto& m = *stacks_.at(id)->map;
+    const auto& m = *stacks_.at(id).map;
     if (!m.synced()) {
       violation("replicated map: node " + std::to_string(id) + " never synced");
       continue;
@@ -745,25 +735,25 @@ void ChaosCluster::check_map_convergence(const std::vector<NodeId>& live) {
 }
 
 void ChaosCluster::check_vip_coverage(const std::vector<NodeId>& live) {
-  const auto& pool = stacks_.at(live.front())->vips->pool();
+  const auto& pool = stacks_.at(live.front()).vips->pool();
   std::set<NodeId> live_set(live.begin(), live.end());
   auto covered = [&] {
     for (const std::string& vip : pool) {
-      auto owner = stacks_.at(live.front())->vips->owner_of(vip);
+      auto owner = stacks_.at(live.front()).vips->owner_of(vip);
       if (!owner || live_set.count(*owner) == 0) return false;
       for (NodeId id : live) {
-        if (stacks_.at(id)->vips->owner_of(vip) != owner) return false;
+        if (stacks_.at(id).vips->owner_of(vip) != owner) return false;
       }
       if (subnet_.resolve(vip) != owner) return false;
     }
     return true;
   };
-  run_until(net_.loop(), millis(5000), covered, millis(20));
+  run_until(net().loop(), millis(5000), covered, millis(20));
   if (log_enabled(LogLevel::kDebug)) {
     for (const std::string& vip : pool) {
       std::string line = vip + ":";
       for (NodeId id : live) {
-        auto o = stacks_.at(id)->vips->owner_of(vip);
+        auto o = stacks_.at(id).vips->owner_of(vip);
         line += " n" + std::to_string(id) + "->" +
                 (o ? std::to_string(*o) : std::string("-"));
       }
@@ -773,13 +763,13 @@ void ChaosCluster::check_vip_coverage(const std::vector<NodeId>& live) {
     }
   }
   for (const std::string& vip : pool) {
-    auto owner = stacks_.at(live.front())->vips->owner_of(vip);
+    auto owner = stacks_.at(live.front()).vips->owner_of(vip);
     if (!owner || live_set.count(*owner) == 0) {
       violation("vip coverage: " + vip + " has no live owner");
       continue;
     }
     for (NodeId id : live) {
-      auto o = stacks_.at(id)->vips->owner_of(vip);
+      auto o = stacks_.at(id).vips->owner_of(vip);
       if (o != owner) {
         violation("vip coverage: node " + std::to_string(id) +
                   " disagrees on the owner of " + vip);
@@ -795,18 +785,19 @@ void ChaosCluster::check_vip_coverage(const std::vector<NodeId>& live) {
 }
 
 void ChaosCluster::heal_and_check(Time converge_timeout) {
-  engine_->stop_and_heal();
-  const std::vector<NodeId>& live = ids_;  // everybody is back up
-  settle_and_check_rings(net_.loop(), rings_, live, converge_timeout,
-                         session_cfg_.token_hold,
+  engine_.stop_and_heal();
+  const std::vector<NodeId>& live = c_->ids();  // everybody is back up
+  const RingTable rings = c_->rings();
+  settle_and_check_rings(net().loop(), rings, live, converge_timeout,
+                         c_->node(live.front()).config().token_hold,
                          [this] { traffic_on_ = false; }, log_of(), sink());
   FinalBatch batch;
   batch.per_node = 5;
   batch.timeout = millis(3000);
   batch.send = [this](NodeId id, std::size_t, const std::string& p) {
-    stacks_.at(id)->mux->send(kAppChannel, Bytes(p.begin(), p.end()));
+    stacks_.at(id).mux->send(kAppChannel, Bytes(p.begin(), p.end()));
   };
-  check_final_batch(net_.loop(), rings_, live, batch, log_of(), sink());
+  check_final_batch(net().loop(), rings, live, batch, log_of(), sink());
   check_lock_service(live);
   check_map_convergence(live);
   check_vip_coverage(live);
@@ -828,9 +819,7 @@ struct RoundSetup {
 RoundSetup round_setup(std::uint64_t seed, std::size_t n_nodes,
                        const ChaosProfile& profile, std::uint64_t net_salt) {
   RoundSetup out;
-  for (std::size_t i = 1; i <= n_nodes; ++i) {
-    out.ids.push_back(static_cast<NodeId>(i));
-  }
+  out.ids = node_ids(n_nodes);
   out.chaos.seed = seed;
   out.net.seed = seed ^ net_salt;
   out.net.default_drop = profile.base_loss;
@@ -883,64 +872,38 @@ MultiRingChaosCluster::MultiRingChaosCluster(std::vector<NodeId> ids,
                                              ChaosConfig chaos_cfg,
                                              session::SessionConfig session_cfg,
                                              net::SimNetConfig net_cfg)
-    : net_(net_cfg),
-      n_rings_(n_rings),
-      session_cfg_(std::move(session_cfg)),
-      chaos_cfg_(chaos_cfg),
-      ids_(std::move(ids)) {
-  if (session_cfg_.eligible.empty()) session_cfg_.eligible = ids_;
-  Rng setup_rng(chaos_cfg_.seed ^ 0x7f4a7c15u);
-  for (NodeId id : ids_) {
-    auto& env = net_.add_node(id);
-    auto st = std::make_unique<Stack>();
-    st->mux =
-        std::make_unique<session::SessionMux>(env, session_cfg_.transport);
-    st->counters.assign(n_rings_, 0);
-    st->logs.resize(n_rings_);
-    st->traffic_rng = setup_rng.fork();
-    for (std::size_t r = 0; r < n_rings_; ++r) {
-      session::SessionConfig rcfg = session_cfg_;
-      rcfg.metrics_prefix = "ring" + std::to_string(r) + ".";
-      auto& ring =
-          st->mux->create_ring(static_cast<transport::MuxGroup>(r), rcfg);
-      rings_[id].push_back(&ring);
-      Stack* stp = st.get();
-      ring.set_deliver_handler(
-          [stp, r](NodeId origin, const Slice& payload, session::Ordering) {
-            stp->logs[r].push_back(
-                {stp->epoch, origin,
-                 std::string(payload.begin(), payload.end())});
-          });
-    }
-    stacks_.emplace(id, std::move(st));
+    : c_(std::make_unique<Cluster>(
+          std::move(ids), Cluster::Rings(n_rings, std::move(session_cfg)),
+          net_cfg)),
+      engine_(c_->enable_chaos(chaos_cfg)),
+      n_rings_(n_rings) {
+  Rng setup_rng(chaos_cfg.seed ^ 0x7f4a7c15u);
+  for (NodeId id : c_->ids()) {
+    Stack& st = stacks_[id];
+    st.counters.assign(n_rings_, 0);
+    st.traffic_rng = setup_rng.fork();
   }
-  engine_ = std::make_unique<ChaosEngine>(net_, ids_, chaos_cfg_);
-  engine_->set_crash_hook([this](NodeId id) {
-    // Node-level crash: every ring AND the shared transport go down — a
-    // stopped ring over a live transport would keep acking token passes.
-    stacks_.at(id)->mux->set_enabled(false);
-  });
-  engine_->set_restart_hook([this](NodeId id) {
-    Stack& st = *stacks_.at(id);
-    ++st.epoch;
-    std::fill(st.counters.begin(), st.counters.end(), 0);
-    for (auto* ring : rings_.at(id)) ring->found();  // switches the transport on
+  // The Cluster's crash is node-level: every ring AND the shared transport
+  // go down — a stopped ring over a live transport would keep acking token
+  // passes. Its restart founds every ring as a new incarnation.
+  engine_.set_restart_hook([this](NodeId id) {
+    std::vector<std::uint64_t>& counters = stacks_.at(id).counters;
+    std::fill(counters.begin(), counters.end(), 0);
+    c_->restart(id);
   });
 }
 
 MultiRingChaosCluster::~MultiRingChaosCluster() {
   traffic_on_ = false;
   for (auto& [id, st] : stacks_) {
-    if (st->traffic_timer) net_.loop().cancel(st->traffic_timer);
+    if (st.traffic_timer) c_->net().loop().cancel(st.traffic_timer);
   }
 }
 
 bool MultiRingChaosCluster::bootstrap(Time timeout) {
-  for (auto& [id, rings] : rings_) {
-    for (auto* ring : rings) ring->found();
-  }
-  if (run_until(net_.loop(), timeout,
-                [this] { return rings_converged(rings_, ids_); })) {
+  c_->found_all();
+  if (run_until(c_->net().loop(), timeout,
+                [this] { return c_->converged(c_->ids()); })) {
     return true;
   }
   violation("bootstrap: not every ring converged");
@@ -948,20 +911,20 @@ bool MultiRingChaosCluster::bootstrap(Time timeout) {
 }
 
 void MultiRingChaosCluster::start_traffic(NodeId id) {
-  Stack& stack = *stacks_.at(id);
+  Stack& stack = stacks_.at(id);
   Time gap =
       millis(8) + static_cast<Time>(stack.traffic_rng.next_below(millis(8)));
-  stack.traffic_timer = net_.loop().schedule(gap, [this, id] {
-    Stack& st = *stacks_.at(id);
+  stack.traffic_timer = c_->net().loop().schedule(gap, [this, id] {
+    Stack& st = stacks_.at(id);
     st.traffic_timer = 0;
     if (!traffic_on_) return;
     // Round-robin the rings so every shard sees load each epoch.
     const std::size_t r =
         static_cast<std::size_t>(st.traffic_rng.next_below(n_rings_));
-    session::SessionNode& ring = *rings_.at(id)[r];
+    session::SessionNode& ring = c_->node(id, r);
     if (ring.started() && ring.view().has(id)) {
       std::string payload = "c:" + std::to_string(id) + ":" +
-                            std::to_string(st.epoch) + ":" +
+                            std::to_string(c_->epoch(id)) + ":" +
                             std::to_string(st.counters[r]++);
       ring.multicast(Bytes(payload.begin(), payload.end()));
     }
@@ -971,9 +934,9 @@ void MultiRingChaosCluster::start_traffic(NodeId id) {
 
 void MultiRingChaosCluster::run_chaos(Time duration) {
   traffic_on_ = true;
-  for (NodeId id : ids_) start_traffic(id);
-  engine_->start();
-  run_checking_tokens(net_.loop(), duration, rings_, sink());
+  for (NodeId id : c_->ids()) start_traffic(id);
+  engine_.start();
+  run_checking_tokens(c_->net().loop(), duration, c_->rings(), sink());
 }
 
 void MultiRingChaosCluster::violation(std::string what) {
@@ -981,42 +944,16 @@ void MultiRingChaosCluster::violation(std::string what) {
   violations_.push_back(std::move(what));
 }
 
-LogFn MultiRingChaosCluster::log_of() const {
-  return [this](NodeId id, std::size_t r) -> const std::vector<Delivered>& {
-    return stacks_.at(id)->logs[r];
-  };
-}
-
 metrics::Snapshot MultiRingChaosCluster::metrics_snapshot() const {
-  metrics::Snapshot merged;
-  for (const auto& [id, st] : stacks_) merged.merge(st->mux->metrics_snapshot());
-  return merged;
-}
-
-std::uint64_t MultiRingChaosCluster::fanout_removals() const {
-  std::uint64_t total = 0;
-  for (const auto& [id, st] : stacks_) {
-    const auto snap = st->mux->metrics_snapshot();
-    for (const auto& [name, value] : snap.counters) {
-      if (name.size() >= sizeof("session.suspect_removals") - 1 &&
-          name.find("session.suspect_removals") != std::string::npos) {
-        total += value;
-      }
-    }
-  }
-  return total;
+  return c_->metrics_snapshot();
 }
 
 std::string MultiRingChaosCluster::failure_report() const {
   std::string out = "=== multi-ring chaos failure report ===\n";
   out += "violations (" + std::to_string(violations_.size()) + "):\n";
   for (const std::string& v : violations_) out += "  " + v + "\n";
-  out += engine_->describe_schedule();
-  std::vector<const session::SessionNode*> rings;
-  for (const auto& [id, node_rings] : rings_) {
-    rings.insert(rings.end(), node_rings.begin(), node_rings.end());
-  }
-  out += session::dump_rings(rings);
+  out += engine_.describe_schedule();
+  out += c_->ring_dump();
   return out;
 }
 
@@ -1025,13 +962,12 @@ void MultiRingChaosCluster::check_detector_consistency(
   // Cross-ring detector consistency: one shared failure detector feeding K
   // rings must leave them agreeing at quiescence...
   for (NodeId id : live) {
-    const auto& rings = rings_.at(id);
     // Ring order (the token circulation order) legitimately differs per
     // ring — only the member SET must agree.
-    std::vector<NodeId> ref = rings[0]->view().members;
+    std::vector<NodeId> ref = c_->node(id, 0).view().members;
     std::sort(ref.begin(), ref.end());
     for (std::size_t r = 1; r < n_rings_; ++r) {
-      std::vector<NodeId> got = rings[r]->view().members;
+      std::vector<NodeId> got = c_->node(id, r).view().members;
       std::sort(got.begin(), got.end());
       if (got != ref) {
         violation("detector consistency: node " + std::to_string(id) +
@@ -1042,7 +978,7 @@ void MultiRingChaosCluster::check_detector_consistency(
     // ...and must exist exactly once per node: the shared transport owns
     // `transport.*`; a per-ring copy (e.g. "ring1.transport.rtt_samples")
     // would mean duplicated detection state.
-    const auto snap = stacks_.at(id)->mux->metrics_snapshot();
+    const auto snap = c_->mux(id).metrics_snapshot();
     std::size_t plain = 0, prefixed = 0;
     for (const auto& [name, value] : snap.counters) {
       if (name == "transport.rtt_samples") {
@@ -1061,19 +997,22 @@ void MultiRingChaosCluster::check_detector_consistency(
 }
 
 void MultiRingChaosCluster::heal_and_check(Time converge_timeout) {
-  engine_->stop_and_heal();
+  engine_.stop_and_heal();
   // Every ring must hold the full view through the stability window at once.
-  const std::vector<NodeId>& live = ids_;
-  settle_and_check_rings(net_.loop(), rings_, live, converge_timeout,
-                         session_cfg_.token_hold,
-                         [this] { traffic_on_ = false; }, log_of(), sink());
+  const std::vector<NodeId>& live = c_->ids();
+  const RingTable rings = c_->rings();
+  settle_and_check_rings(c_->net().loop(), rings, live, converge_timeout,
+                         c_->node(live.front()).config().token_hold,
+                         [this] { traffic_on_ = false; }, c_->log_of(),
+                         sink());
   FinalBatch batch;
   batch.per_node = 3;
   batch.timeout = millis(4000);
   batch.send = [this](NodeId id, std::size_t r, const std::string& p) {
-    rings_.at(id)[r]->multicast(Bytes(p.begin(), p.end()));
+    c_->node(id, r).multicast(Bytes(p.begin(), p.end()));
   };
-  check_final_batch(net_.loop(), rings_, live, batch, log_of(), sink());
+  check_final_batch(c_->net().loop(), rings, live, batch, c_->log_of(),
+                    sink());
   check_detector_consistency(live);
 }
 

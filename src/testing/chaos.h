@@ -37,7 +37,6 @@
 #include "data/lock_manager.h"
 #include "data/replicated_map.h"
 #include "net/sim_network.h"
-#include "session/session_mux.h"
 #include "session/session_node.h"
 #include "testing/oracles.h"
 
@@ -72,13 +71,12 @@ struct ChaosConfig {
   std::size_t min_alive = 2;
   /// Relative weight per fault class, indexed by FaultClass. Zero disables
   /// the class. The restart-storm classes (kShardRestart, kClusterRestart)
-  /// default to zero: they only make sense against a durability harness
-  /// that installs the shard/cluster hooks, and a zero weight keeps every
-  /// pre-existing seeded schedule bit-for-bit identical.
+  /// default to zero: they only make sense against a durability harness,
+  /// which gives the engine its shard count and hooks (set_shard_hooks),
+  /// and a zero weight keeps every pre-existing seeded schedule
+  /// bit-for-bit identical.
   double weights[static_cast<std::size_t>(FaultClass::kCount)] = {
       1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0};
-  /// Shard count of the harness's data plane; kShardRestart needs it > 0.
-  std::size_t n_shards = 0;
 };
 
 /// One injected fault, recorded for the replayable schedule.
@@ -114,13 +112,14 @@ class ChaosEngine {
   /// Called right after the engine marks the node up again (rejoin as a new
   /// incarnation).
   void set_restart_hook(NodeHook fn) { on_restart_ = std::move(fn); }
-  /// Shard-restart hooks (kShardRestart; requires cfg.n_shards > 0): the
+  /// Shard-restart hooks (kShardRestart picks one of shards 0..n-1): the
   /// harness stops/recovers the shard's service on every live node. Node
   /// up/down state is untouched — the shard dies cluster-wide while every
   /// other shard keeps serving.
-  void set_shard_crash_hook(ShardHook fn) { on_shard_crash_ = std::move(fn); }
-  void set_shard_restart_hook(ShardHook fn) {
-    on_shard_restart_ = std::move(fn);
+  void set_shard_hooks(std::size_t n, ShardHook crash, ShardHook restart) {
+    n_shards_ = n;
+    on_shard_crash_ = std::move(crash);
+    on_shard_restart_ = std::move(restart);
   }
 
   /// Targeted injections (the migration fault schedules of DESIGN.md §5j):
@@ -182,16 +181,19 @@ class ChaosEngine {
   std::vector<FaultEvent> schedule_;
   NodeHook on_crash_;
   NodeHook on_restart_;
+  std::size_t n_shards_ = 0;
   ShardHook on_shard_crash_;
   ShardHook on_shard_restart_;
 };
 
 // --- Full-stack chaos harness ----------------------------------------------
 
-/// A complete Raincore stack per node — a one-ring SessionMux, channel mux,
-/// replicated map, distributed lock manager, virtual-IP manager on a shared
-/// subnet — plus a deterministic traffic generator and the invariant
-/// checkers.
+class Cluster;  // testing/cluster.h, which includes this header
+
+/// A complete Raincore stack per node — a one-ring testing::Cluster node
+/// with a channel mux, replicated map, distributed lock manager and
+/// virtual-IP manager on a shared subnet over its ring — plus a
+/// deterministic traffic generator and the invariant checkers.
 class ChaosCluster {
  public:
   ChaosCluster(std::vector<NodeId> ids, ChaosConfig chaos_cfg,
@@ -208,9 +210,9 @@ class ChaosCluster {
   void heal_and_check(Time converge_timeout = millis(15000));
 
   const std::vector<std::string>& violations() const { return violations_; }
-  ChaosEngine& engine() { return *engine_; }
-  net::SimNetwork& net() { return net_; }
-  session::SessionNode& session(NodeId id) { return *stacks_.at(id)->session; }
+  ChaosEngine& engine() { return engine_; }
+  net::SimNetwork& net();
+  session::SessionNode& session(NodeId id);
 
   /// Cluster-wide merge of every layer's registry on every node (transport,
   /// session, mux, map, locks, VIPs) plus the harness's failure-detection
@@ -228,8 +230,6 @@ class ChaosCluster {
   std::string failure_report() const;
 
  private:
-  struct Stack;
-
   void start_traffic(NodeId id);
   void record_delivery(NodeId receiver, NodeId origin, const Slice& payload);
   void on_removal_observed(NodeId remover, NodeId removed);
@@ -242,32 +242,27 @@ class ChaosCluster {
   }
   LogFn log_of() const;
 
-  net::SimNetwork net_;
-  session::SessionConfig session_cfg_;
-  ChaosConfig chaos_cfg_;
+  /// The nodes. Declared first: the services below die before their rings
+  /// (VipManager's destructor cancels its timer through its ring's env).
+  std::unique_ptr<Cluster> c_;
+  ChaosEngine& engine_;
   apps::Subnet subnet_;
-  std::unique_ptr<ChaosEngine> engine_;
 
+  /// One node's services, traffic and oracle state.
   struct Stack {
-    /// The node: its transport and its one ring (`session`).
-    std::unique_ptr<session::SessionMux> node;
-    session::SessionNode* session = nullptr;
     std::unique_ptr<data::ChannelMux> mux;
     std::unique_ptr<data::ReplicatedMap> map;
     std::unique_ptr<data::LockManager> locks;
     std::unique_ptr<apps::VipManager> vips;
-    std::uint64_t epoch = 0;  ///< incremented on every chaos restart
     std::uint64_t traffic_counter = 0;
     net::TimerId traffic_timer = 0;
     Rng traffic_rng{0};
-    std::vector<Delivered> log;
+    std::vector<Delivered> log;  ///< app-channel deliveries
     Time crashed_at = -1;  ///< virtual time of the current crash, -1 if up
     Time restarted_at = -1;  ///< virtual time of the last chaos restart
     bool detection_recorded = false;  ///< latency sampled for this crash
   };
-  std::map<NodeId, std::unique_ptr<Stack>> stacks_;
-  RingTable rings_;  ///< each node's one ring
-  std::vector<NodeId> ids_;
+  std::map<NodeId, Stack> stacks_;
   bool traffic_on_ = false;
   std::vector<std::string> violations_;
 
@@ -323,9 +318,10 @@ ChaosRoundResult run_chaos_round(std::uint64_t seed,
 // --- Multi-ring chaos harness ----------------------------------------------
 
 /// N nodes × K independent rings over ONE shared transport per node
-/// (session/session_mux.h). Crashes are node-level: the whole mux goes down
-/// — every ring plus the shared transport — and a restart re-enables the
-/// transport and re-founds every ring as a fresh incarnation.
+/// (session/session_mux.h), built as a testing::Cluster of K bare rings
+/// (metrics prefixed "ring<k>." when K > 1). Crashes are node-level: the whole
+/// mux goes down — every ring plus the shared transport — and a restart
+/// re-founds every ring as a fresh incarnation.
 ///
 /// Checks every ring invariant of testing/oracles.h (token uniqueness within
 /// a ring, membership convergence, duplicate-free, in-order and correctly
@@ -351,24 +347,16 @@ class MultiRingChaosCluster {
   void heal_and_check(Time converge_timeout = millis(15000));
 
   const std::vector<std::string>& violations() const { return violations_; }
-  ChaosEngine& engine() { return *engine_; }
-  net::SimNetwork& net() { return net_; }
-  session::SessionMux& mux(NodeId id) { return *stacks_.at(id)->mux; }
-  std::size_t ring_count() const { return n_rings_; }
+  ChaosEngine& engine() { return engine_; }
   /// Cluster-wide merge of every node's SessionMux registries (the shared
   /// transport and every ring). Deterministic for a given seed.
   metrics::Snapshot metrics_snapshot() const;
-  /// Suspicion fan-out removals across all nodes/rings (session.suspect_
-  /// removals) — membership updates that cost no extra detection work.
-  std::uint64_t fanout_removals() const;
   std::string failure_report() const;
 
  private:
+  /// One node's traffic generator.
   struct Stack {
-    std::unique_ptr<session::SessionMux> mux;
-    std::uint64_t epoch = 0;  ///< incremented on every chaos restart
-    std::vector<std::uint64_t> counters;        ///< per-ring traffic counter
-    std::vector<std::vector<Delivered>> logs;   ///< per-ring delivery log
+    std::vector<std::uint64_t> counters;  ///< per-ring traffic counter
     net::TimerId traffic_timer = 0;
     Rng traffic_rng{0};
   };
@@ -379,16 +367,11 @@ class MultiRingChaosCluster {
   ViolationFn sink() {
     return [this](std::string what) { violation(std::move(what)); };
   }
-  LogFn log_of() const;
 
-  net::SimNetwork net_;
+  std::unique_ptr<Cluster> c_;
+  ChaosEngine& engine_;
   std::size_t n_rings_;
-  session::SessionConfig session_cfg_;
-  ChaosConfig chaos_cfg_;
-  std::unique_ptr<ChaosEngine> engine_;
-  std::map<NodeId, std::unique_ptr<Stack>> stacks_;
-  RingTable rings_;
-  std::vector<NodeId> ids_;
+  std::map<NodeId, Stack> stacks_;
   bool traffic_on_ = false;
   std::vector<std::string> violations_;
 };

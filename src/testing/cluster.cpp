@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "session/introspect.h"
+
 namespace raincore::testing {
 
 std::vector<NodeId> node_ids(std::size_t n) {
@@ -69,12 +71,6 @@ bool Cluster::recover(NodeId id) {
   return true;
 }
 
-void Cluster::stop(NodeId id) {
-  Node& n = nodes_.at(id);
-  if (n.plane) n.plane->crash_storage();
-  n.mux->set_enabled(false);
-}
-
 bool Cluster::start(NodeId id) {
   if (!recover(id)) return false;
   mux(id).for_each_ring(
@@ -112,7 +108,9 @@ bool Cluster::run_until_converged(const std::vector<NodeId>& expected,
 }
 
 void Cluster::crash(NodeId id) {
-  stop(id);
+  Node& n = nodes_.at(id);
+  if (n.plane) n.plane->crash_storage();
+  n.mux->set_enabled(false);
   net_.set_node_up(id, false);
 }
 
@@ -125,11 +123,8 @@ bool Cluster::restart(NodeId id) {
 ChaosEngine& Cluster::enable_chaos(ChaosConfig chaos_cfg) {
   if (!chaos_) {
     chaos_ = std::make_unique<ChaosEngine>(net_, ids_, chaos_cfg);
-    chaos_->set_crash_hook([this](NodeId id) { stop(id); });
-    chaos_->set_restart_hook([this](NodeId id) {
-      ++nodes_.at(id).epoch;
-      start(id);
-    });
+    chaos_->set_crash_hook([this](NodeId id) { crash(id); });
+    chaos_->set_restart_hook([this](NodeId id) { restart(id); });
   }
   return *chaos_;
 }
@@ -183,6 +178,14 @@ std::string Cluster::check_agreed_order() const {
     }
   }
   return {};
+}
+
+std::string Cluster::ring_dump() const {
+  std::vector<const session::SessionNode*> all;
+  for (const auto& [id, node_rings] : rings()) {
+    all.insert(all.end(), node_rings.begin(), node_rings.end());
+  }
+  return session::dump_rings(all);
 }
 
 metrics::Snapshot Cluster::metrics_snapshot() const {

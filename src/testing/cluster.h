@@ -1,7 +1,7 @@
-// The simulated cluster every test and sim bench builds: N nodes on one
-// SimNetwork, each a SessionMux (one transport, §2.1) carrying K session
-// rings (§2.2) on demux groups 0..K-1. A node's rings are either bare, one
-// SessionConfig each, or a ShardedDataPlane, optionally durable.
+// The simulated cluster every test, chaos harness and sim bench builds: N
+// nodes on one SimNetwork, each a SessionMux (one transport, §2.1) carrying
+// K session rings (§2.2) on demux groups 0..K-1. A node's rings are either
+// bare, one SessionConfig each, or a ShardedDataPlane, optionally durable.
 //
 // The Cluster forms the group and waits for it through testing/oracles.h,
 // crashes and restarts nodes, wires a ChaosEngine to them, logs every
@@ -88,10 +88,11 @@ class Cluster {
   }
 
   /// Opts into background chaos: an engine, started on demand, whose
-  /// crash hook stops a node's rings and whose restart hook starts it as a
-  /// new incarnation (the engine itself marks nodes down and up). Call its
+  /// crash hook is crash() and whose restart hook is restart() (marking a
+  /// node down or up that the engine already marked is a no-op). Call its
   /// start() to begin injecting and stop_and_heal() before asserting
-  /// convergence.
+  /// convergence. A harness with its own bookkeeping sets its own hooks
+  /// around crash() and restart().
   ChaosEngine& enable_chaos(ChaosConfig chaos_cfg = {});
 
   void run(Time d) { net_.loop().run_for(d); }
@@ -105,7 +106,9 @@ class Cluster {
   /// Every node's rings, for the checks in testing/oracles.h.
   RingTable rings() const;
 
-  /// A bare ring's deliveries; recv_epoch counts the node's restarts.
+  /// Restarts of the node so far (its incarnation).
+  std::uint64_t epoch(NodeId id) const { return nodes_.at(id).epoch; }
+  /// A bare ring's deliveries; recv_epoch is the node's epoch().
   const std::vector<Delivered>& delivered(NodeId id,
                                           std::size_t ring = 0) const {
     return nodes_.at(id).delivered.at(ring);
@@ -128,6 +131,8 @@ class Cluster {
 
   /// Every node's transport and rings (and stores, when durable) merged.
   metrics::Snapshot metrics_snapshot() const;
+  /// Live state of every ring (session::dump_rings), by node id, then ring.
+  std::string ring_dump() const;
 
  private:
   struct Node {
@@ -141,9 +146,6 @@ class Cluster {
   /// Opens and recovers a durable node's stores, then runs the recover
   /// handler. False if the stores could not be opened.
   bool recover(NodeId id);
-  /// Stops the node's rings and transport; a durable node loses its
-  /// unsynced WAL tail.
-  void stop(NodeId id);
   /// A new incarnation: recover, then found every ring.
   bool start(NodeId id);
 

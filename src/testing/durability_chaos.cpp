@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.h"
-#include "session/introspect.h"
 #include "testing/oracles.h"
 
 namespace raincore::testing {
@@ -14,6 +13,21 @@ constexpr const char* kMod = "dchaos";
 constexpr data::Channel kMapChannel = 1;
 constexpr data::Channel kLockChannel = 2;
 
+/// Client retry timeout: a pending op older than this is voided.
+constexpr Time kOpTimeout = millis(2500);
+/// Ack sweep cadence.
+constexpr Time kSweepEvery = millis(2);
+/// Crash/partition length of the targeted migration fault.
+constexpr Time kMigrationFaultDuration = millis(250);
+
+/// The Cluster's durable plane: `storage` with its stores under `root`.
+Cluster::Plane durable_plane(const DurabilityConfig& d,
+                             session::SessionConfig ring, std::string root) {
+  Cluster::Plane plane{d.n_shards, std::move(ring), d.storage};
+  plane.storage.dir = std::move(root);
+  return plane;
+}
+
 }  // namespace
 
 DurabilityChaosCluster::DurabilityChaosCluster(std::vector<NodeId> ids,
@@ -22,71 +36,66 @@ DurabilityChaosCluster::DurabilityChaosCluster(std::vector<NodeId> ids,
                                                DurabilityConfig dur_cfg,
                                                session::SessionConfig session_cfg,
                                                net::SimNetConfig net_cfg)
-    : net_(net_cfg),
+    : c_(std::move(ids),
+         durable_plane(dur_cfg, std::move(session_cfg), root_dir), net_cfg),
+      engine_(c_.enable_chaos(chaos_cfg)),
       root_dir_(std::move(root_dir)),
-      session_cfg_(std::move(session_cfg)),
-      chaos_cfg_(chaos_cfg),
-      dur_cfg_(dur_cfg),
-      ids_(std::move(ids)) {
-  if (session_cfg_.eligible.empty()) session_cfg_.eligible = ids_;
-  chaos_cfg_.n_shards = dur_cfg_.n_shards;
-  Rng setup_rng(chaos_cfg_.seed ^ 0x2545f491u);
-  for (NodeId id : ids_) {
-    auto& env = net_.add_node(id);
-    auto st = std::make_unique<Stack>();
-    st->mux =
-        std::make_unique<session::SessionMux>(env, session_cfg_.transport);
-    storage::StorageConfig scfg = dur_cfg_.storage;
-    scfg.dir = root_dir_ + "/node" + std::to_string(id);
-    st->plane = std::make_unique<data::ShardedDataPlane>(
-        *st->mux, dur_cfg_.n_shards, session_cfg_, scfg);
-    st->map = std::make_unique<data::ShardedMap>(*st->plane, kMapChannel);
-    st->locks =
-        std::make_unique<data::ShardedLockManager>(*st->plane, kLockChannel);
+      dur_cfg_(dur_cfg) {
+  Rng setup_rng(chaos_cfg.seed ^ 0x2545f491u);
+  for (NodeId id : c_.ids()) {
+    data::ShardedDataPlane& plane = c_.plane(id);
+    Stack& st = stacks_[id];
+    st.map = std::make_unique<data::ShardedMap>(plane, kMapChannel);
+    st.locks = std::make_unique<data::ShardedLockManager>(plane, kLockChannel);
     data::ReshardConfig rcfg;
     rcfg.initial_shards = dur_cfg_.n_shards;
-    st->mgr = std::make_unique<data::ReshardManager>(*st->plane, *st->map,
-                                                     *st->locks, rcfg);
-    st->traffic_rng = setup_rng.fork();
+    st.mgr = std::make_unique<data::ReshardManager>(plane, *st.map,
+                                                    *st.locks, rcfg);
+    st.traffic_rng = setup_rng.fork();
     // Shard-aware ack tracking: during a migration window a write can bounce
     // and apply on a different shard than it routed to at issue time, and
     // the durable-LSN gate must watch the store it actually landed in.
-    st->map->set_shard_change_handler(
+    st.map->set_shard_change_handler(
         [this, id](std::size_t shard, const std::string& key,
                    const std::optional<std::string>& value, NodeId origin) {
           on_map_change(id, shard, key, value, origin);
         });
-    stacks_.emplace(id, std::move(st));
   }
-  engine_ = std::make_unique<ChaosEngine>(net_, ids_, chaos_cfg_);
-  engine_->set_crash_hook([this](NodeId id) { crash_node(id); });
-  engine_->set_restart_hook([this](NodeId id) { restart_node(id); });
-  engine_->set_shard_crash_hook([this](std::size_t s) { crash_shard(s); });
-  engine_->set_shard_restart_hook([this](std::size_t s) { restart_shard(s); });
+  engine_.set_crash_hook([this](NodeId id) { crash_node(id); });
+  engine_.set_restart_hook([this](NodeId id) { restart_node(id); });
+  engine_.set_shard_hooks(
+      dur_cfg_.n_shards, [this](std::size_t s) { crash_shard(s); },
+      [this](std::size_t s) { restart_shard(s); });
 }
 
 DurabilityChaosCluster::~DurabilityChaosCluster() {
   traffic_on_ = false;
-  if (sweep_timer_) net_.loop().cancel(sweep_timer_);
-  if (resize_timer_) net_.loop().cancel(resize_timer_);
-  if (watch_timer_) net_.loop().cancel(watch_timer_);
+  net::EventLoop& loop = c_.net().loop();
+  if (sweep_timer_) loop.cancel(sweep_timer_);
+  if (resize_timer_) loop.cancel(resize_timer_);
+  if (watch_timer_) loop.cancel(watch_timer_);
   for (auto& [id, st] : stacks_) {
-    if (st->traffic_timer) net_.loop().cancel(st->traffic_timer);
+    if (st.traffic_timer) loop.cancel(st.traffic_timer);
   }
 }
 
 bool DurabilityChaosCluster::bootstrap(Time timeout) {
-  for (auto& [id, st] : stacks_) {
-    if (!st->plane->open_storage()) {
-      violation("bootstrap: node " + std::to_string(id) +
-                " failed to open its stores under " + root_dir_);
-      return false;
+  if (!c_.found_all()) {
+    for (NodeId id : c_.ids()) {
+      data::ShardedDataPlane& plane = c_.plane(id);
+      for (std::size_t s = 0; s < plane.shard_count(); ++s) {
+        if (plane.store(s)->is_open()) continue;
+        violation("bootstrap: node " + std::to_string(id) +
+                  " failed to open its stores under " + root_dir_);
+        return false;
+      }
     }
-    st->plane->found_all();
+    return false;
   }
-  if (run_until(net_.loop(), timeout, [this] {
+  if (run_until(c_.net().loop(), timeout, [this] {
         for (auto& [id, st] : stacks_) {
-          if (!st->plane->all_converged(ids_.size()) || !st->map->synced()) {
+          if (!c_.plane(id).all_converged(c_.ids().size()) ||
+              !st.map->synced()) {
             return false;
           }
         }
@@ -101,11 +110,11 @@ bool DurabilityChaosCluster::bootstrap(Time timeout) {
 // --- client traffic + ack tracking -----------------------------------------
 
 void DurabilityChaosCluster::start_traffic(NodeId id) {
-  Stack& stack = *stacks_.at(id);
+  Stack& stack = stacks_.at(id);
   Time gap =
       millis(3) + static_cast<Time>(stack.traffic_rng.next_below(millis(5)));
-  stack.traffic_timer = net_.loop().schedule(gap, [this, id] {
-    Stack& st = *stacks_.at(id);
+  stack.traffic_timer = c_.net().loop().schedule(gap, [this, id] {
+    Stack& st = stacks_.at(id);
     st.traffic_timer = 0;
     if (!traffic_on_) return;
     if (!st.crashed) {
@@ -117,14 +126,14 @@ void DurabilityChaosCluster::start_traffic(NodeId id) {
 }
 
 void DurabilityChaosCluster::issue_op(NodeId id) {
-  Stack& st = *stacks_.at(id);
+  Stack& st = stacks_.at(id);
   const std::size_t slot = st.traffic_rng.next_below(dur_cfg_.slots_per_node);
   const std::string key =
       "d" + std::to_string(id) + ":" + std::to_string(slot);
   if (pending_.count(key)) return;  // one outstanding op per slot
   const std::size_t shard = st.map->write_shard_of(key);
   if (st.shards_down.count(shard)) return;
-  session::SessionNode& ring = st.plane->ring(shard);
+  session::SessionNode& ring = c_.plane(id).ring(shard);
   if (!ring.started() || !ring.view().has(id)) return;
   if (!st.map->shard(shard).synced()) return;
 
@@ -133,7 +142,7 @@ void DurabilityChaosCluster::issue_op(NodeId id) {
   p.node = id;
   p.key = key;
   p.shard = shard;
-  p.issued_at = net_.now();
+  p.issued_at = c_.net().now();
   p.saw_migration = migration_open();
 
   OpRecord op;
@@ -157,8 +166,8 @@ void DurabilityChaosCluster::issue_op(NodeId id) {
   // storms (exclusion itself is judged by the lock suite, not here).
   if (st.traffic_rng.chance(0.1)) {
     st.locks->acquire("lk:" + key, [this, id](const std::string& name) {
-      net_.loop().schedule(millis(1), [this, id, name] {
-        Stack& holder = *stacks_.at(id);
+      c_.net().loop().schedule(millis(1), [this, id, name] {
+        Stack& holder = stacks_.at(id);
         if (!holder.crashed) holder.locks->release(name);
       });
     });
@@ -184,7 +193,7 @@ void DurabilityChaosCluster::on_map_change(
   p.shard = shard;
   // The journal record was appended inside the apply, just before this
   // handler ran — the store's head LSN IS that record's LSN.
-  p.applied_lsn = stacks_.at(id)->plane->store(shard)->lsn();
+  p.applied_lsn = c_.plane(id).store(shard)->lsn();
 }
 
 void DurabilityChaosCluster::ack(Pending& p) {
@@ -197,25 +206,25 @@ void DurabilityChaosCluster::ack(Pending& p) {
   }
   ++acked_ops_;
   if (p.saw_migration || migration_open()) {
-    ack_lat_migration_.push_back(to_millis(net_.now() - p.issued_at));
+    ack_lat_migration_.push_back(to_millis(c_.net().now() - p.issued_at));
   } else {
-    ack_lat_steady_.push_back(to_millis(net_.now() - p.issued_at));
+    ack_lat_steady_.push_back(to_millis(c_.net().now() - p.issued_at));
   }
 }
 
-bool DurabilityChaosCluster::migration_open() const {
+bool DurabilityChaosCluster::migration_open() {
   for (const auto& [id, st] : stacks_) {
-    if (!st->crashed && st->plane->vrouter().migrating()) return true;
+    if (!st.crashed && c_.plane(id).vrouter().migrating()) return true;
   }
   return false;
 }
 
 void DurabilityChaosCluster::sweep_acks(NodeId id) {
-  Stack& st = *stacks_.at(id);
+  data::ShardedDataPlane& plane = c_.plane(id);
   for (auto it = pending_.begin(); it != pending_.end();) {
     Pending& p = it->second;
     if (p.node == id && p.applied &&
-        st.plane->store(p.shard)->durable_lsn() >= p.applied_lsn) {
+        plane.store(p.shard)->durable_lsn() >= p.applied_lsn) {
       ack(p);
       it = pending_.erase(it);
     } else {
@@ -227,9 +236,8 @@ void DurabilityChaosCluster::sweep_acks(NodeId id) {
 void DurabilityChaosCluster::sweep_acks_shard(std::size_t shard) {
   for (auto it = pending_.begin(); it != pending_.end();) {
     Pending& p = it->second;
-    Stack& st = *stacks_.at(p.node);
-    if (p.shard == shard && !st.crashed && p.applied &&
-        st.plane->store(p.shard)->durable_lsn() >= p.applied_lsn) {
+    if (p.shard == shard && !stacks_.at(p.node).crashed && p.applied &&
+        c_.plane(p.node).store(p.shard)->durable_lsn() >= p.applied_lsn) {
       ack(p);
       it = pending_.erase(it);
     } else {
@@ -265,7 +273,7 @@ void DurabilityChaosCluster::void_stale_pending() {
   // retry; the op's effects may or may not survive, which the oracle
   // allows — exactly the real-world unknown-outcome window.
   for (auto it = pending_.begin(); it != pending_.end();) {
-    if (net_.now() - it->second.issued_at > dur_cfg_.op_timeout) {
+    if (c_.net().now() - it->second.issued_at > kOpTimeout) {
       ++voided_ops_;
       it = pending_.erase(it);
     } else {
@@ -275,11 +283,11 @@ void DurabilityChaosCluster::void_stale_pending() {
 }
 
 void DurabilityChaosCluster::schedule_sweep() {
-  sweep_timer_ = net_.loop().schedule(dur_cfg_.sweep_every, [this] {
+  sweep_timer_ = c_.net().loop().schedule(kSweepEvery, [this] {
     sweep_timer_ = 0;
     if (!traffic_on_) return;
-    for (NodeId id : ids_) {
-      if (!stacks_.at(id)->crashed) sweep_acks(id);
+    for (NodeId id : c_.ids()) {
+      if (!stacks_.at(id).crashed) sweep_acks(id);
     }
     void_stale_pending();
     schedule_sweep();
@@ -289,39 +297,35 @@ void DurabilityChaosCluster::schedule_sweep() {
 // --- chaos hooks ------------------------------------------------------------
 
 void DurabilityChaosCluster::crash_node(NodeId id) {
-  Stack& st = *stacks_.at(id);
   // Anything durable at the power cut counts as acked — drop_unsynced only
   // discards the tail AFTER the durable LSN, so sweeping first is exact.
   sweep_acks(id);
   void_pending_node(id);
-  for (std::size_t s = 0; s < st.plane->shard_count(); ++s) {
-    if (st.shards_down.count(s) == 0) st.plane->crash_store(s);
-  }
-  st.mux->set_enabled(false);
-  st.crashed = true;
+  c_.crash(id);
+  stacks_.at(id).crashed = true;
 }
 
 void DurabilityChaosCluster::restart_node(NodeId id) {
-  Stack& st = *stacks_.at(id);
-  ++st.epoch;
+  Stack& st = stacks_.at(id);
+  data::ShardedDataPlane& plane = c_.plane(id);
   st.crashed = false;
-  st.mux->set_enabled(true);
+  c_.mux(id).set_enabled(true);
   // Shards that are down CLUSTER-WIDE stay down on this node too; the
   // shard-restart hook will bring them back everywhere at once.
   st.shards_down = global_shards_down_;
-  for (std::size_t s = 0; s < st.plane->shard_count(); ++s) {
+  for (std::size_t s = 0; s < plane.shard_count(); ++s) {
     if (global_shards_down_.count(s)) continue;
-    st.plane->open_store(s);
-    st.plane->recover_store(s);  // shadow ready before the ring forms
+    plane.open_store(s);
+    plane.recover_store(s);  // shadow ready before the ring forms
   }
   // Rebuild the migration window from the recovered filter journals before
   // any ring re-forms — a node that died mid-migration must classify its
   // first post-restart applies with the journaled state, not the stale
   // in-memory one.
   st.mgr->after_recovery();
-  for (std::size_t s = 0; s < st.plane->shard_count(); ++s) {
+  for (std::size_t s = 0; s < plane.shard_count(); ++s) {
     if (global_shards_down_.count(s)) continue;
-    if (!st.plane->ring(s).started()) st.plane->ring(s).found();
+    if (!plane.ring(s).started()) plane.ring(s).found();
   }
 }
 
@@ -329,25 +333,25 @@ void DurabilityChaosCluster::crash_shard(std::size_t shard) {
   global_shards_down_.insert(shard);
   sweep_acks_shard(shard);
   void_pending_shard(shard);
-  for (NodeId id : ids_) {
-    Stack& st = *stacks_.at(id);
+  for (auto& [id, st] : stacks_) {
+    data::ShardedDataPlane& plane = c_.plane(id);
     if (st.crashed || st.shards_down.count(shard)) continue;
-    if (shard >= st.plane->shard_count()) continue;
-    st.plane->crash_store(shard);
-    st.plane->ring(shard).stop();
+    if (shard >= plane.shard_count()) continue;
+    plane.crash_store(shard);
+    plane.ring(shard).stop();
     st.shards_down.insert(shard);
   }
 }
 
 void DurabilityChaosCluster::restart_shard(std::size_t shard) {
   global_shards_down_.erase(shard);
-  for (NodeId id : ids_) {
-    Stack& st = *stacks_.at(id);
+  for (auto& [id, st] : stacks_) {
+    data::ShardedDataPlane& plane = c_.plane(id);
     if (st.crashed || st.shards_down.count(shard) == 0) continue;
-    st.plane->open_store(shard);
-    st.plane->recover_store(shard);
+    plane.open_store(shard);
+    plane.recover_store(shard);
     st.mgr->after_recovery();
-    if (!st.plane->ring(shard).started()) st.plane->ring(shard).found();
+    if (!plane.ring(shard).started()) plane.ring(shard).found();
     st.shards_down.erase(shard);
   }
 }
@@ -355,7 +359,7 @@ void DurabilityChaosCluster::restart_shard(std::size_t shard) {
 // --- live resize ------------------------------------------------------------
 
 void DurabilityChaosCluster::schedule_resize(Time delay) {
-  resize_timer_ = net_.loop().schedule(delay, [this] {
+  resize_timer_ = c_.net().loop().schedule(delay, [this] {
     resize_timer_ = 0;
     if (!traffic_on_ || resize_requested_) return;
     ensure_resize_requested();
@@ -371,31 +375,30 @@ void DurabilityChaosCluster::ensure_resize_requested() {
     // of it — start_resize is ignored while in flight or once grown, so
     // re-requesting is idempotent.
     for (auto& [id, st] : stacks_) {
-      if (st->mgr->migrating() || st->mgr->epoch() > 0 ||
-          st->plane->shard_count() > dur_cfg_.n_shards) {
+      if (st.mgr->migrating() || st.mgr->epoch() > 0 ||
+          c_.plane(id).shard_count() > dur_cfg_.n_shards) {
         return;
       }
     }
-    if (net_.now() - resize_requested_at_ < millis(400)) return;
+    if (c_.net().now() - resize_requested_at_ < millis(400)) return;
   }
-  for (NodeId id : ids_) {
-    Stack& st = *stacks_.at(id);
+  for (auto& [id, st] : stacks_) {
     if (st.crashed) continue;
     st.mgr->start_resize(dur_cfg_.resize_to);
     resize_requested_ = true;
-    resize_requested_at_ = net_.now();
+    resize_requested_at_ = c_.net().now();
     return;
   }
 }
 
 void DurabilityChaosCluster::schedule_migration_watch() {
-  watch_timer_ = net_.loop().schedule(millis(2), [this] {
+  watch_timer_ = c_.net().loop().schedule(millis(2), [this] {
     watch_timer_ = 0;
     if (!traffic_on_) return;
     ensure_resize_requested();
     if (migration_open()) {
-      if (mig_first_open_ == 0) mig_first_open_ = net_.now();
-      mig_last_open_ = net_.now();
+      if (mig_first_open_ == 0) mig_first_open_ = c_.net().now();
+      mig_last_open_ = c_.net().now();
     }
     watch_migration_fault();
     schedule_migration_watch();
@@ -403,19 +406,19 @@ void DurabilityChaosCluster::schedule_migration_watch() {
 }
 
 void DurabilityChaosCluster::watch_migration_fault() {
-  if (migration_fault_fired_ || !engine_->running()) return;
+  if (migration_fault_fired_ || !engine_.running()) return;
   if (dur_cfg_.migration_fault == MigrationFault::kNone) return;
   // Observe the coordinator's routing window (lowest live id drives).
   NodeId coord = kInvalidNode;
-  for (NodeId id : ids_) {
-    if (!stacks_.at(id)->crashed) {
+  for (const auto& [id, st] : stacks_) {
+    if (!st.crashed) {
       coord = id;
       break;
     }
   }
   if (coord == kInvalidNode) return;
-  Stack& st = *stacks_.at(coord);
-  const data::VersionedRouter& vr = st.plane->vrouter();
+  Stack& st = stacks_.at(coord);
+  const data::VersionedRouter& vr = c_.plane(coord).vrouter();
   if (!vr.migrating()) return;
   bool any_frozen = false;
   bool any_cut = false;
@@ -423,7 +426,8 @@ void DurabilityChaosCluster::watch_migration_fault() {
     if (rs == data::RangeState::kFrozen) any_frozen = true;
     if (rs == data::RangeState::kCut) any_cut = true;
   }
-  const Time dur = dur_cfg_.migration_fault_duration;
+  const std::vector<NodeId>& ids = c_.ids();
+  const Time dur = kMigrationFaultDuration;
   switch (dur_cfg_.migration_fault) {
     case MigrationFault::kKillSourceMidSnapshot: {
       // Chunks have left the coordinator but the range is not yet cut: the
@@ -432,7 +436,7 @@ void DurabilityChaosCluster::watch_migration_fault() {
                                        .counter("data.reshard.chunks_sent")
                                        .value();
       if (any_frozen && chunks > 0) {
-        migration_fault_fired_ = engine_->inject_crash(coord, dur);
+        migration_fault_fired_ = engine_.inject_crash(coord, dur);
       }
       break;
     }
@@ -441,9 +445,9 @@ void DurabilityChaosCluster::watch_migration_fault() {
       // Every node replicates the destination ring; kill the one farthest
       // from the coordinator so the ring loses a destination replica while
       // the CUTOVER record is still in flight.
-      for (auto it = ids_.rbegin(); it != ids_.rend(); ++it) {
-        if (*it != coord && !stacks_.at(*it)->crashed) {
-          migration_fault_fired_ = engine_->inject_crash(*it, dur);
+      for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
+        if (*it != coord && !stacks_.at(*it).crashed) {
+          migration_fault_fired_ = engine_.inject_crash(*it, dur);
           break;
         }
       }
@@ -451,9 +455,9 @@ void DurabilityChaosCluster::watch_migration_fault() {
     }
     case MigrationFault::kPartitionDuringUnfreeze: {
       if (!any_cut) break;
-      std::vector<NodeId> half(ids_.begin(),
-                               ids_.begin() + (ids_.size() + 1) / 2);
-      migration_fault_fired_ = engine_->inject_partition(std::move(half), dur);
+      std::vector<NodeId> half(ids.begin(),
+                               ids.begin() + (ids.size() + 1) / 2);
+      migration_fault_fired_ = engine_.inject_partition(std::move(half), dur);
       break;
     }
     case MigrationFault::kNone:
@@ -465,53 +469,52 @@ void DurabilityChaosCluster::watch_migration_fault() {
 
 void DurabilityChaosCluster::run_chaos(Time duration) {
   traffic_on_ = true;
-  for (NodeId id : ids_) start_traffic(id);
+  for (NodeId id : c_.ids()) start_traffic(id);
   schedule_sweep();
   if (dur_cfg_.resize_to > dur_cfg_.n_shards) {
     schedule_resize(dur_cfg_.resize_at);
     schedule_migration_watch();
   }
-  engine_->start();
-  Time end = net_.now() + duration;
-  while (net_.now() < end) net_.loop().run_for(millis(10));
+  engine_.start();
+  Time end = c_.net().now() + duration;
+  while (c_.net().now() < end) c_.net().loop().run_for(millis(10));
 }
 
 void DurabilityChaosCluster::heal_and_check(Time converge_timeout) {
-  engine_->stop_and_heal();
+  engine_.stop_and_heal();
   auto converged = [&] {
     // An in-flight migration must finish before the oracles run: every
     // node idle, agreeing on the final epoch and shard count, and every
     // ROUTER actually landed on the final table (a node can retire its
     // partitions yet keep a stale current table after an ill-timed crash —
     // the tick below lets the manager's self-heal paths run).
-    const Stack& ref = *stacks_.at(ids_.front());
-    const std::size_t k = ref.plane->shard_count();
-    const std::uint64_t ep = ref.mgr->epoch();
+    const NodeId ref = c_.ids().front();
+    const std::size_t k = c_.plane(ref).shard_count();
+    const std::uint64_t ep = stacks_.at(ref).mgr->epoch();
     if (resize_requested_ && k != dur_cfg_.resize_to) return false;
     for (auto& [id, st] : stacks_) {
-      if (!st->crashed) st->mgr->tick();
-      if (st->mgr->migrating()) return false;
-      if (st->plane->shard_count() != k || st->mgr->epoch() != ep) {
+      const data::ShardedDataPlane& plane = c_.plane(id);
+      if (!st.crashed) st.mgr->tick();
+      if (st.mgr->migrating()) return false;
+      if (plane.shard_count() != k || st.mgr->epoch() != ep) return false;
+      if (plane.vrouter().migrating() ||
+          plane.vrouter().current().shard_count() != k) {
         return false;
       }
-      if (st->plane->vrouter().migrating() ||
-          st->plane->vrouter().current().shard_count() != k) {
-        return false;
-      }
-      if (!st->plane->all_converged(ids_.size()) || !st->map->synced()) {
+      if (!plane.all_converged(c_.ids().size()) || !st.map->synced()) {
         return false;
       }
     }
     return true;
   };
-  run_until_stable(net_.loop(), converge_timeout, converged);
+  run_until_stable(c_.net().loop(), converge_timeout, converged);
   // Judged by a fresh call even after a stable window: each call ticks
   // every ReshardManager, and the round's schedule includes this tick.
   if (!converged()) {
     violation("heal: not every shard ring re-converged to the full set");
   }
-  final_shards_ = stacks_.at(ids_.front())->plane->shard_count();
-  final_epoch_ = stacks_.at(ids_.front())->mgr->epoch();
+  final_shards_ = c_.plane(c_.ids().front()).shard_count();
+  final_epoch_ = stacks_.at(c_.ids().front()).mgr->epoch();
   if (resize_requested_ && final_shards_ != dur_cfg_.resize_to) {
     violation("resize: cluster healed at " + std::to_string(final_shards_) +
               " shards, epoch " + std::to_string(final_epoch_) +
@@ -520,11 +523,11 @@ void DurabilityChaosCluster::heal_and_check(Time converge_timeout) {
   }
   // Quiesce the clients, let re-proposals and re-assertions circulate.
   traffic_on_ = false;
-  net_.loop().run_for(millis(400));
+  c_.net().loop().run_for(millis(400));
   // Promote everything still buffered to durable, take the final acks, and
   // write off whatever never resolved.
-  for (auto& [id, st] : stacks_) st->plane->flush_storage();
-  for (NodeId id : ids_) sweep_acks(id);
+  for (NodeId id : c_.ids()) c_.plane(id).flush_storage();
+  for (NodeId id : c_.ids()) sweep_acks(id);
   const std::size_t unresolved = pending_.size();
   voided_ops_ += unresolved;
   pending_.clear();
@@ -532,7 +535,7 @@ void DurabilityChaosCluster::heal_and_check(Time converge_timeout) {
           static_cast<unsigned long long>(acked_ops_),
           static_cast<unsigned long long>(voided_ops_),
           static_cast<unsigned long>(unresolved));
-  check_map_convergence(ids_);
+  check_map_convergence(c_.ids());
   check_ownership();
   run_oracle();
 }
@@ -540,11 +543,11 @@ void DurabilityChaosCluster::heal_and_check(Time converge_timeout) {
 void DurabilityChaosCluster::check_map_convergence(
     const std::vector<NodeId>& live) {
   // Wait until every shard's replicas agree everywhere, then assert it.
-  const std::size_t n_shards = stacks_.at(live.front())->plane->shard_count();
-  run_until(net_.loop(), millis(6000), [&] {
-    const Stack& ref = *stacks_.at(live.front());
+  const std::size_t n_shards = c_.plane(live.front()).shard_count();
+  run_until(c_.net().loop(), millis(6000), [&] {
+    const Stack& ref = stacks_.at(live.front());
     for (NodeId id : live) {
-      const Stack& st = *stacks_.at(id);
+      const Stack& st = stacks_.at(id);
       if (st.map->shard_count() != n_shards) return false;
       for (std::size_t s = 0; s < n_shards; ++s) {
         if (!st.map->shard(s).synced()) return false;
@@ -555,9 +558,9 @@ void DurabilityChaosCluster::check_map_convergence(
     }
     return true;
   });
-  const Stack& ref = *stacks_.at(live.front());
+  const Stack& ref = stacks_.at(live.front());
   for (NodeId id : live) {
-    const Stack& st = *stacks_.at(id);
+    const Stack& st = stacks_.at(id);
     if (st.map->shard_count() != n_shards) {
       violation("convergence: node " + std::to_string(id) + " holds " +
                 std::to_string(st.map->shard_count()) +
@@ -586,12 +589,13 @@ void DurabilityChaosCluster::check_ownership() {
   // also present on its old home is a double-apply (the unfreeze never
   // dropped it); a key only on the old home never migrated. Replicas are
   // already known identical (check_map_convergence), so one node suffices.
-  const Stack& ref = *stacks_.at(ids_.front());
-  if (ref.plane->vrouter().migrating()) return;  // heal violation already
-  const data::ShardRouter& router = ref.plane->router();
+  const NodeId ref = c_.ids().front();
+  const data::ShardedDataPlane& ref_plane = c_.plane(ref);
+  if (ref_plane.vrouter().migrating()) return;  // heal violation already
+  const data::ShardRouter& router = ref_plane.router();
   bool any = false;
-  for (std::size_t s = 0; s < ref.plane->shard_count(); ++s) {
-    for (const auto& [key, value] : ref.map->shard(s).contents()) {
+  for (std::size_t s = 0; s < ref_plane.shard_count(); ++s) {
+    for (const auto& [key, value] : stacks_.at(ref).map->shard(s).contents()) {
       const std::size_t owner = router.shard_of(key);
       if (owner != s) {
         any = true;
@@ -604,13 +608,14 @@ void DurabilityChaosCluster::check_ownership() {
   }
   if (any) {
     for (const auto& [id, st] : stacks_) {
+      const data::ShardedDataPlane& plane = c_.plane(id);
       RC_WARN(kMod,
               "  node %u: rings=%lu cur_k=%lu migrating=%d epoch=%llu",
-              id, static_cast<unsigned long>(st->plane->shard_count()),
+              id, static_cast<unsigned long>(plane.shard_count()),
               static_cast<unsigned long>(
-                  st->plane->vrouter().current().shard_count()),
-              st->mgr->migrating() ? 1 : 0,
-              static_cast<unsigned long long>(st->mgr->epoch()));
+                  plane.vrouter().current().shard_count()),
+              st.mgr->migrating() ? 1 : 0,
+              static_cast<unsigned long long>(st.mgr->epoch()));
     }
   }
 }
@@ -619,9 +624,9 @@ void DurabilityChaosCluster::run_oracle() {
   // Judge the converged final state (reference node) against every key's
   // issue history. See the header for the acked-loss / phantom rules.
   std::map<std::string, std::string> finals;
-  const Stack& ref = *stacks_.at(ids_.front());
-  for (std::size_t s = 0; s < ref.plane->shard_count(); ++s) {
-    for (const auto& [k, v] : ref.map->shard(s).contents()) finals[k] = v;
+  data::ShardedMap& ref = *stacks_.at(c_.ids().front()).map;
+  for (std::size_t s = 0; s < ref.shard_count(); ++s) {
+    for (const auto& [k, v] : ref.shard(s).contents()) finals[k] = v;
   }
   for (const auto& [key, ops] : history_) {
     // Newest acknowledged op; keys with no acked op promise nothing.
@@ -676,14 +681,12 @@ void DurabilityChaosCluster::violation(std::string what) {
 }
 
 metrics::Snapshot DurabilityChaosCluster::metrics_snapshot() const {
-  metrics::Snapshot out;
+  metrics::Snapshot out = c_.metrics_snapshot();
   for (const auto& [id, st] : stacks_) {
-    out.merge(st->mux->metrics_snapshot());
-    out.merge(st->plane->storage_snapshot());
-    out.merge(st->mgr->metrics().snapshot());
-    for (std::size_t s = 0; s < st->map->shard_count(); ++s) {
-      out.merge(st->map->shard(s).metrics().snapshot());
-      out.merge(st->locks->shard(s).metrics().snapshot());
+    out.merge(st.mgr->metrics().snapshot());
+    for (std::size_t s = 0; s < st.map->shard_count(); ++s) {
+      out.merge(st.map->shard(s).metrics().snapshot());
+      out.merge(st.locks->shard(s).metrics().snapshot());
     }
   }
   // WAL replay is timed on the wall clock (ShardStore::recover), the only
@@ -703,14 +706,8 @@ std::string DurabilityChaosCluster::failure_report() const {
          " voided=" + std::to_string(voided_ops_) +
          " acked_lost=" + std::to_string(acked_lost_) +
          " phantoms=" + std::to_string(phantoms_) + "\n";
-  out += engine_->describe_schedule();
-  std::vector<const session::SessionNode*> rings;
-  for (const auto& [id, st] : stacks_) {
-    for (std::size_t s = 0; s < st->plane->shard_count(); ++s) {
-      rings.push_back(&st->plane->ring(s));
-    }
-  }
-  out += session::dump_rings(rings);
+  out += engine_.describe_schedule();
+  out += c_.ring_dump();
   return out;
 }
 
@@ -726,15 +723,12 @@ DurabilityRoundResult run_round(std::uint64_t seed, const std::string& dir,
                                 const DurabilityConfig& dcfg,
                                 std::uint64_t net_salt, Time chaos_duration,
                                 Time converge_timeout) {
-  std::vector<NodeId> ids;
-  for (std::size_t i = 1; i <= n_nodes; ++i) {
-    ids.push_back(static_cast<NodeId>(i));
-  }
   net::SimNetConfig ncfg;
   ncfg.seed = seed ^ net_salt;
   session::SessionConfig scfg;
   scfg.transport.adaptive = true;
-  DurabilityChaosCluster cluster(ids, dir, ccfg, dcfg, scfg, ncfg);
+  DurabilityChaosCluster cluster(node_ids(n_nodes), dir, ccfg, dcfg, scfg,
+                                 ncfg);
   if (cluster.bootstrap()) {
     cluster.run_chaos(chaos_duration);
     cluster.heal_and_check(converge_timeout);
@@ -768,7 +762,6 @@ DurabilityRoundResult run_durability_round(std::uint64_t seed,
   ccfg.mean_gap = millis(160);
   ccfg.mean_duration = millis(320);
   ccfg.min_alive = 2;
-  ccfg.n_shards = n_shards;
   // Restart-storm mix: node crashes, shard restarts and full-cluster
   // restarts dominate; a light seasoning of network faults keeps the
   // recovery paths honest about loss and reordering.
@@ -811,7 +804,6 @@ DurabilityRoundResult run_reshard_round(std::uint64_t seed,
   ccfg.mean_gap = millis(320);
   ccfg.mean_duration = millis(260);
   ccfg.min_alive = n_nodes > 1 ? n_nodes - 1 : 1;
-  ccfg.n_shards = n_shards;
   auto w = [&ccfg](FaultClass c) -> double& {
     return ccfg.weights[static_cast<std::size_t>(c)];
   };

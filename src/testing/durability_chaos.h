@@ -39,9 +39,7 @@
 
 #include "data/reshard.h"
 #include "data/shard_router.h"
-#include "net/sim_network.h"
-#include "session/session_mux.h"
-#include "testing/chaos.h"
+#include "testing/cluster.h"
 
 namespace raincore::testing {
 
@@ -64,10 +62,6 @@ enum class MigrationFault : std::uint8_t {
 struct DurabilityConfig {
   std::size_t n_shards = 2;
   std::size_t slots_per_node = 4;
-  /// Client retry timeout: a pending op older than this is voided.
-  Time op_timeout = millis(2500);
-  /// Ack sweep cadence.
-  Time sweep_every = millis(2);
   storage::StorageConfig storage;  ///< dir filled in by the harness
   /// Elastic resharding under the storm: when resize_to > n_shards the
   /// harness asks a live node to start_resize(resize_to) at resize_at into
@@ -77,10 +71,10 @@ struct DurabilityConfig {
   std::size_t resize_to = 0;
   Time resize_at = millis(400);
   MigrationFault migration_fault = MigrationFault::kNone;
-  /// Crash/partition length of the targeted migration fault.
-  Time migration_fault_duration = millis(250);
 };
 
+/// A testing::Cluster of durable ShardedDataPlane nodes, each with its map,
+/// lock manager and ReshardManager, under the restart storm.
 class DurabilityChaosCluster {
  public:
   /// `root_dir` holds one subdirectory per node ("node<id>"), each with one
@@ -98,10 +92,7 @@ class DurabilityChaosCluster {
   void heal_and_check(Time converge_timeout = millis(20000));
 
   const std::vector<std::string>& violations() const { return violations_; }
-  ChaosEngine& engine() { return *engine_; }
-  net::SimNetwork& net() { return net_; }
-  data::ShardedMap& map(NodeId id) { return *stacks_.at(id)->map; }
-  data::ShardedDataPlane& plane(NodeId id) { return *stacks_.at(id)->plane; }
+  ChaosEngine& engine() { return engine_; }
 
   std::uint64_t acked_ops() const { return acked_ops_; }
   std::uint64_t voided_ops() const { return voided_ops_; }
@@ -137,13 +128,12 @@ class DurabilityChaosCluster {
   std::string failure_report() const;
 
  private:
+  /// One node's services, traffic and fault state; its plane is the
+  /// Cluster's.
   struct Stack {
-    std::unique_ptr<session::SessionMux> mux;
-    std::unique_ptr<data::ShardedDataPlane> plane;
     std::unique_ptr<data::ShardedMap> map;
     std::unique_ptr<data::ShardedLockManager> locks;
     std::unique_ptr<data::ReshardManager> mgr;
-    std::uint64_t epoch = 0;
     bool crashed = false;
     /// Shards whose store+ring are down on THIS node (shard fault, or
     /// globally-down shards inherited at node restart).
@@ -187,7 +177,7 @@ class DurabilityChaosCluster {
 
   /// True while any live node's router window is open (old+new tables
   /// coexisting).
-  bool migration_open() const;
+  bool migration_open();
 
   void crash_node(NodeId id);
   void restart_node(NodeId id);
@@ -207,14 +197,13 @@ class DurabilityChaosCluster {
   void run_oracle();
   void violation(std::string what);
 
-  net::SimNetwork net_;
+  /// The nodes. Declared first: the services in stacks_ die before the
+  /// planes they are built on.
+  Cluster c_;
+  ChaosEngine& engine_;
   std::string root_dir_;
-  session::SessionConfig session_cfg_;
-  ChaosConfig chaos_cfg_;
   DurabilityConfig dur_cfg_;
-  std::unique_ptr<ChaosEngine> engine_;
-  std::map<NodeId, std::unique_ptr<Stack>> stacks_;
-  std::vector<NodeId> ids_;
+  std::map<NodeId, Stack> stacks_;
   std::set<std::size_t> global_shards_down_;
   bool traffic_on_ = false;
   net::TimerId sweep_timer_ = 0;

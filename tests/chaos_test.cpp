@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "session/introspect.h"
 #include "testing/cluster.h"
 
 namespace raincore::testing {
@@ -115,10 +114,7 @@ TEST(RingIntrospection, DumpShowsStateHolderAndMembership) {
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
 
-  std::vector<const session::SessionNode*> rings;
-  for (NodeId id : c.ids()) rings.push_back(&c.node(id));
-
-  std::string dump = session::dump_rings(rings);
+  const std::string dump = c.ring_dump();
   for (const char* want : {"node 1", "node 2", "node 3", "view=", "seq=",
                            "ring=[", "distinct_views=1", "distinct_groups=1"}) {
     EXPECT_NE(dump.find(want), std::string::npos)
@@ -131,8 +127,73 @@ TEST(RingIntrospection, StoppedNodeShowsAsDown) {
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2}, seconds(10)));
   c.node(2).stop();
-  const std::string dump = session::dump_rings({&c.node(1), &c.node(2)});
+  const std::string dump = c.ring_dump();
   EXPECT_NE(dump.find("DOWN"), std::string::npos) << dump;
+}
+
+// The rows of a ring dump ("  node <id> <state> ..."), in order.
+std::vector<std::string> dump_rows(const std::string& dump) {
+  std::vector<std::string> rows;
+  std::size_t at = 0;
+  while ((at = dump.find("\n  node ", at)) != std::string::npos) {
+    const std::size_t end = dump.find('\n', at + 1);
+    rows.push_back(dump.substr(at + 1, end - at - 1));
+    at = end;
+  }
+  return rows;
+}
+
+TEST(ClusterEpoch, CountsRestartsAndStampsDeliveries) {
+  Cluster c({1, 2, 3});
+  c.found_all();
+  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(5)));
+  EXPECT_EQ(c.epoch(2), 0u);
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    c.crash(2);
+    ASSERT_TRUE(c.run_until_converged({1, 3}, seconds(10)));
+    ASSERT_TRUE(c.restart(2));
+    ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  }
+  EXPECT_EQ(c.epoch(1), 0u);
+  EXPECT_EQ(c.epoch(2), 2u);
+
+  // A delivery is stamped with its receiver's epoch at the time.
+  c.send(1, "after two restarts");
+  ASSERT_TRUE(run_until(c.net().loop(), seconds(3), [&] {
+    for (NodeId id : c.ids()) {
+      if (c.delivered(id).empty() ||
+          c.delivered(id).back().payload != "after two restarts") {
+        return false;
+      }
+    }
+    return true;
+  }));
+  for (NodeId id : c.ids()) {
+    EXPECT_EQ(c.delivered(id).back().recv_epoch, c.epoch(id)) << "node " << id;
+  }
+}
+
+TEST(ClusterRingDump, OneRowPerRingAndCrashedNodeIsDown) {
+  Cluster c(node_ids(3), Cluster::Rings(2));
+  c.found_all();
+  ASSERT_TRUE(c.run_until_converged(c.ids(), seconds(5)));
+  const std::vector<std::string> rows = dump_rows(c.ring_dump());
+  ASSERT_EQ(rows.size(), 6u) << c.ring_dump();
+  // By node id, then ring.
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].rfind("  node " + std::to_string(i / 2 + 1) + " ", 0),
+              0u)
+        << rows[i];
+    EXPECT_EQ(rows[i].find("DOWN"), std::string::npos) << rows[i];
+  }
+
+  c.crash(3);
+  const std::vector<std::string> after = dump_rows(c.ring_dump());
+  ASSERT_EQ(after.size(), 6u) << c.ring_dump();
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    const bool down = after[i].find("DOWN") != std::string::npos;
+    EXPECT_EQ(down, i >= 4) << after[i];
+  }
 }
 
 TEST(ChaosFailureReport, InjectedViolationProducesFullDiagnostics) {

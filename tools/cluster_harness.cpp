@@ -9,20 +9,27 @@
 //
 // Usage: cluster_harness <path-to-raincored> [--nodes N] [--shards K]
 //          [--base-port P] [--dir D] [--kill9] [--timeout-s T]
-//          [--poll-ms M] [--respawn-delay-s R]
 //
-// Environment fallbacks (flags win): CLUSTER_TIMEOUT_S, CLUSTER_POLL_MS,
-// CLUSTER_RESPAWN_DELAY_S. CI on a loaded machine raises the timeout via
-// env without touching every ctest invocation; the respawn delay models a
-// supervisor's restart backoff in the kill -9 phase. On a convergence
-// timeout the harness prints each member's last heartbeat age, so a stuck
-// run distinguishes "process dead" (stale/absent heartbeat) from "rings
-// not merging" (fresh heartbeats, wrong view sizes).
+// Every value is checked before anything is forked: N and K are whole
+// numbers in 1..64 (one process per node, one worker thread per shard in
+// each), the ports P..P+N-1 lie in 1..65535, T is a finite number of
+// seconds above zero, and --kill9 needs N >= 2. A rejected command line
+// exits 2 with a message.
+//
+// CLUSTER_TIMEOUT_S stands in for an absent --timeout-s, so CI on a loaded
+// machine raises the timeout without touching every ctest invocation.
+// Heartbeats are polled every 100 ms, and a killed member is restarted as
+// soon as the survivors re-form. On a convergence timeout the harness
+// prints each member's last heartbeat age, so a stuck run distinguishes
+// "process dead" (stale/absent heartbeat) from "rings not merging" (fresh
+// heartbeats, wrong view sizes).
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -40,6 +47,42 @@
 using namespace raincore;
 
 namespace {
+
+constexpr std::uint64_t kMaxNodes = 64;
+constexpr std::uint64_t kMaxShards = 64;
+constexpr int kMaxPort = 65535;
+constexpr std::chrono::milliseconds kPoll{100};
+
+[[noreturn]] void reject(const std::string& why) {
+  std::fprintf(stderr, "cluster_harness: %s\n", why.c_str());
+  std::exit(2);
+}
+
+/// All of `text` as a whole number in [lo, hi]; rejects anything else.
+std::uint64_t whole(const char* what, const char* text, std::uint64_t lo,
+                    std::uint64_t hi) {
+  const char* end = text + std::strlen(text);
+  std::uint64_t v = 0;
+  const auto [p, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc() || p != end || v < lo || v > hi) {
+    reject(std::string(what) + " wants a whole number in " +
+           std::to_string(lo) + ".." + std::to_string(hi) + ", got '" +
+           text + "'");
+  }
+  return v;
+}
+
+/// All of `text` as a finite number of seconds above zero.
+double seconds(const char* what, const char* text) {
+  const char* end = text + std::strlen(text);
+  double v = 0.0;
+  const auto [p, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc() || p != end || !std::isfinite(v) || v <= 0.0) {
+    reject(std::string(what) + " wants a finite number of seconds above " +
+           "zero, got '" + text + "'");
+  }
+  return v;
+}
 
 struct Member {
   NodeId id = 0;
@@ -79,11 +122,6 @@ bool read_views(const Member& m, std::vector<std::size_t>& views) {
   return true;
 }
 
-double env_or(const char* name, double dflt) {
-  const char* v = ::getenv(name);
-  return v != nullptr && *v != '\0' ? std::atof(v) : dflt;
-}
-
 /// Age of a member's freshest heartbeat in seconds; negative when the
 /// status file does not exist (never heartbeated, or just killed).
 double heartbeat_age_s(const Member& m) {
@@ -96,8 +134,7 @@ double heartbeat_age_s(const Member& m) {
 
 /// Polls until every live member reports `expect` members on all K rings.
 bool wait_converged(const std::vector<Member*>& live, std::size_t shards,
-                    std::size_t expect, double timeout_s, double poll_ms,
-                    const char* phase) {
+                    std::size_t expect, double timeout_s, const char* phase) {
   const auto t0 = std::chrono::steady_clock::now();
   for (;;) {
     bool all_ok = true;
@@ -141,8 +178,7 @@ bool wait_converged(const std::vector<Member*>& live, std::size_t shards,
       }
       return false;
     }
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(poll_ms));
+    std::this_thread::sleep_for(kPoll);
   }
 }
 
@@ -176,8 +212,7 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: cluster_harness <raincored> [--nodes N] [--shards K] "
-                 "[--base-port P] [--dir D] [--kill9] [--timeout-s T] "
-                 "[--poll-ms M] [--respawn-delay-s R]\n");
+                 "[--base-port P] [--dir D] [--kill9] [--timeout-s T]\n");
     return 2;
   }
   const std::string binary = argv[1];
@@ -185,37 +220,39 @@ int main(int argc, char** argv) {
   int base_port = 0;
   std::string dir;
   bool kill9 = false;
-  double timeout_s = env_or("CLUSTER_TIMEOUT_S", 90.0);
-  double poll_ms = env_or("CLUSTER_POLL_MS", 100.0);
-  double respawn_delay_s = env_or("CLUSTER_RESPAWN_DELAY_S", 0.0);
+  double timeout_s = 0.0;
   for (int i = 2; i < argc; ++i) {
     auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
+      if (i + 1 >= argc) reject(std::string(flag) + " needs a value");
       return argv[++i];
     };
     if (std::strcmp(argv[i], "--nodes") == 0) {
-      nodes = static_cast<std::size_t>(std::atoi(next("--nodes")));
+      nodes = whole("--nodes", next("--nodes"), 1, kMaxNodes);
     } else if (std::strcmp(argv[i], "--shards") == 0) {
-      shards = static_cast<std::size_t>(std::atoi(next("--shards")));
+      shards = whole("--shards", next("--shards"), 1, kMaxShards);
     } else if (std::strcmp(argv[i], "--base-port") == 0) {
-      base_port = std::atoi(next("--base-port"));
+      base_port = static_cast<int>(
+          whole("--base-port", next("--base-port"), 1, kMaxPort));
     } else if (std::strcmp(argv[i], "--dir") == 0) {
       dir = next("--dir");
     } else if (std::strcmp(argv[i], "--kill9") == 0) {
       kill9 = true;
     } else if (std::strcmp(argv[i], "--timeout-s") == 0) {
-      timeout_s = std::atof(next("--timeout-s"));
-    } else if (std::strcmp(argv[i], "--poll-ms") == 0) {
-      poll_ms = std::atof(next("--poll-ms"));
-    } else if (std::strcmp(argv[i], "--respawn-delay-s") == 0) {
-      respawn_delay_s = std::atof(next("--respawn-delay-s"));
+      timeout_s = seconds("--timeout-s", next("--timeout-s"));
     } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 2;
+      reject(std::string("unknown flag ") + argv[i]);
     }
+  }
+  if (timeout_s == 0.0) {
+    const char* env = ::getenv("CLUSTER_TIMEOUT_S");
+    timeout_s = env != nullptr && *env != '\0'
+                    ? seconds("CLUSTER_TIMEOUT_S", env)
+                    : 90.0;
+  }
+  if (kill9 && nodes < 2) reject("--kill9 needs at least 2 nodes");
+  if (base_port + static_cast<int>(nodes) - 1 > kMaxPort) {
+    reject("--base-port " + std::to_string(base_port) + " leaves no room for " +
+           std::to_string(nodes) + " ports up to " + std::to_string(kMaxPort));
   }
   if (base_port == 0) {
     // Spread parallel harness runs across the registered-port range.
@@ -259,10 +296,9 @@ int main(int argc, char** argv) {
   bool ok = true;
   std::vector<Member*> all;
   for (Member& m : members) all.push_back(&m);
-  ok = wait_converged(all, shards, nodes, timeout_s, poll_ms,
-                      "initial formation");
+  ok = wait_converged(all, shards, nodes, timeout_s, "initial formation");
 
-  if (ok && kill9 && nodes >= 2) {
+  if (ok && kill9) {
     Member& victim = members[1];
     std::printf("  kill -9 node %u (pid %d)\n", victim.id, victim.pid);
     ::kill(victim.pid, SIGKILL);
@@ -274,20 +310,13 @@ int main(int argc, char** argv) {
     for (Member& m : members) {
       if (m.pid > 0) survivors.push_back(&m);
     }
-    ok = wait_converged(survivors, shards, nodes - 1, timeout_s, poll_ms,
+    ok = wait_converged(survivors, shards, nodes - 1, timeout_s,
                         "post-kill re-formation");
 
     if (ok) {
-      if (respawn_delay_s > 0.0) {
-        // Model a supervisor's restart backoff: the rings run degraded for
-        // the whole delay before the member comes back.
-        std::printf("  respawn delay %.1f s\n", respawn_delay_s);
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(respawn_delay_s));
-      }
       std::printf("  restarting node %u\n", victim.id);
       victim.pid = spawn(binary, victim.config_path);
-      ok = wait_converged(all, shards, nodes, timeout_s, poll_ms,
+      ok = wait_converged(all, shards, nodes, timeout_s,
                           "rejoin after restart");
     }
   }
