@@ -96,8 +96,6 @@ void ablation_transport_strategy() {
     transport::TransportConfig tcfg;
     tcfg.strategy = strategy;
     transport::ReliableTransport t1(env1, tcfg), t2(env2, tcfg);
-    t1.set_peer_ifaces(2, 2);
-    t2.set_peer_ifaces(1, 2);
     t2.set_message_handler([](NodeId, Slice) {});
     // Kill the primary (iface-0) path in both directions.
     net.set_link_up(net::Address{1, 0}, net::Address{2, 0}, false);

@@ -216,9 +216,11 @@ RecoveryResult run_recovery(std::size_t entries, const std::string& dir) {
   testing::Cluster c({1}, one_node);
   data::ShardedDataPlane& plane = c.plane(1);
   data::ShardedMap map(plane, kChannel);
-  if (!plane.open_storage()) fatal_open(dir);
+  for (std::size_t k = 0; k < plane.shard_count(); ++k) {
+    if (!plane.open_store(k)) fatal_open(dir);
+  }
   auto t0 = std::chrono::steady_clock::now();
-  plane.recover_storage();
+  for (std::size_t k = 0; k < plane.shard_count(); ++k) plane.recover_store(k);
   RecoveryResult r;
   r.recovery_ms = wall_ms_since(t0);
   r.entries = entries;

@@ -90,9 +90,9 @@ DetectorResult run_detector_round(double loss, bool adaptive,
   raincore::net::SimNetConfig ncfg;
   ncfg.seed = seed ^ 0x9e3779b97f4a7c15ULL;
   ncfg.default_drop = loss;
-  raincore::session::SessionConfig scfg;
-  scfg.transport.adaptive = adaptive;
-  testing::ChaosCluster cluster({1, 2, 3, 4, 5}, ccfg, scfg, ncfg);
+  transport::TransportConfig tcfg;
+  tcfg.adaptive = adaptive;
+  testing::ChaosCluster cluster({1, 2, 3, 4, 5}, ccfg, {}, ncfg, tcfg);
   DetectorResult r;
   if (!cluster.bootstrap()) return r;
   cluster.run_chaos(millis(4000));

@@ -88,12 +88,12 @@ int main(int argc, char** argv) {
 
   net::SimNetConfig ncfg;
   ncfg.seed = kSeed ^ 0x9e3779b97f4a7c15ULL;
-  session::SessionConfig scfg;
-  scfg.transport.adaptive = true;
+  transport::TransportConfig tcfg;
+  tcfg.adaptive = true;
 
   testing::DurabilityChaosCluster cluster(testing::node_ids(kNodes),
-                                          root.string(), ccfg, dcfg, scfg,
-                                          ncfg);
+                                          root.string(), ccfg, dcfg, {}, ncfg,
+                                          tcfg);
   bool booted = cluster.bootstrap();
   if (booted) {
     cluster.run_chaos(kRunFor);

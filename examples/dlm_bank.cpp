@@ -43,7 +43,7 @@ int main() {
   for (NodeId id = 1; id <= 3; ++id) {
     auto& env = net.add_node(id);
     Branch b;
-    b.node = std::make_unique<session::SessionMux>(env, scfg.transport);
+    b.node = std::make_unique<session::SessionMux>(env);
     b.session = &b.node->create_ring(0, scfg);
     b.mux = std::make_unique<ChannelMux>(*b.session);
     b.accounts = std::make_unique<ReplicatedMap>(*b.mux, 1);

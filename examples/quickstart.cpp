@@ -23,8 +23,7 @@ int main() {
   std::map<NodeId, std::unique_ptr<session::SessionMux>> muxes;
   std::map<NodeId, session::SessionNode*> nodes;
   for (NodeId id = 1; id <= 5; ++id) {
-    muxes[id] =
-        std::make_unique<session::SessionMux>(net.add_node(id), cfg.transport);
+    muxes[id] = std::make_unique<session::SessionMux>(net.add_node(id));
     nodes[id] = &muxes[id]->create_ring(0, cfg);
     nodes[id]->set_deliver_handler(
         [id](NodeId origin, const Slice& payload, session::Ordering) {

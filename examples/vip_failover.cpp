@@ -46,7 +46,7 @@ int main() {
   for (NodeId id = 1; id <= 3; ++id) {
     auto& env = net.add_node(id);
     Member m;
-    m.node = std::make_unique<session::SessionMux>(env, scfg.transport);
+    m.node = std::make_unique<session::SessionMux>(env);
     m.session = &m.node->create_ring(0, scfg);
     m.mux = std::make_unique<data::ChannelMux>(*m.session);
     m.vips = std::make_unique<VipManager>(*m.mux, subnet, VipConfig{pool, 100});

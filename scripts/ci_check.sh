@@ -21,7 +21,10 @@
 # So does chaos_test, less its seed sweep (bench_chaos runs those seeds):
 # its cases hold a ChaosCluster by hand, whose services must die before
 # the testing::Cluster rings they run on (VipManager's destructor cancels
-# its timer through its ring's env).
+# its timer through its ring's env). transport_test and splitbrain_test
+# follow: the transport's per-peer state (send/receive windows, RTT and
+# link-health tables, forget_peer pruning) and the multi-interface paths
+# of redundant links run there under ASAN.
 #
 # The `durability`-labelled suite then runs under the same ASAN tree:
 # WAL format/torn-tail unit tests plus the restart-storm chaos sweep
@@ -83,7 +86,7 @@ cmake --build "$BUILD" -j"$JOBS" --target bench_chaos wire_perf_test \
     shard_test bench_shard bench_json_check storage_test durability_test \
     bench_durability batching_test fuzz_robustness_test property_test \
     bench_saturation reshard_test bench_reshard real_time_loop_test \
-    oracles_test chaos_test
+    oracles_test chaos_test transport_test splitbrain_test
 
 echo "== chaos sweep: $ROUNDS rounds x ${MS}ms, $NODES nodes, seeds $SEED.."
 "$BUILD/bench/bench_chaos" "$ROUNDS" "$MS" "$NODES" "$SEED"
@@ -106,6 +109,11 @@ echo "== ring invariant checkers under ASAN (crafted logs, final batch," \
 echo "== chaos_test under ASAN (failure report, every fault class, min-alive," \
      "Cluster chaos, epoch and ring dump; the seed sweep ran above)"
 "$BUILD/tests/chaos_test" --gtest_filter='-Seeds/ChaosSweep.*'
+
+echo "== transport_test and splitbrain_test under ASAN (per-peer state and" \
+     "its pruning, link health, redundant links on 2-interface nodes)"
+"$BUILD/tests/transport_test"
+"$BUILD/tests/splitbrain_test"
 
 echo "== perf label under ASAN (allocation/copy budgets, encode-once)"
 ctest --test-dir "$BUILD" -L perf --output-on-failure

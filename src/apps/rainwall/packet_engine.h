@@ -22,24 +22,9 @@
 
 namespace raincore::apps {
 
-struct EngineConfig {
-  double nic_bps = 100e6;          ///< Fast Ethernet line rate
-  double pkt_bytes = 1000.0;       ///< average packet size
-  /// CPU time to forward one packet through filter + route + two DMA
-  /// rings: ~84 µs/pkt (≈30k cycles at 360 MHz) caps forwarding of
-  /// 1000-byte packets at ≈95 Mb/s at 100% CPU — the gateway is
-  /// CPU-limited just below NIC line rate, as in the paper's testbed.
-  double cpu_per_pkt_ns = 84000.0;
-  /// CPU time lost per group-communication task switch (context save,
-  /// cache/TLB disturbance). §4.1: "switching between the traffic
-  /// processing and group communication has significant latency cost".
-  double task_switch_ns = 100000.0;
-};
-
 class PacketEngine {
  public:
-  PacketEngine(EngineConfig cfg, const FirewallPolicy& policy)
-      : cfg_(cfg), policy_(&policy) {}
+  explicit PacketEngine(const FirewallPolicy& policy) : policy_(&policy) {}
 
   /// Starts forwarding a connection (after policy evaluation). Returns
   /// false (and forwards nothing) if the policy denies it.
@@ -69,7 +54,6 @@ class PacketEngine {
   const metrics::Registry& metrics() const { return metrics_; }
 
  private:
-  EngineConfig cfg_;
   const FirewallPolicy* policy_;
   std::map<std::uint64_t, Connection> active_;
   metrics::Registry metrics_;

@@ -7,6 +7,9 @@
 namespace raincore::apps {
 
 namespace {
+/// Sampling interval of the traffic model and the throughput series.
+constexpr Time kTick = millis(10);
+
 net::SimNetConfig make_net_config(std::uint64_t seed) {
   net::SimNetConfig ncfg;
   ncfg.seed = seed;
@@ -87,8 +90,8 @@ void RainwallCluster::tick_traffic(Time dt) {
 void RainwallCluster::run(Time d) {
   Time end = net_.now() + d;
   while (net_.now() < end) {
-    net_.loop().run_for(cfg_.tick);
-    tick_traffic(cfg_.tick);
+    net_.loop().run_for(kTick);
+    tick_traffic(kTick);
   }
 }
 
@@ -110,7 +113,7 @@ Time RainwallCluster::longest_gap_below(double threshold_mbps, Time from) const 
     if (s.at < from) continue;
     if (s.mbps < threshold_mbps) {
       if (current_start < 0) current_start = s.at;
-      longest = std::max(longest, s.at - current_start + cfg_.tick);
+      longest = std::max(longest, s.at - current_start + kTick);
     } else {
       current_start = -1;
     }

@@ -20,7 +20,6 @@ namespace raincore::apps {
 struct RainwallClusterConfig {
   RainwallConfig node;
   TrafficConfig traffic;
-  Time tick = millis(10);
   std::uint64_t seed = 1;
 };
 

@@ -10,20 +10,26 @@ namespace raincore::apps {
 
 namespace {
 constexpr const char* kMod = "rainwall";
+/// Policy for connections no firewall rule matches.
+constexpr Action kDefaultPolicy = Action::kAllow;
+/// Critical-resource check period.
+constexpr Time kHealthInterval = millis(200);
+/// Replicated-map channels of the VIP assignments and the connection table.
+constexpr data::Channel kVipChannel = 100;
+constexpr data::Channel kConnChannel = 101;
 }
 
 RainwallNode::RainwallNode(net::NodeEnv& env, Subnet& subnet, RainwallConfig cfg)
     : env_(env),
-      cfg_(std::move(cfg)),
-      node_(env, cfg_.session.transport),
-      session_(node_.create_ring(0, cfg_.session)),
+      node_(env),
+      session_(node_.create_ring(0, std::move(cfg.session))),
       mux_(session_),
       subnet_(subnet),
-      policy_(cfg_.default_policy),
-      vips_(mux_, subnet, VipConfig{cfg_.vip_pool, cfg_.vip_channel}),
-      conn_table_(mux_, cfg_.conn_channel),
-      engine_(cfg_.engine, policy_),
-      monitor_(env, cfg_.health_interval) {
+      policy_(kDefaultPolicy),
+      vips_(mux_, subnet, VipConfig{std::move(cfg.vip_pool), kVipChannel}),
+      conn_table_(mux_, kConnChannel),
+      engine_(policy_),
+      monitor_(env, kHealthInterval) {
   conn_table_.set_change_handler(
       [this](const std::string& key, const std::optional<std::string>& value,
              NodeId origin) { on_conn_change(key, value, origin); });

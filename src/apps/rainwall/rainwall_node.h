@@ -33,11 +33,6 @@ struct RainwallConfig {
 
   session::SessionConfig session;
   std::vector<std::string> vip_pool;
-  EngineConfig engine;
-  Action default_policy = Action::kAllow;
-  Time health_interval = millis(200);
-  data::Channel vip_channel = 100;
-  data::Channel conn_channel = 101;
 };
 
 class RainwallNode {
@@ -82,7 +77,6 @@ class RainwallNode {
   static bool decode_conn(const std::string& s, Connection& c, NodeId& assignee);
 
   net::NodeEnv& env_;
-  RainwallConfig cfg_;
   session::SessionMux node_;  ///< the gateway's transport and its one ring
   session::SessionNode& session_;
   data::ChannelMux mux_;

@@ -4,6 +4,11 @@
 
 namespace raincore::apps {
 
+namespace {
+constexpr std::uint32_t kClientNet = 0x0A000000;  ///< 10.0.0.0/8 clients
+constexpr std::uint32_t kServerNet = 0xC0A80000;  ///< 192.168.0.0/16 servers
+}  // namespace
+
 std::vector<Connection> TrafficGenerator::arrivals(Time from, Time to) {
   assert(!cfg_.vips.empty());
   std::vector<Connection> out;
@@ -19,8 +24,8 @@ std::vector<Connection> TrafficGenerator::arrivals(Time from, Time to) {
     c.start = next_arrival_;
     c.end = next_arrival_ +
             static_cast<Time>(rng_.exponential(cfg_.mean_duration_s * 1e9));
-    c.tuple.src_ip = cfg_.client_net | static_cast<std::uint32_t>(rng_.next_below(1 << 16));
-    c.tuple.dst_ip = cfg_.server_net | static_cast<std::uint32_t>(rng_.next_below(1 << 8));
+    c.tuple.src_ip = kClientNet | static_cast<std::uint32_t>(rng_.next_below(1 << 16));
+    c.tuple.dst_ip = kServerNet | static_cast<std::uint32_t>(rng_.next_below(1 << 8));
     c.tuple.src_port = static_cast<std::uint16_t>(1024 + rng_.next_below(60000));
     c.tuple.dst_port = 80;
     c.tuple.proto = 6;

@@ -30,8 +30,6 @@ struct TrafficConfig {
   double mean_duration_s = 2.0;
   double mean_rate_bps = 2e6;       ///< ~2 Mb/s per connection (file download)
   std::vector<std::string> vips;
-  std::uint32_t client_net = 0x0A000000;  ///< 10.0.0.0/8 clients
-  std::uint32_t server_net = 0xC0A80000;  ///< 192.168.0.0/16 servers
 };
 
 class TrafficGenerator {

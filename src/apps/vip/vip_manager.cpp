@@ -9,6 +9,11 @@ namespace raincore::apps {
 
 namespace {
 constexpr const char* kMod = "vip";
+/// Periodic ARP re-assertion: each owner re-checks the subnet cache and
+/// re-sends a gratuitous ARP for any of its VIPs the cache no longer
+/// resolves to it (e.g. a partitioned rival claimed it, or the original
+/// announcement was sent while this node was cut off).
+constexpr Time kArpReassertInterval = millis(200);
 }
 
 VipManager::VipManager(data::ChannelMux& mux, Subnet& subnet, VipConfig cfg)
@@ -28,12 +33,10 @@ VipManager::~VipManager() {
 }
 
 void VipManager::schedule_reassert() {
-  if (cfg_.arp_reassert_interval <= 0) return;
-  reassert_timer_ = mux_.session().env().schedule(
-      cfg_.arp_reassert_interval, [this] {
-        reassert_arps();
-        schedule_reassert();
-      });
+  reassert_timer_ = mux_.session().env().schedule(kArpReassertInterval, [this] {
+    reassert_arps();
+    schedule_reassert();
+  });
 }
 
 void VipManager::reassert_arps() {

@@ -23,11 +23,6 @@ namespace raincore::apps {
 struct VipConfig {
   std::vector<std::string> pool;  ///< publicly advertised virtual IPs
   data::Channel channel = 100;    ///< replicated-map channel for assignments
-  /// Periodic ARP re-assertion: each owner re-checks the subnet cache and
-  /// re-sends a gratuitous ARP for any of its VIPs the cache no longer
-  /// resolves to it (e.g. a partitioned rival claimed it, or the original
-  /// announcement was sent while this node was cut off). 0 disables.
-  Time arp_reassert_interval = millis(200);
 };
 
 class VipManager {

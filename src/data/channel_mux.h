@@ -13,6 +13,10 @@ namespace raincore::data {
 
 using Channel = std::uint16_t;
 
+/// Max serialized bytes per live-migration chunk (the collect_range_chunks
+/// of ReplicatedMap and LockManager, DESIGN.md §5j).
+constexpr std::size_t kMigrationChunkBytes = 32 * 1024;
+
 class ChannelMux {
  public:
   /// Channel payload slices alias the delivered token frame (zero-copy).

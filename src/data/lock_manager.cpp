@@ -482,8 +482,8 @@ void LockManager::on_message(NodeId origin, const Slice& payload) {
 
 // --- elastic-resharding hooks (DESIGN.md §5j) ------------------------------
 
-std::vector<Bytes> LockManager::collect_range_chunks(const KeyPred& pred,
-                                                     std::size_t budget) const {
+std::vector<Bytes> LockManager::collect_range_chunks(
+    const KeyPred& pred) const {
   std::vector<Bytes> out;
   ByteWriter w(256);
   std::uint32_t rows = 0;
@@ -508,7 +508,7 @@ std::vector<Bytes> LockManager::collect_range_chunks(const KeyPred& pred,
     }
     ++rows;
     body = w.view().size();
-    if (body >= budget) flush();
+    if (body >= kMigrationChunkBytes) flush();
   }
   flush();
   return out;

@@ -112,8 +112,7 @@ class LockManager {
 
   /// Serializes the lock table rows matching `pred` (the frozen-range
   /// snapshot the coordinator replicates into the destination stream).
-  std::vector<Bytes> collect_range_chunks(const KeyPred& pred,
-                                          std::size_t budget = 32 * 1024) const;
+  std::vector<Bytes> collect_range_chunks(const KeyPred& pred) const;
   /// Installs one chunk at the destination's apply point (journals as an
   /// epoch record; grants fire where this node already heads a queue —
   /// after absorb_local_requests registered the callbacks).

@@ -685,7 +685,7 @@ void ReplicatedMap::migrate_propose(bool erase, const std::string& key,
 }
 
 std::vector<Bytes> ReplicatedMap::collect_range_chunks(
-    const KeyPred& pred, std::size_t budget) const {
+    const KeyPred& pred) const {
   // Self-contained chunks: [u32 records]([u8 tomb][key]([value])[stamp])*.
   // Every record replays through the strict-LWW repropose path at the
   // destination, so chunk application is idempotent and loses races against
@@ -710,7 +710,7 @@ std::vector<Bytes> ReplicatedMap::collect_range_chunks(
     w.u64(st.lamport);
     w.u32(st.origin);
     ++records;
-    if (w.view().size() >= budget) flush();
+    if (w.view().size() >= kMigrationChunkBytes) flush();
   };
   for (const auto& [k, v] : data_) {
     if (!pred(k)) continue;

@@ -121,10 +121,10 @@ class ReplicatedMap {
                        const std::string& value, Stamp stamp);
 
   /// Serializes the live entries and tombstones matching `pred` into
-  /// self-contained chunks of at most `budget` bytes each (the frozen-range
-  /// snapshot the coordinator replicates into the destination stream).
-  std::vector<Bytes> collect_range_chunks(const KeyPred& pred,
-                                          std::size_t budget = 32 * 1024) const;
+  /// self-contained chunks of about kMigrationChunkBytes each (the
+  /// frozen-range snapshot the coordinator replicates into the destination
+  /// stream).
+  std::vector<Bytes> collect_range_chunks(const KeyPred& pred) const;
   /// Applies one collect_range_chunks payload at the destination's agreed
   /// apply point: every entry goes through the strict-LWW repropose path,
   /// so re-sent chunks and races with newer destination writes resolve

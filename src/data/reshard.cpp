@@ -10,14 +10,21 @@ namespace {
 constexpr const char* kMod = "reshard";
 constexpr std::uint8_t kServiceMap = 0;
 constexpr std::uint8_t kServiceLock = 1;
+/// Manager channel on every shard ring's ChannelMux (also the journal
+/// stream id in each shard store) — must not collide with service channels.
+constexpr Channel kChannel = 15;
+/// Coordinator re-drive interval: the current step is re-sent if no
+/// progress was observed for this long (steps are idempotent).
+constexpr Time kRedriveInterval = millis(150);
 }  // namespace
 
 ReshardManager::ReshardManager(ShardedDataPlane& plane, ShardedMap& map,
-                               ShardedLockManager& locks, ReshardConfig cfg)
-    : plane_(plane), map_(map), locks_(locks), cfg_(cfg) {
+                               ShardedLockManager& locks,
+                               std::size_t initial_shards)
+    : plane_(plane), map_(map), locks_(locks) {
   const std::size_t k0 = plane_.shard_count();
-  const auto birth = static_cast<std::uint32_t>(
-      cfg_.initial_shards != 0 ? cfg_.initial_shards : k0);
+  const auto birth =
+      static_cast<std::uint32_t>(initial_shards != 0 ? initial_shards : k0);
   filters_.reserve(k0);
   auto t0 = table(birth);
   for (std::size_t s = 0; s < k0; ++s) {
@@ -42,7 +49,7 @@ std::shared_ptr<const ShardRouter> ReshardManager::table(std::uint32_t k) {
 
 void ReshardManager::wire_partition(std::size_t s) {
   plane_.channels(s).subscribe(
-      cfg_.channel, [this, s](NodeId origin, const Slice& payload,
+      kChannel, [this, s](NodeId origin, const Slice& payload,
                               session::Ordering) { on_message(s, origin, payload); });
   map_.shard(s).set_migration_filter(
       s, [this, s](const std::string& key) { return map_owner(s, key); },
@@ -145,7 +152,7 @@ void ReshardManager::wire_partition(std::size_t s) {
     if (rec == Rec::kFreeze) pf.rec->frozen_out.insert({from, to});
     if (rec == Rec::kCommit) pf.rec->committed_in.insert({from, to});
   };
-  store->attach(cfg_.channel, std::move(hooks));
+  store->attach(kChannel, std::move(hooks));
 }
 
 void ReshardManager::journal(std::size_t s, Rec rec, std::uint64_t epoch,
@@ -159,7 +166,7 @@ void ReshardManager::journal(std::size_t s, Rec rec, std::uint64_t epoch,
   w.u32(new_k);
   w.u32(from);  // kAnnounce: the partition's table size at window-open
   w.u32(to);
-  store->append(cfg_.channel, w.take());
+  store->append(kChannel, w.take());
 }
 
 // ---------------------------------------------------------------------------
@@ -266,7 +273,7 @@ void ReshardManager::ensure_announced(std::size_t shard) {
   w.u8(static_cast<std::uint8_t>(Msg::kAnnounce));
   w.u64(active_epoch_);
   w.u32(static_cast<std::uint32_t>(plane_.vrouter().new_shard_count()));
-  plane_.channels(shard).send(cfg_.channel, w.take());
+  plane_.channels(shard).send(kChannel, w.take());
 }
 
 void ReshardManager::pull_local_requests(const std::string& name,
@@ -345,7 +352,7 @@ void ReshardManager::start_resize(std::size_t new_shards) {
   w.u8(static_cast<std::uint8_t>(Msg::kResizeStart));
   w.u64(last_completed_epoch_ + 1);
   w.u32(static_cast<std::uint32_t>(new_shards));
-  plane_.channels(0).send(cfg_.channel, w.take());
+  plane_.channels(0).send(kChannel, w.take());
 }
 
 void ReshardManager::on_message(std::size_t s, NodeId origin,
@@ -550,7 +557,7 @@ void ReshardManager::send_range_step(Msg m, const RangeId& r) {
   w.u32(r.from);
   w.u32(r.to);
   const std::size_t ring = (m == Msg::kCommit) ? r.to : r.from;
-  plane_.channels(ring).send(cfg_.channel, w.take());
+  plane_.channels(ring).send(kChannel, w.take());
 }
 
 void ReshardManager::send_chunks_and_commit(const RangeId& r) {
@@ -569,15 +576,13 @@ void ReshardManager::send_chunks_and_commit(const RangeId& r) {
     w.u32(r.to);
     w.u8(service);
     w.raw(body.data(), body.size());
-    plane_.channels(r.to).send(cfg_.channel, w.take());
+    plane_.channels(r.to).send(kChannel, w.take());
     chunks_sent_.inc();
   };
-  for (const Bytes& c :
-       map_.shard(r.from).collect_range_chunks(pred, cfg_.chunk_budget)) {
+  for (const Bytes& c : map_.shard(r.from).collect_range_chunks(pred)) {
     send_chunk(kServiceMap, c);
   }
-  for (const Bytes& c :
-       locks_.shard(r.from).collect_range_chunks(pred, cfg_.chunk_budget)) {
+  for (const Bytes& c : locks_.shard(r.from).collect_range_chunks(pred)) {
     send_chunk(kServiceLock, c);
   }
   send_range_step(Msg::kCommit, r);
@@ -625,13 +630,13 @@ void ReshardManager::drive(bool force) {
       w.u8(static_cast<std::uint8_t>(Msg::kEpochComplete));
       w.u64(active_epoch_);
       w.u32(new_k);
-      plane_.channels(s).send(cfg_.channel, w.take());
+      plane_.channels(s).send(kChannel, w.take());
     }
     ByteWriter d(16);
     d.u8(static_cast<std::uint8_t>(Msg::kResizeDone));
     d.u64(active_epoch_);
     d.u32(new_k);
-    plane_.channels(0).send(cfg_.channel, d.take());
+    plane_.channels(0).send(kChannel, d.take());
     return;
   }
   switch (st) {
@@ -678,16 +683,16 @@ void ReshardManager::tick() {
     return;
   }
   const Time now = plane_.channels(0).now();
-  drive(now - last_drive_at_ >= cfg_.redrive_interval);
+  drive(now - last_drive_at_ >= kRedriveInterval);
   // A non-coordinator stuck in an open window cannot drive itself out: if
   // the group already finished this epoch while we were away (a crash too
   // short for a view change, so no reconciling dump fired), ask ring 0 for
   // one. Harmless mid-migration — the dump merge is monotonic.
-  if (!i_coordinate() && now - last_dump_req_at_ >= cfg_.redrive_interval * 4) {
+  if (!i_coordinate() && now - last_dump_req_at_ >= kRedriveInterval * 4) {
     last_dump_req_at_ = now;
     ByteWriter w(8);
     w.u8(static_cast<std::uint8_t>(Msg::kDumpRequest));
-    plane_.channels(0).send(cfg_.channel, w.take());
+    plane_.channels(0).send(kChannel, w.take());
   }
 }
 
@@ -701,7 +706,7 @@ void ReshardManager::retire_finished_partitions() {
   // that knows the epoch closed re-sends the step on that ring, so every
   // replica behind it retires at the same stream point.
   const Time now = plane_.channels(0).now();
-  if (now - last_retire_at_ < cfg_.redrive_interval) return;
+  if (now - last_retire_at_ < kRedriveInterval) return;
   const auto k =
       static_cast<std::uint32_t>(plane_.vrouter().current().shard_count());
   for (std::size_t s = 0; s < filters_.size(); ++s) {
@@ -714,7 +719,7 @@ void ReshardManager::retire_finished_partitions() {
     w.u8(static_cast<std::uint8_t>(Msg::kEpochComplete));
     w.u64(last_completed_epoch_);
     w.u32(k);
-    plane_.channels(s).send(cfg_.channel, w.take());
+    plane_.channels(s).send(kChannel, w.take());
   }
 }
 
@@ -779,7 +784,7 @@ void ReshardManager::send_state_dump() {
       w.u32(t);
     }
   }
-  plane_.channels(0).send(cfg_.channel, w.take());
+  plane_.channels(0).send(kChannel, w.take());
 }
 
 void ReshardManager::adopt_state_dump(ByteReader& r) {

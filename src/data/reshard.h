@@ -44,29 +44,16 @@
 
 namespace raincore::data {
 
-struct ReshardConfig {
-  /// Manager channel on every shard ring's ChannelMux (also the journal
-  /// stream id in each shard store) — must not collide with service
-  /// channels.
-  Channel channel = 15;
-  /// Coordinator re-drive interval: the current step is re-sent if no
-  /// progress was observed for this long (steps are idempotent).
-  Time redrive_interval = millis(150);
-  /// Max serialized bytes per migration chunk.
-  std::size_t chunk_budget = 32 * 1024;
-  /// Shard count the deployment was originally configured with (0 = the
-  /// plane's count at manager construction). A restart may construct the
-  /// plane pre-grown from the on-disk shard directories; this anchors the
-  /// recovery baseline for partitions whose journal stream is empty —
-  /// partitions born in a later epoch always have an announce record that
-  /// restores their actual birth table.
-  std::size_t initial_shards = 0;
-};
-
 class ReshardManager {
  public:
+  /// `initial_shards` is the shard count the deployment was originally
+  /// configured with (0 = the plane's count at construction). A restart
+  /// may construct the plane pre-grown from the on-disk shard directories;
+  /// this anchors the recovery baseline for partitions whose journal
+  /// stream is empty — partitions born in a later epoch always have an
+  /// announce record that restores their actual birth table.
   ReshardManager(ShardedDataPlane& plane, ShardedMap& map,
-                 ShardedLockManager& locks, ReshardConfig cfg = {});
+                 ShardedLockManager& locks, std::size_t initial_shards = 0);
 
   /// Requests a live resize to `new_shards` (ignored while a migration is
   /// in flight or when new_shards does not grow the plane). Any node may
@@ -183,7 +170,6 @@ class ReshardManager {
   ShardedDataPlane& plane_;
   ShardedMap& map_;
   ShardedLockManager& locks_;
-  ReshardConfig cfg_;
 
   bool active_ = false;
   std::uint64_t active_epoch_ = 0;

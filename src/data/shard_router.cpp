@@ -182,16 +182,6 @@ void ShardedDataPlane::grow_to(std::size_t new_shards) {
   }
 }
 
-bool ShardedDataPlane::open_storage() {
-  bool ok = true;
-  for (auto& st : stores_) ok = st->open() && ok;
-  return ok;
-}
-
-void ShardedDataPlane::recover_storage() {
-  for (auto& st : stores_) st->recover();
-}
-
 void ShardedDataPlane::flush_storage() {
   for (auto& st : stores_) st->flush();
 }

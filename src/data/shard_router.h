@@ -191,9 +191,8 @@ class ShardedDataPlane {
   }
   bool durable() const { return !stores_.empty(); }
 
-  /// Node-wide storage lifecycle (per-shard variants for shard restarts).
-  bool open_storage();
-  void recover_storage();
+  /// Storage lifecycle: node-wide flush and power cut; a store opens and
+  /// recovers per shard (a shard down cluster-wide stays closed).
   void flush_storage();
   void crash_storage();
   bool open_store(std::size_t shard);

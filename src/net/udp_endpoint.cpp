@@ -15,9 +15,11 @@
 
 namespace raincore::net {
 
+// The rng seed is per node: real-time runs are not replayable anyway, and
+// the seed only decorrelates jittered timers across nodes.
 UdpEndpoint::UdpEndpoint(RealTimeLoop& loop, AddressBook& book,
                          UdpEndpointConfig cfg)
-    : NodeEnv(loop, Rng(cfg.rng_seed ? cfg.rng_seed : (0xacedull ^ cfg.node))),
+    : NodeEnv(loop, Rng(0xacedull ^ cfg.node)),
       loop_(loop),
       book_(book),
       cfg_(std::move(cfg)) {

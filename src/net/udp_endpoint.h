@@ -40,9 +40,6 @@ struct UdpEndpointConfig {
   /// Host-order bind port per interface; missing or 0 entries bind
   /// ephemeral (discovered via getsockname).
   std::vector<std::uint16_t> ports;
-  /// 0 derives a per-node seed (real-time runs are not replayable anyway;
-  /// the seed only decorrelates jittered timers across nodes).
-  std::uint64_t rng_seed = 0;
 };
 
 class UdpEndpoint final : public NodeEnv {

@@ -71,7 +71,7 @@ ThreadedNode::ThreadedNode(ThreadedNodeConfig cfg)
     : cfg_(std::move(cfg)),
       endpoint_(io_loop_, book_,
                 net::UdpEndpointConfig{cfg_.node, cfg_.ifaces, cfg_.bind_ip,
-                                       cfg_.ports, /*rng_seed=*/0}),
+                                       cfg_.ports}),
       transport_(endpoint_, cfg_.transport) {
   for (NodeId peer : cfg_.peers) {
     board_.add_peer(peer, transport_.failure_detection_bound(peer));

@@ -41,6 +41,8 @@ struct ThreadedNodeConfig {
   std::uint8_t ifaces = 1;
   /// Per-iface bind port; empty or 0 entries bind ephemeral.
   std::vector<std::uint16_t> ports;
+  /// The node's one transport (I/O thread), shared by every ring; its
+  /// peers are taken to have `ifaces` interfaces too.
   transport::TransportConfig transport;
   /// Ring template; an empty metrics_prefix becomes "shard<k>." per ring.
   session::SessionConfig ring;

@@ -9,6 +9,11 @@ namespace raincore::session {
 
 namespace {
 constexpr const char* kMod = "hierarchy";
+/// Leadership must be held this long before the node joins the global
+/// ring. During bootstrap every node transiently leads its own singleton
+/// ring; without the grace period all of them would found global sessions
+/// that then have to merge and resign again.
+constexpr Time kLeaderGrace = millis(1500);
 
 SessionConfig local_config(const HierarchyConfig& cfg, int ring) {
   SessionConfig s = cfg.session;
@@ -34,7 +39,7 @@ HierarchicalNode::HierarchicalNode(net::NodeEnv& env, HierarchyConfig cfg)
     : cfg_(std::move(cfg)),
       my_ring_(cfg_.ring_of(env.node())),
       env_(env),
-      mux_(env, cfg_.session.transport),
+      mux_(env),
       local_(mux_.create_ring(kLocalGroup, local_config(cfg_, my_ring_))),
       global_(mux_.create_ring(kGlobalGroup, global_config(cfg_))) {
   assert(my_ring_ >= 0 && "node is not in any configured ring");
@@ -159,7 +164,7 @@ void HierarchicalNode::on_local_view(const View& v) {
     } else if (!grace_timer_) {
       // Hold leadership through the grace period before joining the global
       // ring, so the transient singleton leaders of bootstrap never do.
-      grace_timer_ = env_.schedule(cfg_.leader_grace, [this] {
+      grace_timer_ = env_.schedule(kLeaderGrace, [this] {
         grace_timer_ = 0;
         if (started_ && leader_ && !global_.started()) global_.found();
       });

@@ -33,11 +33,6 @@ struct HierarchyConfig {
   std::vector<std::vector<NodeId>> rings;
   /// Session parameters used for both the local and the global ring.
   SessionConfig session;
-  /// Leadership must be held this long before the node joins the global
-  /// ring. During bootstrap every node transiently leads its own singleton
-  /// ring; without the grace period all of them would found global
-  /// sessions that then have to merge and resign again.
-  Time leader_grace = millis(1500);
 
   int ring_of(NodeId node) const {
     for (std::size_t r = 0; r < rings.size(); ++r) {

@@ -41,9 +41,6 @@ SessionNode::SessionNode(net::NodeEnv& env,
                          transport::TransportHandle& transport,
                          transport::MuxGroup group, SessionConfig cfg)
     : env_(env), cfg_(std::move(cfg)), transport_(transport), group_(group) {
-  // The node's transport configuration is authoritative (one detector, one
-  // retry schedule); mirror it so introspection through config() agrees.
-  cfg_.transport = transport_.config();
   incarnation_ = static_cast<std::uint32_t>(env_.rng().next_u64());
   eligible_.insert(cfg_.eligible.begin(), cfg_.eligible.end());
   transport_.set_group_handler(group_, [this](NodeId src, Slice payload) {

@@ -77,7 +77,7 @@ struct SessionConfig {
   /// Probation (adaptive failure detection): when a token pass fails but
   /// the successor has been heard from recently — its link is degraded,
   /// not dead — grant it up to this many extra full transfer attempts
-  /// before removing it. Active only with transport.adaptive; 0 restores
+  /// before removing it. Active only with an adaptive transport; 0 restores
   /// the paper's aggressive remove-on-first-failure behaviour (§2.2).
   int probation_passes = 1;
   /// Flow control / batching (RPC-formation style, cortx-motr rpc/): a
@@ -111,10 +111,6 @@ struct SessionConfig {
   /// N rings on one node keep distinct "session.*" instruments when their
   /// snapshots merge. Empty = classic unprefixed names.
   std::string metrics_prefix;
-  /// Settings for the node's transport, which the ring does not own: the
-  /// harness passes them to the SessionMux it builds, and the ring
-  /// overwrites this copy with its transport's actual config.
-  transport::TransportConfig transport;
 };
 
 class SessionNode {
@@ -142,7 +138,6 @@ class SessionNode {
   /// A ring on demux group `group` of a transport owned by the caller —
   /// a SessionMux in the simulator, a TransportProxy to the I/O thread's
   /// transport in the threaded runtime. Timers and rng come from `env`.
-  /// The transport's config is authoritative and replaces cfg.transport.
   SessionNode(net::NodeEnv& env, transport::TransportHandle& transport,
               transport::MuxGroup group, SessionConfig cfg = {});
   SessionNode(const SessionNode&) = delete;

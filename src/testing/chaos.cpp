@@ -488,9 +488,10 @@ std::string ChaosEngine::describe_schedule() const {
 
 ChaosCluster::ChaosCluster(std::vector<NodeId> ids, ChaosConfig chaos_cfg,
                            session::SessionConfig session_cfg,
-                           net::SimNetConfig net_cfg)
+                           net::SimNetConfig net_cfg,
+                           transport::TransportConfig tcfg)
     : c_(std::make_unique<Cluster>(std::move(ids), std::move(session_cfg),
-                                   net_cfg)),
+                                   net_cfg, tcfg)),
       engine_(c_->enable_chaos(chaos_cfg)) {
   // The public side: ARPs from a disconnected node never reach the segment.
   subnet_.set_reachability([this](NodeId n) { return net().node_up(n); });
@@ -813,6 +814,7 @@ struct RoundSetup {
   ChaosConfig chaos;
   session::SessionConfig session;
   net::SimNetConfig net;
+  transport::TransportConfig transport;
 };
 
 /// `net_salt` gives each harness its own network stream for one seed.
@@ -823,7 +825,7 @@ RoundSetup round_setup(std::uint64_t seed, std::size_t n_nodes,
   out.chaos.seed = seed;
   out.net.seed = seed ^ net_salt;
   out.net.default_drop = profile.base_loss;
-  out.session.transport.adaptive = profile.adaptive;
+  out.transport.adaptive = profile.adaptive;
   if (profile.max_batch_msgs > 0) {
     out.session.max_batch_msgs = profile.max_batch_msgs;
   }
@@ -858,7 +860,8 @@ ChaosRoundResult run_round(Cluster& cluster, Time chaos_duration) {
 ChaosRoundResult run_chaos_round(std::uint64_t seed, Time chaos_duration,
                                  std::size_t n_nodes, ChaosProfile profile) {
   RoundSetup setup = round_setup(seed, n_nodes, profile, 0x9e3779b97f4a7c15ULL);
-  ChaosCluster cluster(setup.ids, setup.chaos, setup.session, setup.net);
+  ChaosCluster cluster(setup.ids, setup.chaos, setup.session, setup.net,
+                       setup.transport);
   ChaosRoundResult res = run_round(cluster, chaos_duration);
   res.false_removals = cluster.false_removals();
   res.true_removals = cluster.true_removals();
@@ -871,10 +874,11 @@ MultiRingChaosCluster::MultiRingChaosCluster(std::vector<NodeId> ids,
                                              std::size_t n_rings,
                                              ChaosConfig chaos_cfg,
                                              session::SessionConfig session_cfg,
-                                             net::SimNetConfig net_cfg)
+                                             net::SimNetConfig net_cfg,
+                                             transport::TransportConfig tcfg)
     : c_(std::make_unique<Cluster>(
           std::move(ids), Cluster::Rings(n_rings, std::move(session_cfg)),
-          net_cfg)),
+          net_cfg, tcfg)),
       engine_(c_->enable_chaos(chaos_cfg)),
       n_rings_(n_rings) {
   Rng setup_rng(chaos_cfg.seed ^ 0x7f4a7c15u);
@@ -1022,7 +1026,7 @@ ChaosRoundResult run_multi_ring_round(std::uint64_t seed, Time chaos_duration,
                                       ChaosProfile profile) {
   RoundSetup setup = round_setup(seed, n_nodes, profile, 0xc2b2ae3d27d4eb4fULL);
   MultiRingChaosCluster cluster(setup.ids, n_rings, setup.chaos,
-                                setup.session, setup.net);
+                                setup.session, setup.net, setup.transport);
   return run_round(cluster, chaos_duration);
 }
 

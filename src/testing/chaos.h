@@ -198,7 +198,8 @@ class ChaosCluster {
  public:
   ChaosCluster(std::vector<NodeId> ids, ChaosConfig chaos_cfg,
                session::SessionConfig session_cfg = {},
-               net::SimNetConfig net_cfg = {});
+               net::SimNetConfig net_cfg = {},
+               transport::TransportConfig tcfg = {});
   ~ChaosCluster();
 
   /// Phase 1: found everybody and wait for one converged group.
@@ -339,7 +340,8 @@ class MultiRingChaosCluster {
   MultiRingChaosCluster(std::vector<NodeId> ids, std::size_t n_rings,
                         ChaosConfig chaos_cfg,
                         session::SessionConfig session_cfg = {},
-                        net::SimNetConfig net_cfg = {});
+                        net::SimNetConfig net_cfg = {},
+                        transport::TransportConfig tcfg = {});
   ~MultiRingChaosCluster();
 
   bool bootstrap(Time timeout = millis(8000));

@@ -13,11 +13,13 @@ std::vector<NodeId> node_ids(std::size_t n) {
 }
 
 Cluster::Cluster(std::vector<NodeId> ids, session::SessionConfig cfg,
-                 net::SimNetConfig net_cfg, std::uint8_t ifaces)
-    : Cluster(std::move(ids), Rings{std::move(cfg)}, net_cfg, ifaces) {}
+                 net::SimNetConfig net_cfg, transport::TransportConfig tcfg,
+                 std::uint8_t ifaces)
+    : Cluster(std::move(ids), Rings{std::move(cfg)}, net_cfg, tcfg, ifaces) {}
 
 Cluster::Cluster(std::vector<NodeId> ids, Rings rings,
-                 net::SimNetConfig net_cfg, std::uint8_t ifaces)
+                 net::SimNetConfig net_cfg, transport::TransportConfig tcfg,
+                 std::uint8_t ifaces)
     : net_(net_cfg), ids_(std::move(ids)) {
   for (std::size_t k = 0; k < rings.size(); ++k) {
     if (rings[k].eligible.empty()) rings[k].eligible = ids_;
@@ -27,8 +29,8 @@ Cluster::Cluster(std::vector<NodeId> ids, Rings rings,
   }
   for (NodeId id : ids_) {
     Node& n = nodes_[id];
-    n.mux = std::make_unique<session::SessionMux>(net_.add_node(id, ifaces),
-                                                  rings.front().transport);
+    n.mux =
+        std::make_unique<session::SessionMux>(net_.add_node(id, ifaces), tcfg);
     n.delivered.resize(rings.size());
     n.views.resize(rings.size());
     for (std::size_t k = 0; k < rings.size(); ++k) {
@@ -46,13 +48,12 @@ Cluster::Cluster(std::vector<NodeId> ids, Rings rings,
 }
 
 Cluster::Cluster(std::vector<NodeId> ids, Plane plane,
-                 net::SimNetConfig net_cfg)
+                 net::SimNetConfig net_cfg, transport::TransportConfig tcfg)
     : net_(net_cfg), ids_(std::move(ids)) {
   if (plane.ring.eligible.empty()) plane.ring.eligible = ids_;
   for (NodeId id : ids_) {
     Node& n = nodes_[id];
-    n.mux = std::make_unique<session::SessionMux>(net_.add_node(id),
-                                                  plane.ring.transport);
+    n.mux = std::make_unique<session::SessionMux>(net_.add_node(id), tcfg);
     storage::StorageConfig storage = plane.storage;
     if (!storage.dir.empty()) storage.dir += "/node" + std::to_string(id);
     n.plane = std::make_unique<data::ShardedDataPlane>(*n.mux, plane.shards,
@@ -65,16 +66,20 @@ bool Cluster::recover(NodeId id) {
   if (!plane || !plane->durable()) return true;
   // found() installs the founding view at once, and that view adopts the
   // recovered state, so recovery must come first.
-  if (!plane->open_storage()) return false;
-  plane->recover_storage();
+  for (std::size_t k = 0; k < plane->shard_count(); ++k) {
+    if (shard_down(k)) continue;
+    if (!plane->open_store(k)) return false;
+    plane->recover_store(k);
+  }
   if (on_recovered_) on_recovered_(id);
   return true;
 }
 
 bool Cluster::start(NodeId id) {
   if (!recover(id)) return false;
-  mux(id).for_each_ring(
-      [](transport::MuxGroup, session::SessionNode& r) { r.found(); });
+  mux(id).for_each_ring([this](transport::MuxGroup g, session::SessionNode& r) {
+    if (!shard_down(g)) r.found();
+  });
   return true;
 }
 
@@ -117,7 +122,28 @@ void Cluster::crash(NodeId id) {
 bool Cluster::restart(NodeId id) {
   net_.set_node_up(id, true);
   ++nodes_.at(id).epoch;
+  mux(id).set_enabled(true);  // even if every shard is down
   return start(id);
+}
+
+void Cluster::crash_shard(std::size_t k) {
+  if (!shards_down_.insert(k).second) return;
+  for (auto& [id, n] : nodes_) {
+    if (!up(id) || k >= n.plane->shard_count()) continue;
+    n.plane->crash_store(k);
+    n.plane->ring(k).stop();
+  }
+}
+
+void Cluster::restart_shard(std::size_t k) {
+  if (shards_down_.erase(k) == 0) return;
+  for (auto& [id, n] : nodes_) {
+    if (!up(id) || k >= n.plane->shard_count()) continue;
+    n.plane->open_store(k);
+    n.plane->recover_store(k);
+    if (on_recovered_) on_recovered_(id);
+    n.plane->ring(k).found();
+  }
 }
 
 ChaosEngine& Cluster::enable_chaos(ChaosConfig chaos_cfg) {

@@ -4,8 +4,9 @@
 // bare, one SessionConfig each, or a ShardedDataPlane, optionally durable.
 //
 // The Cluster forms the group and waits for it through testing/oracles.h,
-// crashes and restarts nodes, wires a ChaosEngine to them, logs every
-// bare ring's deliveries and views, and merges the nodes' metrics. Callers
+// crashes and restarts nodes, takes a plane's shards down and up
+// cluster-wide, wires a ChaosEngine to them, logs every bare ring's
+// deliveries and views, and merges the nodes' metrics. Callers
 // build their own services over mux(id) or plane(id); a service built over
 // a ring (a ChannelMux, say) takes over its deliver and view handlers, so
 // that ring's logs stay empty.
@@ -15,6 +16,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -46,14 +48,17 @@ class Cluster {
   };
 
   /// Nodes are added to the network in the order of `ids` (ascending by
-  /// convention: add_node forks the network rng in call order). A ring
-  /// whose eligible set is empty gets `ids`; the mux's transport takes the
-  /// first ring's `transport` config.
+  /// convention: add_node forks the network rng in call order), each with
+  /// `ifaces` interfaces and a transport built from `tcfg`. A ring whose
+  /// eligible set is empty gets `ids`.
   explicit Cluster(std::vector<NodeId> ids, session::SessionConfig cfg = {},
-                   net::SimNetConfig net_cfg = {}, std::uint8_t ifaces = 1);
+                   net::SimNetConfig net_cfg = {},
+                   transport::TransportConfig tcfg = {},
+                   std::uint8_t ifaces = 1);
   Cluster(std::vector<NodeId> ids, Rings rings, net::SimNetConfig net_cfg = {},
-          std::uint8_t ifaces = 1);
-  Cluster(std::vector<NodeId> ids, Plane plane, net::SimNetConfig net_cfg = {});
+          transport::TransportConfig tcfg = {}, std::uint8_t ifaces = 1);
+  Cluster(std::vector<NodeId> ids, Plane plane, net::SimNetConfig net_cfg = {},
+          transport::TransportConfig tcfg = {});
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
@@ -77,15 +82,27 @@ class Cluster {
   /// is marked down. A durable node loses its unsynced WAL tail, as in a
   /// power cut.
   void crash(NodeId id);
-  /// Marks the node up and starts it again as a new incarnation: a durable
-  /// node first reopens and recovers its stores, then the recover handler
-  /// runs, then every ring founds (discovery merges it back). False if the
-  /// stores could not be opened.
+  /// Marks the node up, switches its transport on and starts it again as
+  /// a new incarnation: a durable node first reopens and recovers its
+  /// stores, then the recover handler runs, then every ring founds
+  /// (discovery merges it back), but for shards down cluster-wide. False if
+  /// the stores could not be opened.
   bool restart(NodeId id);
   /// Runs after a durable node's stores recovered, before its rings found.
   void set_recover_handler(std::function<void(NodeId)> fn) {
     on_recovered_ = std::move(fn);
   }
+  /// False from crash(id) to restart(id).
+  bool up(NodeId id) const { return net_.node_up(id); }
+
+  /// Plane-shaped clusters: on every up node that has shard k, its store
+  /// loses power (the unsynced WAL tail is gone) and its ring stops, and
+  /// so they stay, through node restarts too, until restart_shard(k).
+  void crash_shard(std::size_t k);
+  /// Brings shard k back on every up node that has it: the store reopens
+  /// and recovers, the recover handler runs and ring k founds.
+  void restart_shard(std::size_t k);
+  bool shard_down(std::size_t k) const { return shards_down_.count(k) > 0; }
 
   /// Opts into background chaos: an engine, started on demand, whose
   /// crash hook is crash() and whose restart hook is restart() (marking a
@@ -144,14 +161,16 @@ class Cluster {
   };
 
   /// Opens and recovers a durable node's stores, then runs the recover
-  /// handler. False if the stores could not be opened.
+  /// handler. False if a store could not be opened.
   bool recover(NodeId id);
-  /// A new incarnation: recover, then found every ring.
+  /// A new incarnation: recover, then found every ring. Both skip the
+  /// shards down cluster-wide.
   bool start(NodeId id);
 
   net::SimNetwork net_;
   std::vector<NodeId> ids_;
   std::map<NodeId, Node> nodes_;
+  std::set<std::size_t> shards_down_;  ///< cluster-wide shard outages
   std::unique_ptr<ChaosEngine> chaos_;
   std::function<void(NodeId)> on_recovered_;
 };

@@ -35,9 +35,11 @@ DurabilityChaosCluster::DurabilityChaosCluster(std::vector<NodeId> ids,
                                                ChaosConfig chaos_cfg,
                                                DurabilityConfig dur_cfg,
                                                session::SessionConfig session_cfg,
-                                               net::SimNetConfig net_cfg)
+                                               net::SimNetConfig net_cfg,
+                                               transport::TransportConfig tcfg)
     : c_(std::move(ids),
-         durable_plane(dur_cfg, std::move(session_cfg), root_dir), net_cfg),
+         durable_plane(dur_cfg, std::move(session_cfg), root_dir), net_cfg,
+         tcfg),
       engine_(c_.enable_chaos(chaos_cfg)),
       root_dir_(std::move(root_dir)),
       dur_cfg_(dur_cfg) {
@@ -47,10 +49,8 @@ DurabilityChaosCluster::DurabilityChaosCluster(std::vector<NodeId> ids,
     Stack& st = stacks_[id];
     st.map = std::make_unique<data::ShardedMap>(plane, kMapChannel);
     st.locks = std::make_unique<data::ShardedLockManager>(plane, kLockChannel);
-    data::ReshardConfig rcfg;
-    rcfg.initial_shards = dur_cfg_.n_shards;
-    st.mgr = std::make_unique<data::ReshardManager>(plane, *st.map,
-                                                    *st.locks, rcfg);
+    st.mgr = std::make_unique<data::ReshardManager>(plane, *st.map, *st.locks,
+                                                    dur_cfg_.n_shards);
     st.traffic_rng = setup_rng.fork();
     // Shard-aware ack tracking: during a migration window a write can bounce
     // and apply on a different shard than it routed to at issue time, and
@@ -62,10 +62,10 @@ DurabilityChaosCluster::DurabilityChaosCluster(std::vector<NodeId> ids,
         });
   }
   engine_.set_crash_hook([this](NodeId id) { crash_node(id); });
-  engine_.set_restart_hook([this](NodeId id) { restart_node(id); });
+  engine_.set_restart_hook([this](NodeId id) { c_.restart(id); });
   engine_.set_shard_hooks(
       dur_cfg_.n_shards, [this](std::size_t s) { crash_shard(s); },
-      [this](std::size_t s) { restart_shard(s); });
+      [this](std::size_t s) { c_.restart_shard(s); });
 }
 
 DurabilityChaosCluster::~DurabilityChaosCluster() {
@@ -80,7 +80,14 @@ DurabilityChaosCluster::~DurabilityChaosCluster() {
 }
 
 bool DurabilityChaosCluster::bootstrap(Time timeout) {
-  if (!c_.found_all()) {
+  const bool opened = c_.found_all();
+  // From here on a node's or shard's restart rebuilds the migration window
+  // from the recovered filter journals before any ring re-forms: a node
+  // that died mid-migration must classify its first post-restart applies
+  // with the journaled state, not the stale in-memory one.
+  c_.set_recover_handler(
+      [this](NodeId id) { stacks_.at(id).mgr->after_recovery(); });
+  if (!opened) {
     for (NodeId id : c_.ids()) {
       data::ShardedDataPlane& plane = c_.plane(id);
       for (std::size_t s = 0; s < plane.shard_count(); ++s) {
@@ -117,7 +124,7 @@ void DurabilityChaosCluster::start_traffic(NodeId id) {
     Stack& st = stacks_.at(id);
     st.traffic_timer = 0;
     if (!traffic_on_) return;
-    if (!st.crashed) {
+    if (c_.up(id)) {
       issue_op(id);
       st.mgr->tick();  // coordinator re-drive rides the traffic cadence
     }
@@ -132,7 +139,7 @@ void DurabilityChaosCluster::issue_op(NodeId id) {
       "d" + std::to_string(id) + ":" + std::to_string(slot);
   if (pending_.count(key)) return;  // one outstanding op per slot
   const std::size_t shard = st.map->write_shard_of(key);
-  if (st.shards_down.count(shard)) return;
+  if (c_.shard_down(shard)) return;
   session::SessionNode& ring = c_.plane(id).ring(shard);
   if (!ring.started() || !ring.view().has(id)) return;
   if (!st.map->shard(shard).synced()) return;
@@ -167,8 +174,7 @@ void DurabilityChaosCluster::issue_op(NodeId id) {
   if (st.traffic_rng.chance(0.1)) {
     st.locks->acquire("lk:" + key, [this, id](const std::string& name) {
       c_.net().loop().schedule(millis(1), [this, id, name] {
-        Stack& holder = stacks_.at(id);
-        if (!holder.crashed) holder.locks->release(name);
+        if (c_.up(id)) stacks_.at(id).locks->release(name);
       });
     });
   }
@@ -213,8 +219,8 @@ void DurabilityChaosCluster::ack(Pending& p) {
 }
 
 bool DurabilityChaosCluster::migration_open() {
-  for (const auto& [id, st] : stacks_) {
-    if (!st.crashed && c_.plane(id).vrouter().migrating()) return true;
+  for (NodeId id : c_.ids()) {
+    if (c_.up(id) && c_.plane(id).vrouter().migrating()) return true;
   }
   return false;
 }
@@ -236,7 +242,7 @@ void DurabilityChaosCluster::sweep_acks(NodeId id) {
 void DurabilityChaosCluster::sweep_acks_shard(std::size_t shard) {
   for (auto it = pending_.begin(); it != pending_.end();) {
     Pending& p = it->second;
-    if (p.shard == shard && !stacks_.at(p.node).crashed && p.applied &&
+    if (p.shard == shard && c_.up(p.node) && p.applied &&
         c_.plane(p.node).store(p.shard)->durable_lsn() >= p.applied_lsn) {
       ack(p);
       it = pending_.erase(it);
@@ -287,7 +293,7 @@ void DurabilityChaosCluster::schedule_sweep() {
     sweep_timer_ = 0;
     if (!traffic_on_) return;
     for (NodeId id : c_.ids()) {
-      if (!stacks_.at(id).crashed) sweep_acks(id);
+      if (c_.up(id)) sweep_acks(id);
     }
     void_stale_pending();
     schedule_sweep();
@@ -302,58 +308,12 @@ void DurabilityChaosCluster::crash_node(NodeId id) {
   sweep_acks(id);
   void_pending_node(id);
   c_.crash(id);
-  stacks_.at(id).crashed = true;
-}
-
-void DurabilityChaosCluster::restart_node(NodeId id) {
-  Stack& st = stacks_.at(id);
-  data::ShardedDataPlane& plane = c_.plane(id);
-  st.crashed = false;
-  c_.mux(id).set_enabled(true);
-  // Shards that are down CLUSTER-WIDE stay down on this node too; the
-  // shard-restart hook will bring them back everywhere at once.
-  st.shards_down = global_shards_down_;
-  for (std::size_t s = 0; s < plane.shard_count(); ++s) {
-    if (global_shards_down_.count(s)) continue;
-    plane.open_store(s);
-    plane.recover_store(s);  // shadow ready before the ring forms
-  }
-  // Rebuild the migration window from the recovered filter journals before
-  // any ring re-forms — a node that died mid-migration must classify its
-  // first post-restart applies with the journaled state, not the stale
-  // in-memory one.
-  st.mgr->after_recovery();
-  for (std::size_t s = 0; s < plane.shard_count(); ++s) {
-    if (global_shards_down_.count(s)) continue;
-    if (!plane.ring(s).started()) plane.ring(s).found();
-  }
 }
 
 void DurabilityChaosCluster::crash_shard(std::size_t shard) {
-  global_shards_down_.insert(shard);
   sweep_acks_shard(shard);
   void_pending_shard(shard);
-  for (auto& [id, st] : stacks_) {
-    data::ShardedDataPlane& plane = c_.plane(id);
-    if (st.crashed || st.shards_down.count(shard)) continue;
-    if (shard >= plane.shard_count()) continue;
-    plane.crash_store(shard);
-    plane.ring(shard).stop();
-    st.shards_down.insert(shard);
-  }
-}
-
-void DurabilityChaosCluster::restart_shard(std::size_t shard) {
-  global_shards_down_.erase(shard);
-  for (auto& [id, st] : stacks_) {
-    data::ShardedDataPlane& plane = c_.plane(id);
-    if (st.crashed || st.shards_down.count(shard) == 0) continue;
-    plane.open_store(shard);
-    plane.recover_store(shard);
-    st.mgr->after_recovery();
-    if (!plane.ring(shard).started()) plane.ring(shard).found();
-    st.shards_down.erase(shard);
-  }
+  c_.crash_shard(shard);
 }
 
 // --- live resize ------------------------------------------------------------
@@ -383,7 +343,7 @@ void DurabilityChaosCluster::ensure_resize_requested() {
     if (c_.net().now() - resize_requested_at_ < millis(400)) return;
   }
   for (auto& [id, st] : stacks_) {
-    if (st.crashed) continue;
+    if (!c_.up(id)) continue;
     st.mgr->start_resize(dur_cfg_.resize_to);
     resize_requested_ = true;
     resize_requested_at_ = c_.net().now();
@@ -410,8 +370,8 @@ void DurabilityChaosCluster::watch_migration_fault() {
   if (dur_cfg_.migration_fault == MigrationFault::kNone) return;
   // Observe the coordinator's routing window (lowest live id drives).
   NodeId coord = kInvalidNode;
-  for (const auto& [id, st] : stacks_) {
-    if (!st.crashed) {
+  for (NodeId id : c_.ids()) {
+    if (c_.up(id)) {
       coord = id;
       break;
     }
@@ -446,7 +406,7 @@ void DurabilityChaosCluster::watch_migration_fault() {
       // from the coordinator so the ring loses a destination replica while
       // the CUTOVER record is still in flight.
       for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
-        if (*it != coord && !stacks_.at(*it).crashed) {
+        if (*it != coord && c_.up(*it)) {
           migration_fault_fired_ = engine_.inject_crash(*it, dur);
           break;
         }
@@ -494,7 +454,7 @@ void DurabilityChaosCluster::heal_and_check(Time converge_timeout) {
     if (resize_requested_ && k != dur_cfg_.resize_to) return false;
     for (auto& [id, st] : stacks_) {
       const data::ShardedDataPlane& plane = c_.plane(id);
-      if (!st.crashed) st.mgr->tick();
+      if (c_.up(id)) st.mgr->tick();
       if (st.mgr->migrating()) return false;
       if (plane.shard_count() != k || st.mgr->epoch() != ep) return false;
       if (plane.vrouter().migrating() ||
@@ -725,10 +685,10 @@ DurabilityRoundResult run_round(std::uint64_t seed, const std::string& dir,
                                 Time converge_timeout) {
   net::SimNetConfig ncfg;
   ncfg.seed = seed ^ net_salt;
-  session::SessionConfig scfg;
-  scfg.transport.adaptive = true;
-  DurabilityChaosCluster cluster(node_ids(n_nodes), dir, ccfg, dcfg, scfg,
-                                 ncfg);
+  transport::TransportConfig tcfg;
+  tcfg.adaptive = true;
+  DurabilityChaosCluster cluster(node_ids(n_nodes), dir, ccfg, dcfg, {}, ncfg,
+                                 tcfg);
   if (cluster.bootstrap()) {
     cluster.run_chaos(chaos_duration);
     cluster.heal_and_check(converge_timeout);

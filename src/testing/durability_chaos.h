@@ -82,7 +82,8 @@ class DurabilityChaosCluster {
   DurabilityChaosCluster(std::vector<NodeId> ids, std::string root_dir,
                          ChaosConfig chaos_cfg, DurabilityConfig dur_cfg,
                          session::SessionConfig session_cfg = {},
-                         net::SimNetConfig net_cfg = {});
+                         net::SimNetConfig net_cfg = {},
+                         transport::TransportConfig tcfg = {});
   ~DurabilityChaosCluster();
 
   bool bootstrap(Time timeout = millis(8000));
@@ -134,10 +135,6 @@ class DurabilityChaosCluster {
     std::unique_ptr<data::ShardedMap> map;
     std::unique_ptr<data::ShardedLockManager> locks;
     std::unique_ptr<data::ReshardManager> mgr;
-    bool crashed = false;
-    /// Shards whose store+ring are down on THIS node (shard fault, or
-    /// globally-down shards inherited at node restart).
-    std::set<std::size_t> shards_down;
     net::TimerId traffic_timer = 0;
     Rng traffic_rng{0};
   };
@@ -179,10 +176,10 @@ class DurabilityChaosCluster {
   /// coexisting).
   bool migration_open();
 
+  /// Chaos crash hooks: settle the acks the power cut decides, then
+  /// crash through the Cluster (whose restarts need no bookkeeping).
   void crash_node(NodeId id);
-  void restart_node(NodeId id);
   void crash_shard(std::size_t shard);
-  void restart_shard(std::size_t shard);
 
   void schedule_resize(Time delay);
   void schedule_migration_watch();
@@ -204,7 +201,6 @@ class DurabilityChaosCluster {
   std::string root_dir_;
   DurabilityConfig dur_cfg_;
   std::map<NodeId, Stack> stacks_;
-  std::set<std::size_t> global_shards_down_;
   bool traffic_on_ = false;
   net::TimerId sweep_timer_ = 0;
   net::TimerId resize_timer_ = 0;

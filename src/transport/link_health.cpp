@@ -15,6 +15,12 @@ double LinkHealth::score(NodeId peer, std::uint8_t iface) const {
   return it != links_.end() ? it->second : 1.0;
 }
 
+double LinkHealth::worst() const {
+  double w = 1.0;
+  for (const auto& [link, s] : links_) w = std::min(w, s);
+  return w;
+}
+
 std::vector<std::uint8_t> LinkHealth::ranked(NodeId peer,
                                              std::uint8_t n_ifaces) const {
   std::vector<std::uint8_t> order(n_ifaces);

@@ -36,6 +36,8 @@ class LinkHealth {
 
   /// Current score; 1.0 for links never sampled.
   double score(NodeId peer, std::uint8_t iface) const;
+  /// Lowest score over every sampled link; 1.0 when none was sampled.
+  double worst() const;
 
   /// All interface indices [0, n_ifaces) ordered healthiest-first; the sort
   /// is stable so equal scores keep ascending index order.

@@ -76,19 +76,8 @@ ReliableTransport::~ReliableTransport() {
   }
 }
 
-void ReliableTransport::set_peer_ifaces(NodeId peer, std::uint8_t count) {
-  assert(count >= 1);
-  peer_ifaces_[peer] = count;
-}
-
-std::uint8_t ReliableTransport::peer_iface_count(NodeId peer) const {
-  auto it = peer_ifaces_.find(peer);
-  return it != peer_ifaces_.end() ? it->second
-                                  : std::max<std::uint8_t>(1, cfg_.default_peer_ifaces);
-}
-
 Time ReliableTransport::failure_detection_bound(NodeId peer) const {
-  const std::uint8_t n_addrs = peer_iface_count(peer);
+  const std::uint8_t n_addrs = peer_iface_count();
   int rounds = cfg_.attempts_per_address;
   if (cfg_.strategy == SendStrategy::kSequential) rounds *= n_addrs;
   if (!cfg_.adaptive) return cfg_.rto * rounds;
@@ -139,7 +128,6 @@ void ReliableTransport::forget_peer(NodeId peer) {
   }
   send_state_.erase(peer);
   recv_state_.erase(peer);
-  peer_ifaces_.erase(peer);
   last_heard_.erase(peer);
   rtt_.forget(peer);
   health_.forget(peer);
@@ -249,25 +237,16 @@ void ReliableTransport::cancel(TransferId id) {
 }
 
 void ReliableTransport::transmit(const InFlight& f, std::uint8_t to_iface) {
-  // Pair local interface i with remote interface i where possible, so that
-  // redundant links form independent physical paths. The pre-built frame is
-  // shared by reference: a retransmission or parallel-interface send costs
-  // a refcount bump, not a copy.
-  std::uint8_t from = static_cast<std::uint8_t>(
-      to_iface < env_.iface_count() ? to_iface : env_.iface_count() - 1);
+  // Local interface i sends to the peer's interface i, so that redundant
+  // links form independent physical paths. The pre-built frame is shared
+  // by reference: a retransmission or parallel-interface send costs a
+  // refcount bump, not a copy.
   frames_out_.inc();
-  env_.send(net::Address{f.dst, to_iface}, f.frame, from);
+  env_.send(net::Address{f.dst, to_iface}, f.frame, to_iface);
 }
 
 void ReliableTransport::refresh_health_gauge() {
-  if (!cfg_.adaptive) return;
-  double worst = 1.0;
-  for (auto& [peer, n] : peer_ifaces_) {
-    for (std::uint8_t i = 0; i < n; ++i) {
-      worst = std::min(worst, health_.score(peer, i));
-    }
-  }
-  health_gauge_.set(worst);
+  if (cfg_.adaptive) health_gauge_.set(health_.worst());
 }
 
 Time ReliableTransport::attempt_rto(const InFlight& f, int backoff_step) {
@@ -278,7 +257,7 @@ Time ReliableTransport::attempt_rto(const InFlight& f, int backoff_step) {
   // possibly arrive.
   const Time base = f.last_tx.size() == 1
                         ? rtt_.rto(f.dst, f.last_tx.front(), b)
-                        : rtt_.max_rto(f.dst, peer_iface_count(f.dst), b);
+                        : rtt_.max_rto(f.dst, peer_iface_count(), b);
   double scaled = static_cast<double>(base);
   for (int k = 0; k < backoff_step; ++k) scaled *= kRtoBackoff;
   const Time rto =
@@ -293,7 +272,7 @@ void ReliableTransport::attempt(TransferId id) {
   auto it = inflight_.find(id);
   if (it == inflight_.end()) return;
   InFlight& f = it->second;
-  const std::uint8_t n_addrs = peer_iface_count(f.dst);
+  const std::uint8_t n_addrs = peer_iface_count();
   f.last_tx.clear();
 
   switch (cfg_.strategy) {

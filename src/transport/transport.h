@@ -6,9 +6,9 @@
 //
 //  1. Atomic, connection-less: a transfer is delivered exactly once or not
 //     at all; there is no stream state to reconcile when nodes come and go.
-//  2. Multi-address: a peer may expose several physical addresses
-//     (redundant links); sends can walk them sequentially or hit them in
-//     parallel.
+//  2. Multi-address: a node may expose several physical addresses
+//     (redundant links), and its peers as many as it has itself; sends
+//     can walk them sequentially or hit them in parallel.
 //  3. Failure-on-delivery notification: when every sending effort fails the
 //     upper layer is told — this is the Session Service's local-view
 //     failure detector.
@@ -72,9 +72,6 @@ class ReliableTransport : public TransportHandle {
     on_failure_observed_ = std::move(fn);
   }
 
-  /// Declares how many physical addresses a peer has (default 1).
-  void set_peer_ifaces(NodeId peer, std::uint8_t count);
-
   /// Starts an atomic reliable transfer. `delivered` fires on the first
   /// acknowledgement; `failed` is the failure-on-delivery notification and
   /// fires after all sending efforts are exhausted.
@@ -114,8 +111,7 @@ class ReliableTransport : public TransportHandle {
   void cancel(TransferId id);
 
   /// Drops every piece of per-peer state — send epoch/sequence, receive
-  /// dedup window, interface count, RTT estimates, health scores, liveness
-  /// stamp — and silently abandons in-flight transfers to the peer (no
+  /// dedup window, RTT estimates, health scores, liveness stamp — and silently abandons in-flight transfers to the peer (no
   /// failure notifications: the caller is the one declaring the peer gone).
   /// The session layer calls this on membership removal so departed peers
   /// stop costing memory. Re-contacting the peer later starts a fresh send
@@ -219,9 +215,11 @@ class ReliableTransport : public TransportHandle {
   /// mode.
   Time attempt_rto(const InFlight& f, int backoff_step);
   void transmit(const InFlight& f, std::uint8_t to_iface);
-  std::uint8_t peer_iface_count(NodeId peer) const;
+  /// A peer's physical addresses: as many as this node's own interfaces
+  /// (redundant links pair interface i with interface i, §2.1).
+  std::uint8_t peer_iface_count() const { return env_.iface_count(); }
   RtoBounds rto_bounds() const { return RtoBounds{cfg_.rto}; }
-  /// Publishes the worst health score across tracked links to the
+  /// Publishes the worst health score across scored links to the
   /// transport.link_health gauge.
   void refresh_health_gauge();
   void finish(TransferId id, bool ok, std::uint8_t ack_iface = 0);
@@ -260,7 +258,6 @@ class ReliableTransport : public TransportHandle {
     std::set<std::uint64_t> above;
   };
   std::unordered_map<NodeId, PeerRecv> recv_state_;
-  std::unordered_map<NodeId, std::uint8_t> peer_ifaces_;
   /// Last time an integrity-checked frame from each peer arrived.
   std::unordered_map<NodeId, Time> last_heard_;
 
@@ -296,7 +293,8 @@ class ReliableTransport : public TransportHandle {
   Counter& frame_copies_ = metrics_.counter("transport.frame_copies");
   /// Most recent clamped RTO scheduled for any attempt (ns).
   Gauge& rto_gauge_ = metrics_.gauge("transport.rto_current_ns");
-  /// Worst EWMA health score across this node's tracked links.
+  /// Worst EWMA health score across the links this node has scored (1.0
+  /// before any link was scored); updated in adaptive mode only.
   Gauge& health_gauge_ = metrics_.gauge("transport.link_health");
   Histogram& ack_latency_ = metrics_.histogram("transport.ack_latency_ns");
 };

@@ -12,9 +12,8 @@
 // The interface is deliberately sized from observed use: reliable and raw
 // group-stamped sends, peer forgetting, the adaptive failure-detection
 // queries (failure_detection_bound / since_heard), config access, and the
-// group handler registration. Anything else (set_enabled, peer iface
-// declarations, metrics) stays on the concrete type, owned by whoever owns
-// the stack.
+// group handler registration. Anything else (set_enabled, metrics) stays
+// on the concrete type, owned by whoever owns the stack.
 #pragma once
 
 #include <cstdint>
@@ -34,10 +33,6 @@ struct TransportConfig {
   Time rto = millis(50);        ///< retransmission timeout per attempt
   int attempts_per_address = 3; ///< attempts before a (sequential) address is abandoned
   SendStrategy strategy = SendStrategy::kSequential;
-  /// Physical addresses assumed per peer unless set_peer_ifaces overrides
-  /// (redundant links, §2.1: "allows each node to have multiple physical
-  /// addresses").
-  std::uint8_t default_peer_ifaces = 1;
   /// Per-peer cap on the receiver-side duplicate-suppression set
   /// (PeerRecv::above). A hostile or chaotic peer sending wildly
   /// out-of-order sequence numbers cannot grow receiver memory past this;

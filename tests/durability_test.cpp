@@ -296,6 +296,96 @@ void run_sweep(std::uint64_t first_seed, std::uint64_t last_seed,
       << "no cluster restart fired across the sweep";
 }
 
+// A shard down cluster-wide (Cluster::crash_shard) stays down through node
+// restarts until Cluster::restart_shard brings it back everywhere at once.
+class ClusterShards : public DurabilityTest {};
+
+/// Ring 0 of every node in `ids` holds exactly `ids`.
+bool ring0_holds(Cluster& c, const std::vector<NodeId>& ids) {
+  for (NodeId id : ids) {
+    if (c.plane(id).ring(0).view().members.size() != ids.size()) return false;
+  }
+  return true;
+}
+
+TEST_F(ClusterShards, NodeRestartKeepsAShardDownEverywhereDown) {
+  Cluster c({1, 2, 3}, durable(root_.string(), 2));
+  auto s = services_on(c);
+  ASSERT_TRUE(c.found_all());
+  ASSERT_TRUE(converged(c, s, {1, 2, 3}));
+
+  c.crash_shard(1);
+  EXPECT_TRUE(c.shard_down(1));
+  for (NodeId id : c.ids()) {
+    EXPECT_FALSE(c.plane(id).ring(1).started()) << "node " << id;
+    EXPECT_FALSE(c.plane(id).store(1)->is_open()) << "node " << id;
+    EXPECT_TRUE(c.plane(id).ring(0).started()) << "node " << id;
+  }
+  c.crash(3);
+  c.run(millis(300));
+  ASSERT_TRUE(c.restart(3));
+  EXPECT_TRUE(c.up(3));
+  EXPECT_TRUE(c.mux(3).enabled());
+  EXPECT_TRUE(c.plane(3).store(0)->is_open());
+  EXPECT_FALSE(c.plane(3).ring(1).started());
+  EXPECT_FALSE(c.plane(3).store(1)->is_open());
+  ASSERT_TRUE(testing::run_until(c.net().loop(), millis(8000),
+                                 [&] { return ring0_holds(c, c.ids()); }))
+      << "node 3 never rejoined ring 0";
+  for (NodeId id : c.ids()) {
+    EXPECT_FALSE(c.plane(id).ring(1).started()) << "node " << id;
+  }
+
+  // With every shard down, a restarted node founds no ring, yet its
+  // transport is on.
+  c.crash_shard(0);
+  c.crash(3);
+  ASSERT_TRUE(c.restart(3));
+  EXPECT_FALSE(c.plane(3).ring(0).started());
+  EXPECT_FALSE(c.plane(3).ring(1).started());
+  EXPECT_TRUE(c.mux(3).enabled());
+}
+
+TEST_F(ClusterShards, RestartShardFoundsItOnEveryUpNodeAndConverges) {
+  Cluster c({1, 2, 3}, durable(root_.string(), 2));
+  auto s = services_on(c);
+  ASSERT_TRUE(c.found_all());
+  std::vector<NodeId> recovered;
+  c.set_recover_handler([&](NodeId id) { recovered.push_back(id); });
+  ASSERT_TRUE(converged(c, s, {1, 2, 3}));
+  const std::size_t kKeys = 20;
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    s.at(1)->map.put("k" + std::to_string(i), "v" + std::to_string(i));
+  }
+  ASSERT_TRUE(testing::run_until(c.net().loop(), millis(4000), [&] {
+    for (NodeId id : c.ids()) {
+      if (s.at(id)->map.size() != kKeys) return false;
+    }
+    return true;
+  }));
+  for (NodeId id : c.ids()) c.plane(id).flush_storage();
+
+  c.crash(3);
+  c.crash_shard(1);
+  c.run(millis(300));
+  c.restart_shard(1);
+  EXPECT_FALSE(c.shard_down(1));
+  EXPECT_EQ(recovered, (std::vector<NodeId>{1, 2})) << "up nodes only";
+  for (NodeId id : {1u, 2u}) {
+    EXPECT_TRUE(c.plane(id).ring(1).started()) << "node " << id;
+    EXPECT_TRUE(c.plane(id).store(1)->is_open()) << "node " << id;
+  }
+  EXPECT_FALSE(c.plane(3).ring(1).started());
+  ASSERT_TRUE(converged(c, s, {1, 2}));
+
+  ASSERT_TRUE(c.restart(3));
+  EXPECT_TRUE(c.plane(3).ring(1).started());
+  ASSERT_TRUE(converged(c, s, {1, 2, 3}));
+  for (NodeId id : c.ids()) {
+    EXPECT_EQ(s.at(id)->map.size(), kKeys) << "node " << id;
+  }
+}
+
 TEST_F(DurabilityTest, RestartStormSweepSeeds1To12) {
   run_sweep(1, 12, root_.string());
 }

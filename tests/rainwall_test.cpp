@@ -51,7 +51,7 @@ TEST(PolicyTest, IpParsingRoundTrip) {
 
 TEST(PacketEngineTest, ForwardsOfferedLoadUnderCapacity) {
   FirewallPolicy p(Action::kAllow);
-  PacketEngine e(EngineConfig{}, p);
+  PacketEngine e(p);
   Connection c;
   c.id = 1;
   c.rate_bps = 10e6;
@@ -64,7 +64,7 @@ TEST(PacketEngineTest, ForwardsOfferedLoadUnderCapacity) {
 
 TEST(PacketEngineTest, SaturatesNearLineRate) {
   FirewallPolicy p(Action::kAllow);
-  PacketEngine e(EngineConfig{}, p);
+  PacketEngine e(p);
   for (int i = 0; i < 50; ++i) {
     Connection c;
     c.id = i;
@@ -82,7 +82,7 @@ TEST(PacketEngineTest, SaturatesNearLineRate) {
 
 TEST(PacketEngineTest, TaskSwitchesStealForwardingCapacity) {
   FirewallPolicy p(Action::kAllow);
-  PacketEngine e1(EngineConfig{}, p), e2(EngineConfig{}, p);
+  PacketEngine e1(p), e2(p);
   for (int i = 0; i < 50; ++i) {
     Connection c;
     c.id = i;
@@ -99,7 +99,7 @@ TEST(PacketEngineTest, TaskSwitchesStealForwardingCapacity) {
 
 TEST(PacketEngineTest, PolicyDenialBlocksConnection) {
   FirewallPolicy p(Action::kDeny);
-  PacketEngine e(EngineConfig{}, p);
+  PacketEngine e(p);
   Connection c;
   c.id = 1;
   c.rate_bps = 1e6;

@@ -20,7 +20,6 @@ namespace {
 
 using data::RangeId;
 using data::RangeState;
-using data::ReshardConfig;
 using data::ReshardManager;
 using data::ShardedDataPlane;
 using data::ShardedLockManager;
@@ -138,7 +137,7 @@ struct Services {
   explicit Services(ShardedDataPlane& plane)
       : map(plane, kMapChannel),
         locks(plane, kLockChannel),
-        mgr(plane, map, locks, ReshardConfig{.initial_shards = 2}) {}
+        mgr(plane, map, locks, /*initial_shards=*/2) {}
   ShardedMap map;
   ShardedLockManager locks;
   ReshardManager mgr;

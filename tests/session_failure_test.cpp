@@ -329,9 +329,10 @@ TEST(SessionFailureMetrics, ProbationSavesDegradedPeerFromFalseRemoval) {
   // it. After the blackout lifts, the retried pass lands: membership never
   // shrinks and a probation save is recorded.
   session::SessionConfig cfg;
-  cfg.transport.adaptive = true;
   cfg.probation_passes = 2;
-  Cluster c({1, 2, 3, 4}, cfg);
+  transport::TransportConfig tcfg;
+  tcfg.adaptive = true;
+  Cluster c({1, 2, 3, 4}, cfg, {}, tcfg);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
   c.run(millis(200));  // prime the RTT estimators ring-wide

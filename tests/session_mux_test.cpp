@@ -139,9 +139,10 @@ TEST(SessionMuxDetector, OwnFailedPassIsRetriedUnderProbation) {
   // take the stuck-passer shortcut first, spend the budget, and let the
   // ring's own callback remove node 2.
   SessionConfig cfg;
-  cfg.transport.adaptive = true;
   cfg.probation_passes = 1;
-  Cluster c({1, 2}, cfg);
+  transport::TransportConfig tcfg;
+  tcfg.adaptive = true;
+  Cluster c({1, 2}, cfg, {}, tcfg);
   ASSERT_TRUE(form(c));
   c.run(millis(200));  // prime the RTT estimators
 

@@ -69,9 +69,7 @@ TEST(SplitBrain, RedundantLinksPreventPartitionFromSingleLinkFailure) {
   // §2.1/§2.4: "The Raincore Transport Service supports redundant
   // communication links between nodes, which makes the isolation of
   // sub-groups less likely to occur."
-  session::SessionConfig cfg;
-  cfg.transport.default_peer_ifaces = 2;
-  Cluster c({1, 2, 3}, cfg, {}, /*ifaces=*/2);
+  Cluster c({1, 2, 3}, session::SessionConfig{}, {}, {}, /*ifaces=*/2);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
 
@@ -104,10 +102,9 @@ TEST(SplitBrain, RedundantLinksPreventPartitionFromSingleLinkFailure) {
 }
 
 TEST(SplitBrain, ParallelStrategyMasksPrimaryLinkLossWithoutRtoStall) {
-  session::SessionConfig cfg;
-  cfg.transport.default_peer_ifaces = 2;
-  cfg.transport.strategy = transport::SendStrategy::kParallel;
-  Cluster c({1, 2}, cfg, {}, /*ifaces=*/2);
+  transport::TransportConfig tcfg;
+  tcfg.strategy = transport::SendStrategy::kParallel;
+  Cluster c({1, 2}, session::SessionConfig{}, {}, tcfg, /*ifaces=*/2);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2}, seconds(10)));
   c.net().set_link_up(net::Address{1, 0}, net::Address{2, 0}, false);

@@ -23,8 +23,6 @@ using transport::TransportConfig;
 struct Pair {
   explicit Pair(SimNetwork& net, TransportConfig cfg = {}, std::uint8_t ifaces = 1)
       : t1(net.add_node(1, ifaces), cfg), t2(net.add_node(2, ifaces), cfg) {
-    t1.set_peer_ifaces(2, ifaces);
-    t2.set_peer_ifaces(1, ifaces);
     t2.set_message_handler([this](NodeId src, Slice p) {
       received.emplace_back(src, std::move(p));
     });
@@ -154,6 +152,57 @@ TEST(TransportTest, ParallelStrategyDeliversImmediatelyOverSurvivingLink) {
   net.loop().run_for(seconds(1));
   EXPECT_TRUE(delivered);
   EXPECT_LT(at - start, millis(5));  // no RTO wait at all
+}
+
+TEST(TransportTest, PeerInterfacesFollowTheNodesOwn) {
+  // Two 2-interface nodes, the default config but for kParallel, and no
+  // per-peer declaration: every attempt round goes out on both links.
+  SimNetwork net;
+  TransportConfig tcfg;
+  tcfg.strategy = SendStrategy::kParallel;
+  ReliableTransport t1(net.add_node(1, 2), tcfg);
+  ReliableTransport t2(net.add_node(2, 2), tcfg);
+  t2.set_enabled(false);  // never acks
+  bool failed = false;
+  t1.send(2, Bytes{1}, {},
+          [&](transport::TransferId, NodeId) { failed = true; });
+  net.loop().run_for(seconds(1));
+  ASSERT_TRUE(failed);
+  const auto rounds = static_cast<std::uint64_t>(tcfg.attempts_per_address);
+  EXPECT_EQ(t1.metrics().counter("transport.frames_out").value(), 2 * rounds);
+}
+
+TEST(TransportTest, LinkHealthGaugeReadsTheWorstScoredLink) {
+  // Built as the clusters build their transports: no per-peer call. A
+  // peer that stops acking drags the gauge below 1.0.
+  SimNetwork net;
+  TransportConfig tcfg;
+  tcfg.adaptive = true;
+  tcfg.rto = millis(10);
+  ReliableTransport t1(net.add_node(1), tcfg);
+  ReliableTransport t2(net.add_node(2), tcfg);
+  auto gauge = [&] {
+    return t1.metrics().snapshot().gauges.at("transport.link_health");
+  };
+  EXPECT_EQ(gauge(), 1.0);  // nothing scored yet
+  bool delivered = false;
+  t1.send(2, Bytes{1}, [&](transport::TransferId, NodeId) { delivered = true; });
+  net.loop().run_for(millis(100));
+  ASSERT_TRUE(delivered);
+  EXPECT_EQ(gauge(), 1.0);  // one clean ack
+
+  t2.set_enabled(false);  // the peer stops acking
+  bool failed = false;
+  t1.send(2, Bytes{2}, {},
+          [&](transport::TransferId, NodeId) { failed = true; });
+  net.loop().run_for(seconds(5));
+  ASSERT_TRUE(failed);
+  EXPECT_LT(gauge(), 1.0);
+  EXPECT_EQ(gauge(), t1.link_health().score(2, 0));
+  EXPECT_EQ(gauge(), t1.link_health().worst());
+
+  t1.forget_peer(2);  // its links go with it
+  EXPECT_EQ(gauge(), 1.0);
 }
 
 TEST(TransportTest, CancelSuppressesNotifications) {

@@ -69,13 +69,12 @@ TEST(WirePerf, SteadyStateTokenHopAllocationBudget) {
 
 TEST(WirePerf, RetriesAndParallelSendsShareOneFrame) {
   net::SimNetwork net;
-  auto& e1 = net.add_node(1);
-  auto& e2 = net.add_node(2);
+  auto& e1 = net.add_node(1, 2);
+  auto& e2 = net.add_node(2, 2);
   transport::TransportConfig tcfg;
   tcfg.rto = millis(10);
   tcfg.attempts_per_address = 3;
   tcfg.strategy = transport::SendStrategy::kParallel;
-  tcfg.default_peer_ifaces = 2;
   transport::ReliableTransport t1(e1, tcfg);
   transport::ReliableTransport t2(e2, tcfg);
   t2.set_enabled(false);  // never acks: every attempt round must retransmit

@@ -13,16 +13,17 @@
 // Every value is checked before anything is forked: N and K are whole
 // numbers in 1..64 (one process per node, one worker thread per shard in
 // each), the ports P..P+N-1 lie in 1..65535, T is a finite number of
-// seconds above zero, and --kill9 needs N >= 2. A rejected command line
-// exits 2 with a message.
+// seconds above zero, --kill9 needs N >= 2, and the daemon path names an
+// executable file. A rejected command line exits 2 with a message.
 //
 // CLUSTER_TIMEOUT_S stands in for an absent --timeout-s, so CI on a loaded
 // machine raises the timeout without touching every ctest invocation.
 // Heartbeats are polled every 100 ms, and a killed member is restarted as
-// soon as the survivors re-form. On a convergence timeout the harness
-// prints each member's last heartbeat age, so a stuck run distinguishes
-// "process dead" (stale/absent heartbeat) from "rings not merging" (fresh
-// heartbeats, wrong view sizes).
+// soon as the survivors re-form. A member whose process exits during a
+// convergence wait fails that phase at once, with its exit status. On a
+// convergence timeout the harness prints each member's last heartbeat age,
+// so a stuck run distinguishes "process dead" (stale/absent heartbeat)
+// from "rings not merging" (fresh heartbeats, wrong view sizes).
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -132,11 +133,21 @@ double heartbeat_age_s(const Member& m) {
   return std::chrono::duration<double>(age).count();
 }
 
-/// Polls until every live member reports `expect` members on all K rings.
+/// Polls until every live member reports `expect` members on all K rings;
+/// fails at once when a live member's process exits.
 bool wait_converged(const std::vector<Member*>& live, std::size_t shards,
                     std::size_t expect, double timeout_s, const char* phase) {
   const auto t0 = std::chrono::steady_clock::now();
   for (;;) {
+    for (Member* m : live) {
+      int status = 0;
+      if (::waitpid(m->pid, &status, WNOHANG) != m->pid) continue;
+      m->pid = -1;
+      std::fprintf(stderr, "  %-28s FAILED: node %u %s %d\n", phase, m->id,
+                   WIFEXITED(status) ? "exited with status" : "killed by signal",
+                   WIFEXITED(status) ? WEXITSTATUS(status) : WTERMSIG(status));
+      return false;
+    }
     bool all_ok = true;
     for (const Member* m : live) {
       std::vector<std::size_t> views;
@@ -253,6 +264,11 @@ int main(int argc, char** argv) {
   if (base_port + static_cast<int>(nodes) - 1 > kMaxPort) {
     reject("--base-port " + std::to_string(base_port) + " leaves no room for " +
            std::to_string(nodes) + " ports up to " + std::to_string(kMaxPort));
+  }
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(binary, ec) ||
+      ::access(binary.c_str(), X_OK) != 0) {
+    reject("daemon '" + binary + "' is not an executable file");
   }
   if (base_port == 0) {
     // Spread parallel harness runs across the registered-port range.
