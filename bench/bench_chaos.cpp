@@ -21,17 +21,46 @@
 // raincore.bench.v1 document: one result row per seed (faults, violations,
 // removal-oracle outcomes) plus the merged final metrics snapshot, whose
 // histograms are the exact bucket sums of every round's.
+//
+// Every value is checked before the first round: rounds in 1..1000000,
+// virtual ms in 1..3600000, nodes in 2..64, any whole base seed, P in
+// [0, 1) and N a whole number. A malformed value, an unknown flag or a
+// fifth positional exits 2 with a message, so a typo in a sweep's command
+// line cannot pass as a run of zero rounds.
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "bench/util/bench_json.h"
 #include "bench/util/gc_harness.h"
+#include "common/cli.h"
 #include "common/log.h"
 #include "testing/chaos.h"
 
 using namespace raincore;
+
+namespace {
+
+[[noreturn]] void reject(const std::string& why) {
+  std::fprintf(stderr, "bench_chaos: %s\n", why.c_str());
+  std::exit(2);
+}
+
+/// All of `text` as a whole number in [lo, hi]; rejects anything else.
+std::uint64_t whole(const char* what, const std::string& text,
+                    std::uint64_t lo, std::uint64_t hi) {
+  const auto v = cli::whole(text, lo, hi);
+  if (!v) {
+    reject(std::string(what) + " wants a whole number in " +
+           std::to_string(lo) + ".." + std::to_string(hi) + ", got '" +
+           text + "'");
+  }
+  return *v;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   if (const char* lvl = std::getenv("RAINCORE_LOG")) {
@@ -45,21 +74,41 @@ int main(int argc, char** argv) {
   long long false_removal_budget = -1;  // -1 = no gate
   std::vector<std::string> pos;
   for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
+    const std::string a = argv[i];
     if (a.rfind("--loss=", 0) == 0) {
-      profile.base_loss = std::strtod(a.c_str() + 7, nullptr);
+      const auto p = cli::finite(a.substr(7));
+      if (!p || *p < 0.0 || *p >= 1.0) {
+        reject("--loss wants a probability in [0, 1), got '" + a.substr(7) +
+               "'");
+      }
+      profile.base_loss = *p;
     } else if (a == "--adaptive") {
       profile.adaptive = true;
     } else if (a.rfind("--false-removal-budget=", 0) == 0) {
-      false_removal_budget = std::strtoll(a.c_str() + 23, nullptr, 10);
-    } else if (a.rfind("--", 0) != 0) {
+      false_removal_budget = static_cast<long long>(
+          whole("--false-removal-budget", a.substr(23), 0, 1'000'000'000));
+    } else if (a.rfind("--json=", 0) == 0) {
+      if (a.size() == 7) reject("--json= needs a path");
+    } else if (a.rfind("--", 0) == 0) {
+      reject("unknown flag " + a);
+    } else if (pos.size() == 4) {
+      reject("unexpected argument '" + a + "'");
+    } else {
       pos.push_back(a);
     }
   }
-  std::size_t rounds = pos.size() > 0 ? std::strtoull(pos[0].c_str(), nullptr, 10) : 20;
-  long long per_round_ms = pos.size() > 1 ? std::strtoll(pos[1].c_str(), nullptr, 10) : 5000;
-  std::size_t nodes = pos.size() > 2 ? std::strtoull(pos[2].c_str(), nullptr, 10) : 5;
-  std::uint64_t base_seed = pos.size() > 3 ? std::strtoull(pos[3].c_str(), nullptr, 10) : 1000;
+  const std::size_t rounds =
+      pos.size() > 0 ? whole("rounds", pos[0], 1, 1'000'000) : 20;
+  const long long per_round_ms =
+      pos.size() > 1
+          ? static_cast<long long>(whole("virtual-ms", pos[1], 1, 3'600'000))
+          : 5000;
+  const std::size_t nodes = pos.size() > 2 ? whole("nodes", pos[2], 2, 64) : 5;
+  const std::uint64_t base_seed =
+      pos.size() > 3
+          ? whole("base-seed", pos[3], 0,
+                  std::numeric_limits<std::uint64_t>::max())
+          : 1000;
 
   bench::print_banner("Raincore chaos soak",
                       "randomized fault schedules + protocol invariant checks");

@@ -5,6 +5,8 @@
 # invariant checker armed) and the `perf`-labelled allocation/copy budget
 # tests. A use-after-free in an aliased datagram view, a frame mutated
 # while shared, or a regression back to per-retry copies all fail here.
+# The sweep starts with bench_chaos_args: malformed command lines must
+# exit 2, so a typo in the sweep's arguments cannot pass as zero rounds.
 #
 # Usage: scripts/ci_check.sh [asan-build-dir] [tsan-build-dir]
 #   asan-build-dir  defaults to <repo>/build-asan (configured on demand)
@@ -24,7 +26,9 @@
 # its timer through its ring's env). transport_test and splitbrain_test
 # follow: the transport's per-peer state (send/receive windows, RTT and
 # link-health tables, forget_peer pruning) and the multi-interface paths
-# of redundant links run there under ASAN.
+# of redundant links run there under ASAN. Then session_failure_test and
+# session_mux_test: probation retries and saves, removal accounting, and
+# the shared detector's fan-out to sibling rings on one mux.
 #
 # The `durability`-labelled suite then runs under the same ASAN tree:
 # WAL format/torn-tail unit tests plus the restart-storm chaos sweep
@@ -44,8 +48,9 @@
 # A ThreadSanitizer pass closes the gate: the `runtime`-labelled suite
 # (timer queue + loop parity, SPSC stress, cross-thread eventfd posts,
 # live ThreadedNode clusters, the udp_cluster smoke, the kill -9 raincored
-# harness and its rejected command lines) runs in a separate TSAN tree, since ASAN and TSAN cannot share
-# one build. Any data race in the I/O-thread/worker handoff fails here.
+# harness, and the harness's and raincored's rejected command lines) runs
+# in a separate TSAN tree, since ASAN and TSAN cannot share one build.
+# Any data race in the I/O-thread/worker handoff fails here.
 # The metrics_test binary runs in the same tree: its concurrency case
 # records into one histogram from four threads while a fifth snapshots.
 # (The binary, not the `metrics` label, which also holds the
@@ -86,7 +91,11 @@ cmake --build "$BUILD" -j"$JOBS" --target bench_chaos wire_perf_test \
     shard_test bench_shard bench_json_check storage_test durability_test \
     bench_durability batching_test fuzz_robustness_test property_test \
     bench_saturation reshard_test bench_reshard real_time_loop_test \
-    oracles_test chaos_test transport_test splitbrain_test
+    oracles_test chaos_test transport_test splitbrain_test \
+    session_failure_test session_mux_test
+
+echo "== bench_chaos rejects malformed command lines (exit 2, no rounds run)"
+ctest --test-dir "$BUILD" -R '^bench_chaos_args$' --output-on-failure
 
 echo "== chaos sweep: $ROUNDS rounds x ${MS}ms, $NODES nodes, seeds $SEED.."
 "$BUILD/bench/bench_chaos" "$ROUNDS" "$MS" "$NODES" "$SEED"
@@ -115,6 +124,11 @@ echo "== transport_test and splitbrain_test under ASAN (per-peer state and" \
 "$BUILD/tests/transport_test"
 "$BUILD/tests/splitbrain_test"
 
+echo "== session_failure_test and session_mux_test under ASAN (probation," \
+     "removal accounting, the shared detector's fan-out across rings)"
+"$BUILD/tests/session_failure_test"
+"$BUILD/tests/session_mux_test"
+
 echo "== perf label under ASAN (allocation/copy budgets, encode-once)"
 ctest --test-dir "$BUILD" -L perf --output-on-failure
 
@@ -142,7 +156,7 @@ echo "== reshard label under ASAN (versioned-router property tests and the" \
 ctest --test-dir "$BUILD" -L reshard --output-on-failure
 
 echo "== batching label under ASAN (batch-codec fuzzers over aliased" \
-     "sub-views, formation/deferral/backpressure tests, knob-equivalence" \
+     "sub-views, formation and backpressure tests, knob-equivalence" \
      "properties, 25-seed chaos sweep with batching enabled)"
 ctest --test-dir "$BUILD" -L batching --output-on-failure
 

@@ -47,13 +47,6 @@ SessionNode& SessionMux::create_ring(transport::MuxGroup group,
   return ref;
 }
 
-void SessionMux::destroy_ring(transport::MuxGroup group) {
-  auto it = rings_.find(group);
-  if (it == rings_.end()) return;
-  it->second->set_started_handler(nullptr);
-  rings_.erase(it);
-}
-
 void SessionMux::on_ring_started(bool started) {
   if (started) {
     transport_.set_enabled(true);

@@ -36,14 +36,10 @@ class SessionMux {
   SessionMux& operator=(const SessionMux&) = delete;
   ~SessionMux();
 
-  /// Creates the ring for `group` (one per group id). The ring is owned by
-  /// the mux and valid until destroy_ring or the mux's destruction. Rings
-  /// sharing a mux need distinct cfg.metrics_prefix values ("shard2.") to
-  /// keep their "session.*" instruments apart in metrics_snapshot().
+  /// Creates the ring for `group` (one per group id), owned by the mux.
+  /// Rings sharing a mux need distinct cfg.metrics_prefix values ("shard2.")
+  /// to keep their "session.*" instruments apart in metrics_snapshot().
   SessionNode& create_ring(transport::MuxGroup group, SessionConfig cfg = {});
-
-  /// Destroys a ring and unregisters its demux group.
-  void destroy_ring(transport::MuxGroup group);
 
   SessionNode* ring(transport::MuxGroup group);
   const SessionNode* ring(transport::MuxGroup group) const;

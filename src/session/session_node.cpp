@@ -184,7 +184,6 @@ MsgSeq SessionNode::multicast(Slice payload, Ordering ordering) {
   PendingMsg m;
   m.safe = ordering == Ordering::kSafe;
   m.seq = m.safe ? ++next_safe_seq_ : ++next_agreed_seq_;
-  m.enqueued = env_.now();
   pending_bytes_ += payload.size();
   m.payload = std::move(payload);
   pending_out_.push_back(std::move(m));
@@ -200,7 +199,7 @@ std::optional<MsgSeq> SessionNode::try_multicast(Slice payload,
   const bool msg_full = pending_out_.size() >= cfg_.max_queue_msgs;
   const bool byte_full =
       !pending_out_.empty() &&
-      pending_bytes_ + payload.size() > cfg_.max_queue_bytes;
+      pending_bytes_ + payload.size() > kMaxQueueBytes;
   if (msg_full || byte_full) {
     backpressure_stalls_.inc();
     return std::nullopt;
@@ -295,8 +294,8 @@ Time SessionNode::effective_hungry_timeout() const {
   const Time hold = std::max<Time>(cfg_.token_hold, micros(10));
   const Time ring =
       static_cast<Time>(std::max<std::size_t>(view_.members.size(), 1));
-  const Time derived = ring * hold + (3 + cfg_.probation_passes) *
-                                         max_member_detection_bound();
+  const Time derived =
+      ring * hold + (3 + kProbationPasses) * max_member_detection_bound();
   return std::max<Time>(derived, millis(50));
 }
 

@@ -61,6 +61,13 @@ constexpr Time kJoinRetry = millis(300);
 /// the peer works) admits it instead — this is what turns the paper's ABCD
 /// ring into ACBD around a broken A→B link (§2.3).
 constexpr Time kReadmitBackoff = millis(1500);
+/// Probation (adaptive detector only): extra full transfer attempts for a
+/// failed successor heard from recently (degraded, not dead) before removal;
+/// the fixed-RTO detector removes on the first failure (§2.2).
+constexpr int kProbationPasses = 1;
+/// try_multicast's byte bound on queued payload (a lone oversized message
+/// is admitted into an empty queue so it can never wedge).
+constexpr std::size_t kMaxQueueBytes = 8 << 20;
 
 struct SessionConfig {
   /// How long a node holds the token before passing it on ("passed at a
@@ -74,12 +81,6 @@ struct SessionConfig {
   Time hungry_timeout = millis(800);
   /// BODYODOR advert period ("regular, but low frequency", §2.4).
   Time bodyodor_interval = millis(500);
-  /// Probation (adaptive failure detection): when a token pass fails but
-  /// the successor has been heard from recently — its link is degraded,
-  /// not dead — grant it up to this many extra full transfer attempts
-  /// before removing it. Active only with an adaptive transport; 0 restores
-  /// the paper's aggressive remove-on-first-failure behaviour (§2.2).
-  int probation_passes = 1;
   /// Flow control / batching (RPC-formation style, cortx-motr rpc/): a
   /// token visit drains at most this many queued messages, coalesced into
   /// per-ordering-class batch frames (token.h AttachedBatch).
@@ -88,17 +89,9 @@ struct SessionConfig {
   /// the attached payload bytes reach this (a single message larger than
   /// the cap still goes — alone).
   std::size_t max_batch_bytes = 1 << 20;
-  /// Latency deadline for batch formation: when positive, a visit with a
-  /// below-threshold queue defers draining until the oldest queued message
-  /// has waited this long, letting batches fill instead of sending slivers
-  /// every rotation. 0 = drain every visit (the pre-batching behaviour).
-  Time flush_deadline = 0;
   /// Bounded send queue: try_multicast refuses (would-block backpressure)
-  /// once the queue holds this many messages...
+  /// once the queue holds this many messages, or kMaxQueueBytes of payload.
   std::size_t max_queue_msgs = 8192;
-  /// ...or this many payload bytes (a lone oversized message is admitted
-  /// into an empty queue so it can never wedge).
-  std::size_t max_queue_bytes = 8 << 20;
   /// Nodes eligible to ever be members (discovery targets, §2.4). Empty
   /// means "no discovery" — merges only happen via explicit join().
   std::vector<NodeId> eligible;
@@ -386,7 +379,6 @@ class SessionNode {
   struct PendingMsg {
     MsgSeq seq = 0;
     bool safe = false;
-    Time enqueued = 0;  ///< for the flush-deadline trigger
     Slice payload;
   };
   std::deque<PendingMsg> pending_out_;
@@ -463,9 +455,6 @@ class SessionNode {
   Counter& batches_attached_ = metrics_.counter("session.batch.attached");
   Counter& batch_msgs_ = metrics_.counter("session.batch.msgs");
   Counter& batch_bytes_ = metrics_.counter("session.batch.bytes");
-  /// Visits that deferred a below-threshold queue to let a batch fill
-  /// (flush_deadline formation trigger).
-  Counter& batch_deferrals_ = metrics_.counter("session.batch.deferrals");
   Histogram& batch_fill_ = metrics_.histogram("session.batch.fill");
   Gauge& queue_depth_ = metrics_.gauge("session.queue.depth");
   /// Members removed on a fanned-out suspicion from another ring's

@@ -295,19 +295,6 @@ SessionNode::OriginState& SessionNode::origin_watermarks(
 void SessionNode::attach_pending(Token& t) {
   if (pending_out_.empty()) return;
 
-  // Adaptive flush: with a deadline configured, a visit whose backlog has
-  // neither filled a batch (messages or bytes) nor aged past the deadline
-  // defers — the next visit ships a fuller batch. flush_deadline == 0
-  // drains every visit (the pre-batching behaviour), and a leaving node
-  // always flushes so no message is stranded behind the deadline.
-  if (cfg_.flush_deadline > 0 && !leaving_ &&
-      pending_out_.size() < cfg_.max_batch_msgs &&
-      pending_bytes_ < cfg_.max_batch_bytes &&
-      env_.now() - pending_out_.front().enqueued < cfg_.flush_deadline) {
-    batch_deferrals_.inc();
-    return;
-  }
-
   // Drain what is left of the visit budget (max_batch_msgs /
   // max_batch_bytes, shared with the visit's other attach point) as a run
   // of batch frames. Consecutive same-class messages share one frame —
@@ -491,10 +478,10 @@ void SessionNode::on_pass_failure(NodeId failed) {
   // death. Burn a bounded extra attempt budget before the paper's
   // aggressive removal — this is what turns 5% packet loss from a steady
   // stream of false removals into retries.
-  if (transport_.config().adaptive && cfg_.probation_passes > 0) {
+  if (transport_.config().adaptive) {
     if (probation_peer_ != failed) {
       probation_peer_ = failed;
-      probation_left_ = cfg_.probation_passes;
+      probation_left_ = kProbationPasses;
     }
     const Time window = 2 * transport_.failure_detection_bound(failed);
     if (probation_left_ > 0 && transport_.since_heard(failed) <= window) {

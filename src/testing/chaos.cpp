@@ -832,9 +832,6 @@ RoundSetup round_setup(std::uint64_t seed, std::size_t n_nodes,
   if (profile.max_batch_bytes > 0) {
     out.session.max_batch_bytes = profile.max_batch_bytes;
   }
-  if (profile.flush_deadline > 0) {
-    out.session.flush_deadline = profile.flush_deadline;
-  }
   return out;
 }
 

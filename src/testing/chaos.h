@@ -304,11 +304,10 @@ struct ChaosProfile {
   bool adaptive = false;
   /// Token-hop batching knobs (session_node.h). Zero = leave the session
   /// defaults untouched, which keeps every pre-batching seeded schedule
-  /// bit-identical; set all three to exercise batch formation (including
-  /// the flush-deadline deferral path) under the fault schedule.
+  /// bit-identical; set both to exercise batch formation under the fault
+  /// schedule.
   std::size_t max_batch_msgs = 0;
   std::size_t max_batch_bytes = 0;
-  Time flush_deadline = 0;
 };
 
 ChaosRoundResult run_chaos_round(std::uint64_t seed,

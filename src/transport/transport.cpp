@@ -23,6 +23,9 @@ constexpr double kRtoBackoff = 2.0;
 /// drawn from a node-seeded stream, so synchronized retry storms decohere
 /// without breaking seeded-run replayability.
 constexpr double kRtoJitter = 0.1;
+/// Per-peer cap on the receiver's duplicate-suppression set
+/// (PeerRecv::above); overflow advances the watermark over the oldest gap.
+constexpr std::size_t kMaxRecvTracked = 4096;
 
 /// FNV-1a over the frame body. Every frame carries this as a trailing u32:
 /// the end-to-end integrity check that turns in-flight bit flips (modelled
@@ -228,14 +231,6 @@ void ReliableTransport::send_frame(const net::Address& to, ByteWriter&& frame,
   env_.send(to, seal_frame(std::move(frame)), from_iface);
 }
 
-void ReliableTransport::cancel(TransferId id) {
-  auto it = inflight_.find(id);
-  if (it == inflight_.end()) return;
-  if (it->second.timer) env_.cancel(it->second.timer);
-  ack_index_.erase({it->second.dst, it->second.wire_seq});
-  inflight_.erase(it);
-}
-
 void ReliableTransport::transmit(const InFlight& f, std::uint8_t to_iface) {
   // Local interface i sends to the peer's interface i, so that redundant
   // links form independent physical paths. The pre-built frame is shared
@@ -433,8 +428,7 @@ void ReliableTransport::on_datagram(net::Datagram&& d) {
       // bounded. The sender never retransmits an abandoned seq, so treating
       // the gap as seen is safe. The cap also defuses a hostile peer
       // spraying far-future sequence numbers to exhaust receiver memory.
-      const std::size_t cap = std::max<std::size_t>(1, cfg_.max_recv_tracked);
-      while (pr.above.size() > cap) {
+      while (pr.above.size() > kMaxRecvTracked) {
         pr.watermark = *pr.above.begin();
         pr.above.erase(pr.above.begin());
         while (pr.above.count(pr.watermark + 1) > 0) {

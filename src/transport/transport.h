@@ -107,9 +107,6 @@ class ReliableTransport : public TransportHandle {
   }
   void send_unreliable_on(MuxGroup group, NodeId dst, Slice payload) override;
 
-  /// Abandons an in-flight transfer without a failure notification.
-  void cancel(TransferId id);
-
   /// Drops every piece of per-peer state — send epoch/sequence, receive
   /// dedup window, RTT estimates, health scores, liveness stamp — and silently abandons in-flight transfers to the peer (no
   /// failure notifications: the caller is the one declaring the peer gone).
@@ -147,7 +144,7 @@ class ReliableTransport : public TransportHandle {
   Time since_heard(NodeId peer) const override;
 
   /// Size of the receiver-side duplicate-suppression set for a peer
-  /// (bounded by TransportConfig::max_recv_tracked).
+  /// (bounded by kMaxRecvTracked in transport.cpp).
   std::size_t recv_tracked(NodeId peer) const;
 
   /// Per-link adaptive state, for tests and introspection.
@@ -282,7 +279,7 @@ class ReliableTransport : public TransportHandle {
   /// forget_peer) — dropped unacknowledged.
   Counter& stale_epoch_drops_ = metrics_.counter("transport.recv.stale_epoch");
   /// Integrity-checked frames whose demux group has no registered handler
-  /// (a ring was destroyed, or a peer runs more rings than we do).
+  /// (a peer runs more rings than we do).
   Counter& unknown_group_drops_ =
       metrics_.counter("transport.recv.unknown_group");
   /// Clean (Karn-filtered) ack-latency samples fed to the RTT estimator.

@@ -33,11 +33,6 @@ struct TransportConfig {
   Time rto = millis(50);        ///< retransmission timeout per attempt
   int attempts_per_address = 3; ///< attempts before a (sequential) address is abandoned
   SendStrategy strategy = SendStrategy::kSequential;
-  /// Per-peer cap on the receiver-side duplicate-suppression set
-  /// (PeerRecv::above). A hostile or chaotic peer sending wildly
-  /// out-of-order sequence numbers cannot grow receiver memory past this;
-  /// overflow advances the watermark over the oldest gap.
-  std::size_t max_recv_tracked = 4096;
 
   /// Adaptive failure detection. Off (the default) reproduces the paper's
   /// fixed-interval schedule exactly: every attempt waits `rto`, no jitter,

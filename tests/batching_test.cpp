@@ -1,8 +1,8 @@
 // Token-hop batching and bounded flow control (session/token.h
-// AttachedBatch, session_node.h batching knobs): batch formation and the
-// flush-deadline deferral trigger, try_multicast backpressure, the
-// flush-deadline-vs-token-loss race, and the seeded chaos + determinism
-// sweep with batching enabled (ctest -L batching).
+// AttachedBatch, session_node.h batching knobs): batch formation,
+// try_multicast backpressure, queued messages vs token loss, and the
+// seeded chaos + determinism sweep with batching enabled
+// (ctest -L batching).
 #include <gtest/gtest.h>
 
 #include "testing/chaos.h"
@@ -95,50 +95,11 @@ TEST(BatchFormation, OversizedMessageShipsAlone) {
   }
 }
 
-TEST(BatchFormation, FlushDeadlineDefersSlivers) {
+TEST(BatchFormation, LeavingNodeFlushesItsQueue) {
+  // A message queued just before leave() rides the leaving visit: the
+  // node attaches its queue before it removes itself from the ring.
   session::SessionConfig cfg;
   cfg.token_hold = millis(2);
-  cfg.max_batch_msgs = 32;
-  cfg.flush_deadline = millis(60);
-  Cluster c({1, 2, 3}, cfg);
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
-
-  c.send(1, "sliver");
-  // Well under the deadline: several visits pass, none may attach yet.
-  c.run(millis(30));
-  EXPECT_EQ(c.delivered(1).size(), 0u) << "sliver must defer to fill";
-  EXPECT_GE(counter_of(c.node(1), "session.batch.deferrals"), 1.0);
-  // Past the deadline the sliver must flush even though the batch never
-  // filled.
-  c.run(seconds(2));
-  for (NodeId id : c.ids()) {
-    ASSERT_EQ(c.delivered(id).size(), 1u) << "node " << id;
-    EXPECT_EQ(c.delivered(id)[0].payload, "sliver");
-  }
-}
-
-TEST(BatchFormation, FullBatchFlushesBeforeDeadline) {
-  session::SessionConfig cfg;
-  cfg.token_hold = millis(2);
-  cfg.max_batch_msgs = 8;
-  cfg.flush_deadline = seconds(30);  // absurd: only the fill trigger fires
-  Cluster c({1, 2, 3}, cfg);
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
-
-  for (int i = 0; i < 8; ++i) c.send(1, "f" + std::to_string(i));
-  c.run(seconds(2));
-  for (NodeId id : c.ids()) {
-    ASSERT_EQ(c.delivered(id).size(), 8u)
-        << "full batch must not wait out the deadline (node " << id << ")";
-  }
-}
-
-TEST(BatchFormation, LeavingNodeFlushesDespiteDeadline) {
-  session::SessionConfig cfg;
-  cfg.token_hold = millis(2);
-  cfg.flush_deadline = seconds(30);
   Cluster c({1, 2, 3}, cfg);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
@@ -311,29 +272,29 @@ TEST(Backpressure, TryMulticastRefusesWhenMsgBoundHit) {
 }
 
 TEST(Backpressure, TryMulticastRefusesWhenByteBoundHit) {
-  session::SessionConfig cfg;
-  cfg.max_queue_bytes = 100;
-  Cluster c({1, 2, 3}, cfg);
+  Cluster c({1, 2, 3});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
 
+  // Tenths of the 8 MiB byte bound; no token visit drains in between.
+  const std::size_t tenth = session::kMaxQueueBytes / 10;
   session::SessionNode& n = c.node(1);
-  EXPECT_TRUE(n.try_multicast(Bytes(60, 'a')).has_value());
-  EXPECT_FALSE(n.try_multicast(Bytes(60, 'b')).has_value())
-      << "60+60 exceeds the 100-byte bound";
-  EXPECT_TRUE(n.try_multicast(Bytes(10, 'c')).has_value());
-  EXPECT_EQ(n.pending_out_bytes(), 70u);
+  EXPECT_TRUE(n.try_multicast(Bytes(6 * tenth, 'a')).has_value());
+  EXPECT_FALSE(n.try_multicast(Bytes(6 * tenth, 'b')).has_value())
+      << "six tenths twice exceeds the byte bound";
+  EXPECT_TRUE(n.try_multicast(Bytes(tenth, 'c')).has_value());
+  EXPECT_EQ(n.pending_out_bytes(), 7 * tenth);
 }
 
 TEST(Backpressure, OversizedMessageAdmittedIntoEmptyQueue) {
-  // A lone message larger than max_queue_bytes must not wedge forever: the
-  // byte bound only refuses when the queue is non-empty.
-  session::SessionConfig cfg;
-  cfg.max_queue_bytes = 100;
-  Cluster c({1, 2, 3}, cfg);
+  // A lone message larger than the byte bound must not wedge forever: the
+  // bound only refuses when the queue is non-empty.
+  Cluster c({1, 2, 3});
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
-  EXPECT_TRUE(c.node(1).try_multicast(Bytes(5000, 'x')).has_value());
+  EXPECT_TRUE(c.node(1)
+                  .try_multicast(Bytes(session::kMaxQueueBytes + 1, 'x'))
+                  .has_value());
   c.run(seconds(2));
   for (NodeId id : c.ids()) {
     ASSERT_EQ(c.delivered(id).size(), 1u) << "node " << id;
@@ -356,19 +317,18 @@ TEST(Backpressure, ForceMulticastBypassesBound) {
   }
 }
 
-// --- Flush-deadline vs token loss --------------------------------------------
+// --- Queued messages vs token loss ------------------------------------------
 
-TEST(BatchingRaces, DeferredMessagesSurviveTokenHolderCrash) {
-  // The race: a sender is deferring its backlog (deadline not yet reached)
-  // when the token dies with its current holder. Deferred messages sit in
-  // the sender's local pending_out_ queue — they are NOT on the lost token —
-  // so 911 regeneration must neither lose nor duplicate them; they attach
-  // after recovery and deliver exactly once, in enqueue order.
+TEST(BatchingRaces, QueuedMessagesSurviveTokenHolderCrash) {
+  // The race: a sender has a backlog queued when the token dies with its
+  // current holder. Queued messages sit in the sender's local pending_out_
+  // queue — they are NOT on the lost token — so 911 regeneration must
+  // neither lose nor duplicate them; they attach after recovery and
+  // deliver exactly once, in enqueue order.
   session::SessionConfig cfg;
   cfg.token_hold = millis(2);
   cfg.hungry_timeout = millis(400);
   cfg.max_batch_msgs = 64;
-  cfg.flush_deadline = millis(250);
   Cluster c({1, 2, 3, 4}, cfg);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
@@ -386,9 +346,8 @@ TEST(BatchingRaces, DeferredMessagesSurviveTokenHolderCrash) {
   }
   ASSERT_NE(victim, 0u) << "no non-sender token holder observed";
 
-  // Enqueue the deferred backlog at node 1, then immediately kill the
-  // holder — the deadline (250 ms) is far beyond the recovery time, so the
-  // messages are still deferring when the token dies.
+  // Enqueue the backlog at node 1, then immediately kill the holder: the
+  // messages are still queued when the token dies.
   for (int i = 0; i < 5; ++i) c.send(1, "race" + std::to_string(i));
   c.net().set_node_up(victim, false);
   c.node(victim).stop();
@@ -416,7 +375,6 @@ ChaosProfile batching_profile() {
   ChaosProfile p;
   p.max_batch_msgs = 16;
   p.max_batch_bytes = 2048;
-  p.flush_deadline = millis(5);
   return p;
 }
 
@@ -424,7 +382,7 @@ class BatchingChaosSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(BatchingChaosSweep, MultiRingRoundHasNoViolations) {
   // The full 13-fault-class schedule over 4 nodes × 3 rings, with batch
-  // formation (including the deferral trigger) live on every ring. The
+  // formation live on every ring. The
   // oracles (total order, exactly-once, membership agreement) must stay
   // clean — batching changed the wire format, not the semantics.
   ChaosRoundResult res = run_multi_ring_round(GetParam(), millis(1500), 4, 3,

@@ -258,7 +258,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SessionChaos,
 // --- Token-hop batching properties -------------------------------------------
 //
 // Batching changed the wire format (multi-message AttachedBatch frames,
-// per-visit byte budgets, the flush-deadline formation trigger) but must
+// per-visit message and byte budgets) but must
 // not change the delivery semantics the protocol promises:
 //   B1  Any knob setting yields one identical total order at every node,
 //       with exactly-once delivery, under loss and reordering.
@@ -274,16 +274,14 @@ struct BatchParams {
   std::uint64_t seed;
   std::size_t max_batch_msgs;
   std::size_t max_batch_bytes;
-  Time flush_deadline;
   double drop;
 };
 
 std::string batch_param_name(const ::testing::TestParamInfo<BatchParams>& i) {
   char buf[96];
-  std::snprintf(buf, sizeof(buf), "seed%llu_m%zu_b%zu_d%d_drop%d",
+  std::snprintf(buf, sizeof(buf), "seed%llu_m%zu_b%zu_drop%d",
                 static_cast<unsigned long long>(i.param.seed),
                 i.param.max_batch_msgs, i.param.max_batch_bytes,
-                static_cast<int>(i.param.flush_deadline / kNanosPerMilli),
                 static_cast<int>(i.param.drop * 100));
   return buf;
 }
@@ -305,7 +303,6 @@ class BatchingProperty : public ::testing::TestWithParam<BatchParams> {
     cfg.hungry_timeout = millis(1200);
     cfg.max_batch_msgs = p.max_batch_msgs;
     cfg.max_batch_bytes = p.max_batch_bytes;
-    cfg.flush_deadline = p.flush_deadline;
     return cfg;
   }
 
@@ -467,7 +464,7 @@ TEST_P(BatchingProperty, KnobsPreserveUnbatchedDeliverySemantics) {
     Cluster ref(ids, reference, ncfg);
     ref.bootstrap_via_join();
     ASSERT_TRUE(ref.run_until_converged(ids, seconds(60)));
-    // The defaults (no deadline, a budget far above this load) leave room
+    // The defaults (a budget far above this load) leave room
     // for every hold-time message on the pass it was queued beside.
     EXPECT_EQ(run(ref, s, p.seed), 0)
         << "hold-time messages missed their hold's pass";
@@ -527,17 +524,17 @@ INSTANTIATE_TEST_SUITE_P(
     Knobs, BatchingProperty,
     ::testing::Values(
         // Degenerate single-message frames: batching off in all but format.
-        BatchParams{1, 1, 64, 0, 0.0},
+        BatchParams{1, 1, 64, 0.0},
         // Tiny byte budget forces multi-frame visits.
-        BatchParams{2, 4, 256, 0, 0.02},
-        // Deadline-driven formation under loss.
-        BatchParams{3, 16, 2048, millis(5), 0.05},
+        BatchParams{2, 4, 256, 0.02},
+        // The chaos sweep's batching profile under loss.
+        BatchParams{3, 16, 2048, 0.05},
         // Production-like knobs.
-        BatchParams{4, 128, 1 << 20, millis(3), 0.0},
-        // Small everything, long deadline.
-        BatchParams{5, 8, 128, millis(10), 0.02},
+        BatchParams{4, 128, 1 << 20, 0.0},
+        // Small everything.
+        BatchParams{5, 8, 128, 0.02},
         // Heavy loss.
-        BatchParams{6, 64, 4096, millis(1), 0.10}),
+        BatchParams{6, 64, 4096, 0.10}),
     batch_param_name);
 
 }  // namespace

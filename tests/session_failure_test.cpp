@@ -328,11 +328,9 @@ TEST(SessionFailureMetrics, ProbationSavesDegradedPeerFromFalseRemoval) {
   // degraded rather than dead — and retries the pass instead of removing
   // it. After the blackout lifts, the retried pass lands: membership never
   // shrinks and a probation save is recorded.
-  session::SessionConfig cfg;
-  cfg.probation_passes = 2;
   transport::TransportConfig tcfg;
   tcfg.adaptive = true;
-  Cluster c({1, 2, 3, 4}, cfg, {}, tcfg);
+  Cluster c({1, 2, 3, 4}, session::SessionConfig{}, {}, tcfg);
   c.bootstrap_via_join();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
   c.run(millis(200));  // prime the RTT estimators ring-wide

@@ -138,11 +138,9 @@ TEST(SessionMuxDetector, OwnFailedPassIsRetriedUnderProbation) {
   // Fanning the same failure back into this ring as a suspicion would
   // take the stuck-passer shortcut first, spend the budget, and let the
   // ring's own callback remove node 2.
-  SessionConfig cfg;
-  cfg.probation_passes = 1;
   transport::TransportConfig tcfg;
   tcfg.adaptive = true;
-  Cluster c({1, 2}, cfg, {}, tcfg);
+  Cluster c({1, 2}, SessionConfig{}, {}, tcfg);
   ASSERT_TRUE(form(c));
   c.run(millis(200));  // prime the RTT estimators
 

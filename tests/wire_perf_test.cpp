@@ -67,6 +67,68 @@ TEST(WirePerf, SteadyStateTokenHopAllocationBudget) {
   }
 }
 
+TEST(WirePerf, LoadedTokenHopCost) {
+  // bench_micro's BM_TokenHopWire/4 on the deterministic sim: 4 nodes,
+  // no hold, one 128-byte agreed multicast from node 1 per full rotation.
+  // Per rotation (4 hops) the wire counters read:
+  //   allocations 11 = 4 token encodes (one FrameBuilder per hop)
+  //                  + 4 ACK frames (one per hop)
+  //                  + 1 payload buffer (the multicast's Slice::take)
+  //                  + 2 for the attach-time batch frame: BatchBuilder::
+  //                    finish counts its buffer once itself and once more
+  //                    through Slice::take, so one buffer reads as two;
+  //   copies 5       = 1 attach-time gather of the payload into the batch
+  //                    frame (BatchBuilder::add, 128 B)
+  //                  + 4 token encodes gathering the batch frame (one per
+  //                    hop, 132 B: a 4-byte length prefix and the body);
+  //   bytes 656      = 128 + 4 x 132.
+  // Per hop that is 2.75 allocations, 1.25 copies and 164 B. The
+  // attach-time batch frame (one allocation, counted twice) and its gather
+  // (one copy, plus 4 B of length prefix per hop) are what batching added
+  // over the per-message attach, which read 2.25, 1.0 and 128 B. One more
+  // allocation or copy per rotation (+0.25 per hop) fails here.
+  constexpr std::size_t kNodes = 4;
+  constexpr int kRotations = 1000;
+  session::SessionConfig cfg;
+  cfg.token_hold = 0;  // rotate as fast as the wire allows
+  Cluster c(testing::node_ids(kNodes), cfg);
+  c.bootstrap_via_join();
+  ASSERT_TRUE(c.run_until_converged(c.ids(), seconds(30)));
+  c.run(seconds(1));  // settle into steady rotation
+
+  WireStats& ws = wire_stats();
+  const std::uint64_t hops0 = total_hops(c);
+  const std::uint64_t allocs0 = ws.allocs.value();
+  const std::uint64_t copies0 = ws.copies.value();
+  const std::uint64_t bytes0 = ws.bytes_copied.value();
+  for (int r = 0; r < kRotations; ++r) {
+    ByteWriter w(128);
+    for (int i = 0; i < 128; ++i) w.u8(0xab);
+    c.node(1).multicast(w.take());
+    const std::uint64_t target = total_hops(c) + kNodes;
+    while (total_hops(c) < target) c.net().loop().step();
+  }
+  const double dh = static_cast<double>(total_hops(c) - hops0);
+  const double allocs_per_hop =
+      static_cast<double>(ws.allocs.value() - allocs0) / dh;
+  const double copies_per_hop =
+      static_cast<double>(ws.copies.value() - copies0) / dh;
+  const double bytes_per_hop =
+      static_cast<double>(ws.bytes_copied.value() - bytes0) / dh;
+  RecordProperty("allocs_per_hop", std::to_string(allocs_per_hop));
+  RecordProperty("copies_per_hop", std::to_string(copies_per_hop));
+  RecordProperty("bytes_per_hop", std::to_string(bytes_per_hop));
+  EXPECT_NEAR(allocs_per_hop, 2.75, 0.1);
+  EXPECT_NEAR(copies_per_hop, 1.25, 0.1);
+  EXPECT_NEAR(bytes_per_hop, 164.0, 8.0);
+
+  c.run(seconds(1));  // the last message completes its rotation
+  for (NodeId id : c.ids()) {
+    EXPECT_EQ(c.delivered(id).size(), static_cast<std::size_t>(kRotations))
+        << "node " << id;
+  }
+}
+
 TEST(WirePerf, RetriesAndParallelSendsShareOneFrame) {
   net::SimNetwork net;
   auto& e1 = net.add_node(1, 2);

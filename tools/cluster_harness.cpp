@@ -28,9 +28,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -42,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cli.h"
 #include "common/json.h"
 #include "runtime/raincored_config.h"
 
@@ -62,27 +61,23 @@ constexpr std::chrono::milliseconds kPoll{100};
 /// All of `text` as a whole number in [lo, hi]; rejects anything else.
 std::uint64_t whole(const char* what, const char* text, std::uint64_t lo,
                     std::uint64_t hi) {
-  const char* end = text + std::strlen(text);
-  std::uint64_t v = 0;
-  const auto [p, ec] = std::from_chars(text, end, v);
-  if (ec != std::errc() || p != end || v < lo || v > hi) {
+  const auto v = cli::whole(text, lo, hi);
+  if (!v) {
     reject(std::string(what) + " wants a whole number in " +
            std::to_string(lo) + ".." + std::to_string(hi) + ", got '" +
            text + "'");
   }
-  return v;
+  return *v;
 }
 
 /// All of `text` as a finite number of seconds above zero.
 double seconds(const char* what, const char* text) {
-  const char* end = text + std::strlen(text);
-  double v = 0.0;
-  const auto [p, ec] = std::from_chars(text, end, v);
-  if (ec != std::errc() || p != end || !std::isfinite(v) || v <= 0.0) {
+  const auto v = cli::finite(text);
+  if (!v || *v <= 0.0) {
     reject(std::string(what) + " wants a finite number of seconds above " +
            "zero, got '" + text + "'");
   }
-  return v;
+  return *v;
 }
 
 struct Member {

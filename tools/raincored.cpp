@@ -13,18 +13,22 @@
 // corpse, and a restarted raincored re-founds singleton rings that merge
 // back in through discovery.
 //
-// Usage: raincored <config.json> [--run-s N]
+// Usage: raincored <config.json> [--run-s N], N a finite number of seconds,
+// zero or more. A malformed command line (a bad or missing N, an unknown
+// flag, an extra argument) exits 2 before the config is read.
 #include <unistd.h>
 
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
 
+#include "common/cli.h"
 #include "common/json.h"
 #include "runtime/raincored_config.h"
 
@@ -33,6 +37,13 @@ using namespace raincore;
 namespace {
 
 volatile std::sig_atomic_t g_stop = 0;
+
+[[noreturn]] void reject(const std::string& why) {
+  std::fprintf(stderr,
+               "raincored: %s\nusage: raincored <config.json> [--run-s N]\n",
+               why.c_str());
+  std::exit(2);
+}
 
 void on_signal(int) { g_stop = 1; }
 
@@ -85,15 +96,19 @@ std::string status_line(runtime::ThreadedNode& node) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: raincored <config.json> [--run-s N]\n");
-    return 2;
-  }
-  double run_s = -1.0;
+  if (argc < 2) reject("no config path");
+  double run_s = -1.0;  // below zero: run until SIGTERM/SIGINT
   for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--run-s") == 0 && i + 1 < argc) {
-      run_s = std::atof(argv[++i]);
+    if (std::strcmp(argv[i], "--run-s") != 0) {
+      reject(std::string("unexpected argument '") + argv[i] + "'");
     }
+    if (i + 1 >= argc) reject("--run-s needs a value");
+    const auto v = cli::finite(argv[++i]);
+    if (!v || *v < 0.0) {
+      reject(std::string("--run-s wants a finite number of seconds, zero "
+                         "or more, got '") + argv[i] + "'");
+    }
+    run_s = *v;
   }
 
   runtime::RaincoredConfig cfg;
