@@ -11,7 +11,9 @@
 
 #include "bench/util/bench_json.h"
 #include "bench/util/gc_harness.h"
+#include "common/crc32c.h"
 #include "session/token.h"
+#include "storage/wal.h"
 #include "transport/transport.h"
 
 using namespace raincore;
@@ -100,6 +102,33 @@ void BM_TransportRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TransportRoundTrip);
+
+/// The transport's frame checksum over one N-byte frame, on each path of
+/// crc32c(): the SSE4.2 `crc32` instruction and the portable slice-by-8
+/// table. fnv1a is the WAL's record checksum, which framed the transport
+/// before CRC32C, for scale. 16 KiB is about a loaded udp-small token hop.
+using ChecksumFn = std::uint32_t (*)(const std::uint8_t*, std::size_t);
+void BM_FrameChecksum(benchmark::State& state, ChecksumFn fn, bool hw) {
+  if (hw && !crc32c_hw_available()) {
+    state.SkipWithError("no SSE4.2 crc32 on this CPU");
+    return;
+  }
+  Rng rng(static_cast<std::uint64_t>(state.range(0)));
+  Bytes frame(static_cast<std::size_t>(state.range(0)));
+  for (auto& b : frame) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(frame.data());
+    std::uint32_t sum = fn(frame.data(), frame.size());
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK_CAPTURE(BM_FrameChecksum, sse42, crc32c_hw, true)
+    ->Arg(64)->Arg(1024)->Arg(16384);
+BENCHMARK_CAPTURE(BM_FrameChecksum, portable, crc32c_portable, false)
+    ->Arg(64)->Arg(1024)->Arg(16384);
+BENCHMARK_CAPTURE(BM_FrameChecksum, fnv1a, storage::Wal::fnv1a, false)
+    ->Arg(64)->Arg(1024)->Arg(16384);
 
 void BM_TokenRingFullRotation(benchmark::State& state) {
   const std::size_t n = state.range(0);

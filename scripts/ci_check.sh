@@ -28,7 +28,10 @@
 # link-health tables, forget_peer pruning) and the multi-interface paths
 # of redundant links run there under ASAN. Then session_failure_test and
 # session_mux_test: probation retries and saves, removal accounting, and
-# the shared detector's fan-out to sibling rings on one mux.
+# the shared detector's fan-out to sibling rings on one mux. The frame
+# checksum's tests run there too: CRC32C's published check values and the
+# agreement of its SSE4.2 and slice-by-8 paths over every length and start
+# offset, where an 8-byte load past a buffer's end fails under ASAN.
 #
 # The `durability`-labelled suite then runs under the same ASAN tree:
 # WAL format/torn-tail unit tests plus the restart-storm chaos sweep
@@ -63,7 +66,9 @@
 # The last stage builds the benchmark (perfbench/, its own CMake tree over
 # ../src, in .bench_build/) and runs its self-test. perfbench calls the
 # node, ring and scheduler entry points directly, so a change that breaks
-# one fails CI here instead of in a benchmark run.
+# one fails CI here instead of in a benchmark run. The A/B script's
+# self-test (scripts/ab_perfbench.py: medians, quartiles, wins, flags and
+# verdicts on canned runs) runs beside it.
 #
 # Environment:
 #   CHAOS_ROUNDS=50 CHAOS_MS=3000 CHAOS_NODES=5 CHAOS_SEED=1  sweep shape
@@ -92,7 +97,7 @@ cmake --build "$BUILD" -j"$JOBS" --target bench_chaos wire_perf_test \
     bench_durability batching_test fuzz_robustness_test property_test \
     bench_saturation reshard_test bench_reshard real_time_loop_test \
     oracles_test chaos_test transport_test splitbrain_test \
-    session_failure_test session_mux_test
+    session_failure_test session_mux_test common_test
 
 echo "== bench_chaos rejects malformed command lines (exit 2, no rounds run)"
 ctest --test-dir "$BUILD" -R '^bench_chaos_args$' --output-on-failure
@@ -128,6 +133,10 @@ echo "== session_failure_test and session_mux_test under ASAN (probation," \
      "removal accounting, the shared detector's fan-out across rings)"
 "$BUILD/tests/session_failure_test"
 "$BUILD/tests/session_mux_test"
+
+echo "== frame checksum under ASAN (CRC32C check values; SSE4.2 and" \
+     "slice-by-8 paths agree over lengths 0..1024 at offsets 0..7)"
+"$BUILD/tests/common_test" --gtest_filter='Crc32cTest.*'
 
 echo "== perf label under ASAN (allocation/copy budgets, encode-once)"
 ctest --test-dir "$BUILD" -L perf --output-on-failure
@@ -176,5 +185,8 @@ echo "== metrics_test under TSAN (lock-free histogram: concurrent records" \
 echo "== perfbench self-test (builds the benchmark over ../src; recorder," \
      "timeline, output checkers and kv-sim seed determinism)"
 python3 "$ROOT/perfbench/run.py" --selftest
+
+echo "== A/B script self-test (summary maths on canned runs)"
+python3 "$ROOT/scripts/ab_perfbench.py" --selftest
 
 echo "== ci_check OK"

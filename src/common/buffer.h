@@ -24,7 +24,7 @@ using Bytes = std::vector<std::uint8_t>;
 /// Wire slack reserved by FrameBuilder around every session payload
 /// (sk_buff-style): enough headroom for the transport data header
 /// [type u8][group u16][epoch u32][seq u64] to be prepended in place and
-/// enough tailroom for the trailing FNV-1a u32 checksum to be appended in
+/// enough tailroom for the trailing CRC32C u32 checksum to be appended in
 /// place.
 inline constexpr std::size_t kWireHeadroom = 15;
 inline constexpr std::size_t kWireTailroom = 4;

@@ -57,7 +57,6 @@ AttachedBatch BatchBuilder::finish(std::uint16_t ring_at_attach) {
   b.safe = safe_;
   b.hops = 0;
   b.ring_at_attach = ring_at_attach;
-  wire_stats().allocs.inc();  // the batch frame buffer
   b.payload = Slice::take(w_.take());
   return b;
 }

@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 
+#include "common/crc32c.h"
 #include "common/log.h"
 
 namespace raincore::transport {
@@ -15,7 +16,11 @@ constexpr const char* kMod = "transport";
 constexpr std::size_t kDataHeader = 15;
 constexpr std::size_t kRawHeader = 3;    // type u8 + group u16
 constexpr std::size_t kAckLen = 13;      // type u8 + epoch u32 + seq u64
-constexpr std::size_t kChecksumLen = 4;  // trailing FNV-1a u32
+/// Every frame ends in the CRC32C of all bytes before it: the end-to-end
+/// integrity check that turns in-flight bit flips (modelled by SimNetwork's
+/// corruption fault class, real on hostile networks) into clean drops +
+/// retransmission instead of corrupted protocol state.
+constexpr std::size_t kChecksumLen = 4;
 /// Adaptive mode: per-attempt RTO multiplier (exponential backoff across
 /// the retries of one transfer).
 constexpr double kRtoBackoff = 2.0;
@@ -26,19 +31,6 @@ constexpr double kRtoJitter = 0.1;
 /// Per-peer cap on the receiver's duplicate-suppression set
 /// (PeerRecv::above); overflow advances the watermark over the oldest gap.
 constexpr std::size_t kMaxRecvTracked = 4096;
-
-/// FNV-1a over the frame body. Every frame carries this as a trailing u32:
-/// the end-to-end integrity check that turns in-flight bit flips (modelled
-/// by SimNetwork's corruption fault class, real on hostile networks) into
-/// clean drops + retransmission instead of corrupted protocol state.
-std::uint32_t frame_checksum(const std::uint8_t* data, std::size_t n) {
-  std::uint32_t h = 2166136261u;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 16777619u;
-  }
-  return h;
-}
 
 void put_le16(std::uint8_t* p, std::uint16_t v) {
   p[0] = static_cast<std::uint8_t>(v);
@@ -59,7 +51,7 @@ Slice seal_frame(ByteWriter&& w) {
   Slice body = w.finish();
   auto f = body.expand(0, kChecksumLen);
   assert(f && "seal_frame requires kChecksumLen tailroom");
-  put_le32(f->tail, frame_checksum(f->frame.data(), body.size()));
+  put_le32(f->tail, crc32c(f->frame.data(), body.size()));
   return std::move(f->frame);
 }
 }  // namespace
@@ -189,7 +181,7 @@ Slice ReliableTransport::build_data_frame(Slice&& payload, MuxGroup group,
     put_le32(f->head + 3, epoch);
     put_le64(f->head + 7, seq);
     std::size_t body = f->frame.size() - kChecksumLen;
-    put_le32(f->tail, frame_checksum(f->frame.data(), body));
+    put_le32(f->tail, crc32c(f->frame.data(), body));
     frames_inplace_.inc();
     return std::move(f->frame);
   }
@@ -213,7 +205,7 @@ void ReliableTransport::send_unreliable_on(MuxGroup group, NodeId dst,
     f->head[0] = static_cast<std::uint8_t>(WireType::kRaw);
     put_le16(f->head + 1, group);
     std::size_t body = f->frame.size() - kChecksumLen;
-    put_le32(f->tail, frame_checksum(f->frame.data(), body));
+    put_le32(f->tail, crc32c(f->frame.data(), body));
     env_.send(net::Address{dst, 0}, std::move(f->frame), 0);
     return;
   }
@@ -377,7 +369,7 @@ void ReliableTransport::on_datagram(net::Datagram&& d) {
   if (d.payload.size() < 1 + kChecksumLen) return;
   std::size_t body = d.payload.size() - kChecksumLen;
   ByteReader tail(d.payload.data() + body, kChecksumLen);
-  if (tail.u32() != frame_checksum(d.payload.data(), body)) {
+  if (tail.u32() != crc32c(d.payload.data(), body)) {
     checksum_drops_.inc();
     return;
   }

@@ -1,8 +1,12 @@
-// Common kernel: serialization, clocks, RNG determinism, statistics.
+// Common kernel: serialization, checksums, clocks, RNG determinism,
+// statistics.
 #include <gtest/gtest.h>
+
+#include <string_view>
 
 #include "common/buffer.h"
 #include "common/clock.h"
+#include "common/crc32c.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/types.h"
@@ -73,6 +77,52 @@ TEST(BufferTest, EmptyStringAndBytes) {
   EXPECT_EQ(r.str(), "");
   EXPECT_TRUE(r.bytes().empty());
   EXPECT_TRUE(r.ok());
+}
+
+// RFC 3720 §B.4's CRC32C examples, plus the common "123456789" check
+// value. Each is checked on the portable path, on the SSE4.2 path where the
+// CPU has it, and through crc32c(), which picks one.
+TEST(Crc32cTest, PublishedCheckValues) {
+  struct Vector {
+    Bytes data;
+    std::uint32_t crc;
+  };
+  std::vector<Vector> vectors = {{Bytes(32, 0x00), 0x8A9136AAu},
+                                 {Bytes(32, 0xFF), 0x62A8AB43u},
+                                 {Bytes(32), 0x46DD794Eu},
+                                 {Bytes(32), 0x113FDB5Cu}};
+  for (std::uint8_t i = 0; i < 32; ++i) {
+    vectors[2].data[i] = i;
+    vectors[3].data[i] = static_cast<std::uint8_t>(31 - i);
+  }
+  const std::string_view check = "123456789";
+  vectors.push_back({Bytes(check.begin(), check.end()), 0xE3069283u});
+
+  for (const Vector& v : vectors) {
+    EXPECT_EQ(crc32c_portable(v.data.data(), v.data.size()), v.crc);
+    EXPECT_EQ(crc32c(v.data.data(), v.data.size()), v.crc);
+    if (crc32c_hw_available()) {
+      EXPECT_EQ(crc32c_hw(v.data.data(), v.data.size()), v.crc);
+    }
+  }
+  EXPECT_EQ(crc32c_portable(nullptr, 0), 0u);
+}
+
+// The slice-by-8 loop and the 8-byte `crc32` loop each fold whole words
+// and then finish bytewise, so every length 0..1024 at every start offset
+// 0..7 crosses each head, body and tail split.
+TEST(Crc32cTest, HardwareAndPortablePathsAgree) {
+  if (!crc32c_hw_available()) GTEST_SKIP() << "no SSE4.2 crc32 on this CPU";
+  Rng rng(3720);
+  Bytes buf(1024 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t n = 0; n <= 1024; ++n) {
+      ASSERT_EQ(crc32c_hw(buf.data() + off, n),
+                crc32c_portable(buf.data() + off, n))
+          << "offset " << off << ", length " << n;
+    }
+  }
 }
 
 TEST(ClockTest, ManualClockAdvancesMonotonically) {

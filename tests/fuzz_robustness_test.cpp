@@ -3,6 +3,7 @@
 // networking elements sit on hostile networks.
 #include <gtest/gtest.h>
 
+#include "common/crc32c.h"
 #include "session/messages.h"
 #include "testing/cluster.h"
 
@@ -10,6 +11,28 @@ namespace raincore {
 namespace {
 
 using testing::Cluster;
+
+/// A transport DATA frame (DESIGN.md Appendix A.1) on group 0 under sender
+/// epoch 1, sealed with its CRC32C trailer: it passes the receiver's
+/// checksum gate and hands `payload` to ring 0's decoders.
+Bytes data_frame(std::uint64_t seq, const Bytes& payload) {
+  ByteWriter w(15 + payload.size() + 4);
+  w.u8(1);   // kData
+  w.u16(0);  // group
+  w.u32(1);  // epoch
+  w.u64(seq);
+  w.raw(payload.data(), payload.size());
+  w.u32(crc32c(w.view().data(), w.view().size()));
+  return w.take();
+}
+
+std::uint64_t checksum_drops(Cluster& c) {
+  std::uint64_t total = 0;
+  for (NodeId id : c.ids()) {
+    total += c.mux(id).transport().checksum_drops().value();
+  }
+  return total;
+}
 
 class FuzzRobustness : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -47,9 +70,12 @@ TEST_P(FuzzRobustness, TruncatedProtocolMessagesAreRejected) {
   ASSERT_TRUE(c.run_until_converged({1, 2}, seconds(10)));
 
   // Build VALID transport frames whose session payloads are truncated
-  // protocol messages — the hardest case for the parsers.
+  // protocol messages — the hardest case for the parsers. Node 9 is a bare
+  // endpoint that never acks: a transport there would get itself admitted
+  // as a joiner by the full-length 911 and wedge the ring.
   auto& evil = c.net().add_node(9);
   Rng rng(GetParam() ^ 0xfu);
+  const std::uint64_t drops0 = checksum_drops(c);
 
   session::Token t = c.node(1).last_copy();
   std::vector<Slice> valid = {
@@ -63,15 +89,12 @@ TEST_P(FuzzRobustness, TruncatedProtocolMessagesAreRejected) {
     const Slice& base = valid[rng.next_below(valid.size())];
     std::size_t cut = rng.next_below(base.size()) + 1;
     Bytes payload(base.begin(), base.begin() + cut);
-    // Wrap in a transport DATA frame (type 1, u64 seq).
-    ByteWriter w(payload.size() + 9);
-    w.u8(1);
-    w.u64(wire_seq++);
-    w.raw(payload.data(), payload.size());
-    evil.send(net::Address{static_cast<NodeId>(1 + i % 2), 0}, w.take(), 0);
+    evil.send(net::Address{static_cast<NodeId>(1 + i % 2), 0},
+              data_frame(wire_seq++, payload));
     if (i % 50 == 0) c.run(millis(5));
   }
   c.run(seconds(2));
+  EXPECT_EQ(checksum_drops(c), drops0) << "frames died before the decoders";
   EXPECT_TRUE(c.converged({1, 2}));
   c.send(1, "ok");
   c.run(seconds(1));
@@ -84,6 +107,7 @@ TEST_P(FuzzRobustness, BitFlippedTokensAreHandled) {
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
   auto& evil = c.net().add_node(9);
   Rng rng(GetParam() * 31);
+  const std::uint64_t drops0 = checksum_drops(c);
   for (int i = 0; i < 300; ++i) {
     Bytes msg = session::encode_token_msg(c.node(1).last_copy()).to_bytes();
     // Flip a few random bits.
@@ -91,16 +115,14 @@ TEST_P(FuzzRobustness, BitFlippedTokensAreHandled) {
       msg[rng.next_below(msg.size())] ^=
           static_cast<std::uint8_t>(1u << rng.next_below(8));
     }
-    ByteWriter w(msg.size() + 9);
-    w.u8(1);
-    w.u64(1000000 + i);
-    w.raw(msg.data(), msg.size());
-    evil.send(net::Address{static_cast<NodeId>(1 + i % 3), 0}, w.take(), 0);
+    evil.send(net::Address{static_cast<NodeId>(1 + i % 3), 0},
+              data_frame(1000000 + i, msg));
     if (i % 25 == 0) c.run(millis(10));
   }
   // Corrupted tokens may transiently disturb membership (they can parse as
   // valid-looking tokens); the group must converge back and keep working.
   c.run(seconds(5));
+  EXPECT_EQ(checksum_drops(c), drops0) << "frames died before the decoders";
   EXPECT_TRUE(c.run_until_converged({1, 2, 3}, seconds(30)))
       << "group did not recover from corrupted-token injection";
   c.send(3, "recovered");

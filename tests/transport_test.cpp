@@ -318,6 +318,48 @@ TEST(TransportTest, CorruptedFramesAreDroppedAndRetransmitted) {
   EXPECT_GT(net.totals().pkts_corrupted.value(), 0u);
 }
 
+TEST(TransportTest, EveryFlippedBitOfACapturedFrameFailsTheChecksum) {
+  // Node 3 is a bare endpoint: it captures node 1's DATA frame, then
+  // replays it to node 2, once with each single bit flipped (header,
+  // payload and trailer alike) and then intact.
+  SimNetwork net;
+  ReliableTransport sender(net.add_node(1));
+  ReliableTransport receiver(net.add_node(2));
+  net::NodeEnv& tap = net.add_node(3);
+  Slice frame;
+  tap.set_receiver([&](net::Datagram&& d) {
+    if (frame.empty()) frame = std::move(d.payload);
+  });
+  std::vector<Slice> received;
+  receiver.set_message_handler(
+      [&](NodeId, Slice p) { received.push_back(std::move(p)); });
+
+  Bytes payload(32);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(0xa0 + i);
+  }
+  sender.send(3, payload);
+  net.loop().run_for(millis(1));
+  const Bytes clean = frame.to_bytes();
+  ASSERT_EQ(clean.size(), 15 + payload.size() + 4);  // header, body, CRC32C
+
+  for (std::size_t bit = 0; bit < clean.size() * 8; ++bit) {
+    Bytes flipped = clean;
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    tap.send(net::Address{2, 0}, std::move(flipped));
+  }
+  net.loop().run_for(millis(10));
+  EXPECT_EQ(receiver.checksum_drops().value(), clean.size() * 8);
+  EXPECT_TRUE(received.empty());
+
+  tap.send(net::Address{2, 0}, clean);
+  tap.send(net::Address{2, 0}, clean);  // a duplicate is acked, not delivered
+  net.loop().run_for(millis(10));
+  ASSERT_EQ(received.size(), 1u);
+  EXPECT_EQ(received[0], payload);
+  EXPECT_EQ(receiver.checksum_drops().value(), clean.size() * 8);
+}
+
 TEST(TransportTest, ParallelStrategyFailsOnlyWhenEveryInterfaceIsCut) {
   SimNetwork net;
   TransportConfig tcfg;
