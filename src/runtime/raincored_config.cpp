@@ -1,5 +1,6 @@
 #include "runtime/raincored_config.h"
 
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -17,6 +18,8 @@ constexpr std::uint64_t kMaxShards =
     std::uint64_t{std::numeric_limits<transport::MuxGroup>::max()} + 1;
 constexpr std::uint64_t kMaxMillis =
     std::numeric_limits<Time>::max() / kNanosPerMilli;
+// Exact as a double: a multiple of 8 below 2^54.
+constexpr double kMaxMicros = static_cast<double>(kMaxMillis * 1000);
 constexpr std::uint64_t kMaxSize = std::numeric_limits<std::size_t>::max();
 
 }  // namespace
@@ -53,21 +56,36 @@ bool RaincoredConfig::load(const std::string& path, RaincoredConfig& out,
     return true;
   };
 
+  // doc[key] as a decimal number of milliseconds in whole µs: the value
+  // must be the double nearest its µs count / 1000, so a finer one
+  // (0.0005) fails rather than rounds. An absent key leaves `v` as it was.
+  auto read_millis = [&](const char* key, Time& v) {
+    const JsonValue* j = doc.find(key);
+    if (!j) return true;
+    const double ms = j->is_number() ? j->as_number() : -1.0;
+    const double us = std::round(ms * 1000.0);
+    if (!(ms >= 0.0) || !(us <= kMaxMicros) || us / 1000.0 != ms) {
+      err = path + ": \"" + key + "\" must be a number of milliseconds in 0.." +
+            std::to_string(kMaxMillis) + " with at most 3 decimals";
+      return false;
+    }
+    v = micros(static_cast<std::int64_t>(us));
+    return true;
+  };
+
   std::uint64_t node = 0, port = 0;
   std::uint64_t shards = out.shards;
-  std::uint64_t hold_ms =
-      static_cast<std::uint64_t>(out.token_hold / kNanosPerMilli);
+  Time hold = out.token_hold;
   std::uint64_t batch_msgs = out.max_batch_msgs;
   std::uint64_t batch_bytes = out.max_batch_bytes;
-  std::uint64_t status_ms =
-      static_cast<std::uint64_t>(out.status_interval / kNanosPerMilli);
+  Time status = out.status_interval;
   if (!read_uint(doc, "node", kMaxNode, true, node) ||
       !read_uint(doc, "port", kMaxPort, true, port) ||
       !read_uint(doc, "shards", kMaxShards, false, shards) ||
-      !read_uint(doc, "token_hold_ms", kMaxMillis, false, hold_ms) ||
+      !read_millis("token_hold_ms", hold) ||
       !read_uint(doc, "max_batch_msgs", kMaxSize, false, batch_msgs) ||
       !read_uint(doc, "max_batch_bytes", kMaxSize, false, batch_bytes) ||
-      !read_uint(doc, "status_interval_ms", kMaxMillis, false, status_ms)) {
+      !read_millis("status_interval_ms", status)) {
     return false;
   }
   if (shards == 0) {
@@ -77,10 +95,10 @@ bool RaincoredConfig::load(const std::string& path, RaincoredConfig& out,
   out.node = static_cast<NodeId>(node);
   out.port = static_cast<std::uint16_t>(port);
   out.shards = static_cast<std::size_t>(shards);
-  out.token_hold = millis(static_cast<std::int64_t>(hold_ms));
+  out.token_hold = hold;
   out.max_batch_msgs = static_cast<std::size_t>(batch_msgs);
   out.max_batch_bytes = static_cast<std::size_t>(batch_bytes);
-  out.status_interval = millis(static_cast<std::int64_t>(status_ms));
+  out.status_interval = status;
   if (const JsonValue* v = doc.find("bind_ip"); v && v->is_string()) {
     out.bind_ip = v->as_string();
   }
@@ -116,21 +134,22 @@ bool RaincoredConfig::load(const std::string& path, RaincoredConfig& out,
 }
 
 std::string RaincoredConfig::dump() const {
+  // Whole µs over 1000: the double load() reads back to the same µs.
+  auto ms = [](Time t) {
+    return JsonValue::number(static_cast<double>(t / kNanosPerMicro) / 1000.0);
+  };
   JsonValue doc = JsonValue::object();
   doc.set("node", JsonValue::number(node));
   doc.set("shards", JsonValue::number(static_cast<double>(shards)));
   doc.set("bind_ip", JsonValue::string(bind_ip));
   doc.set("port", JsonValue::number(port));
   doc.set("storage_dir", JsonValue::string(storage_dir));
-  doc.set("token_hold_ms",
-          JsonValue::number(static_cast<double>(token_hold / kNanosPerMilli)));
+  doc.set("token_hold_ms", ms(token_hold));
   doc.set("max_batch_msgs",
           JsonValue::number(static_cast<double>(max_batch_msgs)));
   doc.set("max_batch_bytes",
           JsonValue::number(static_cast<double>(max_batch_bytes)));
-  doc.set("status_interval_ms",
-          JsonValue::number(
-              static_cast<double>(status_interval / kNanosPerMilli)));
+  doc.set("status_interval_ms", ms(status_interval));
   JsonValue arr = JsonValue::array();
   for (const Peer& p : peers) {
     JsonValue pv = JsonValue::object();

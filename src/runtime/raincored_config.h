@@ -6,12 +6,15 @@
 //     "bind_ip": "127.0.0.1",
 //     "port": 48211,
 //     "storage_dir": "/tmp/raincore/n1",
-//     "token_hold_ms": 2,
+//     "token_hold_ms": 0.5,
 //     "max_batch_msgs": 128,
 //     "max_batch_bytes": 8192,
 //     "status_interval_ms": 200,
 //     "peers": [ {"node": 2, "ip": "127.0.0.1", "port": 48212}, ... ]
 //   }
+//
+// The two *_ms keys take a decimal number of milliseconds, to whole
+// microseconds (0.5, 2, 0.25).
 //
 // Fixed ports are the cross-process norm (peers must be nameable in each
 // other's files); port 0 binds ephemeral, usable for a node that only
@@ -35,7 +38,9 @@ struct RaincoredConfig {
   std::uint16_t port = 0;
   /// Status/metrics output directory (created if missing).
   std::string storage_dir = ".";
-  Time token_hold = millis(2);
+  /// How long a member holds the token per visit. 0.5 ms is the knee of
+  /// the hold/CPU frontier measured on a 4-vCPU host (EXPERIMENTS.md E5).
+  Time token_hold = micros(500);
   /// Per-visit batch caps. Unlike the simulator, real UDP has a hard
   /// 65507-byte datagram ceiling, and an attached batch rides the token
   /// for one full rotation — so keep cluster_size x max_batch_bytes (plus

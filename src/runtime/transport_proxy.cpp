@@ -40,7 +40,8 @@ transport::TransferId TransportProxy::send_on(transport::MuxGroup group,
   assert(group == group_ && "a proxy serves exactly one ring/group");
   (void)group;
   std::uint64_t id = next_client_id_++;
-  Command c{Cmd::kSend, dst, id, std::move(payload)};
+  Command c{Cmd::kSend, dst, id, static_cast<bool>(delivered),
+            std::move(payload)};
   if (!commands_.try_push(std::move(c))) {
     // Saturated command ring == dead wire: fail the transfer locally, on
     // the worker loop (never re-entrantly from inside send_on).
@@ -63,7 +64,7 @@ void TransportProxy::send_unreliable_on(transport::MuxGroup group, NodeId dst,
                                         Slice payload) {
   assert(group == group_ && "a proxy serves exactly one ring/group");
   (void)group;
-  Command c{Cmd::kUnreliable, dst, 0, std::move(payload)};
+  Command c{Cmd::kUnreliable, dst, 0, false, std::move(payload)};
   if (!commands_.try_push(std::move(c))) {
     cmd_dropped_.inc();  // fire-and-forget: dropping is within contract
     return;
@@ -79,7 +80,7 @@ void TransportProxy::set_group_handler(transport::MuxGroup group,
 }
 
 void TransportProxy::forget_peer(NodeId peer) {
-  Command c{Cmd::kForget, peer, 0, Slice{}};
+  Command c{Cmd::kForget, peer, 0, false, Slice{}};
   if (!commands_.try_push(std::move(c))) {
     // Dropping a forget only delays peer-state GC; the next membership
     // change retries it.
@@ -127,11 +128,12 @@ void TransportProxy::io_drain_commands() {
     switch (c.kind) {
       case Cmd::kSend: {
         std::uint64_t id = c.client_id;
+        const bool wake = c.wake_on_delivered;
         transport_.send_on(
             group_, c.dst, std::move(c.payload),
-            [this, id](transport::TransferId, NodeId peer) {
+            [this, id, wake](transport::TransferId, NodeId peer) {
               io_push_event_reliably(Event{Ev::kDelivered, peer, id, Slice{}});
-              worker_loop_.notify();
+              if (wake) worker_loop_.notify();
             },
             [this, id](transport::TransferId, NodeId peer) {
               io_push_event_reliably(Event{Ev::kFailed, peer, id, Slice{}});

@@ -11,7 +11,8 @@
 //                                completions, suspect fan-out)
 //
 // Each push is followed by a notify() on the consumer's loop — an eventfd
-// write, no lock, no allocation. Completion callbacks are kept worker-side
+// write, no lock, no allocation — except a delivered completion nobody
+// registered a callback for, which rides the worker's next wake. Completion callbacks are kept worker-side
 // in a plain map keyed by a proxy-local transfer id, so std::function
 // state never crosses threads; the I/O thread only ever moves POD + Slice.
 //
@@ -89,6 +90,10 @@ class TransportProxy final : public transport::TransportHandle {
     Cmd kind = Cmd::kSend;
     NodeId dst = 0;
     std::uint64_t client_id = 0;
+    /// kSend with a delivered callback: its ack wakes the worker. Without
+    /// one (every token pass) the ack only erases a pending_ entry, so its
+    /// event waits for the worker's next wake instead of causing one.
+    bool wake_on_delivered = false;
     Slice payload;
   };
   enum class Ev : std::uint8_t { kInbound, kDelivered, kFailed, kSuspect };

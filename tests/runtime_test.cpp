@@ -1,8 +1,8 @@
 // Production runtime assembly: PeerStatusBoard snapshot semantics, the
 // raincored config file format, a live two-node ThreadedNode cluster
 // over kernel UDP loopback (ephemeral ports, discovery merge, cross-node
-// delivery, clean shutdown), the token hold anchored at arrival, and
-// 4 x 4-ring formations. ctest -L runtime
+// delivery, clean shutdown), the token hold anchored at arrival, worker
+// wakes per token hop, and 4 x 4-ring formations. ctest -L runtime
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -15,6 +15,7 @@
 #include <memory>
 #include <optional>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "runtime/peer_status.h"
@@ -120,27 +121,61 @@ TEST_F(RaincoredConfigTest, LoadsFullDocument) {
   EXPECT_EQ(nc.peers, (std::vector<NodeId>{2}));
   ASSERT_EQ(nc.ports.size(), 1u);
   EXPECT_EQ(nc.ports[0], 48211);
+
+  // The *_ms keys take decimals down to whole microseconds.
+  const std::vector<std::tuple<std::string, Time, Time>> decimal = {
+      {R"("token_hold_ms": 0.5)", micros(500), millis(200)},
+      {R"("token_hold_ms": 0.25, "status_interval_ms": 1.5)", micros(250),
+       micros(1500)},
+      {R"("token_hold_ms": 0.001, "status_interval_ms": 0)", micros(1), 0},
+      {R"("token_hold_ms": 2.0, "status_interval_ms": 1e2)", millis(2),
+       millis(100)},
+  };
+  for (const auto& [keys, hold, status] : decimal) {
+    RaincoredConfig d;
+    ASSERT_TRUE(RaincoredConfig::load(
+        write_file("dec.json", R"({"node": 1, "port": 48211, )" + keys +
+                                   R"(, "peers": []})"),
+        d, err))
+        << keys << ": " << err;
+    EXPECT_EQ(d.token_hold, hold) << keys;
+    EXPECT_EQ(d.status_interval, status) << keys;
+  }
 }
 
 TEST_F(RaincoredConfigTest, DumpRoundTrips) {
-  RaincoredConfig cfg;
-  cfg.node = 7;
-  cfg.shards = 3;
-  cfg.port = 50123;
-  cfg.storage_dir = "/tmp/rc/n7";
-  cfg.peers.push_back({8, "127.0.0.1", 50124});
-  cfg.peers.push_back({9, "127.0.0.1", 50125});
-  const std::string path = write_file("n7.json", cfg.dump());
-  RaincoredConfig back;
-  std::string err;
-  ASSERT_TRUE(RaincoredConfig::load(path, back, err)) << err;
-  EXPECT_EQ(back.node, cfg.node);
-  EXPECT_EQ(back.shards, cfg.shards);
-  EXPECT_EQ(back.port, cfg.port);
-  EXPECT_EQ(back.storage_dir, cfg.storage_dir);
-  ASSERT_EQ(back.peers.size(), 2u);
-  EXPECT_EQ(back.peers[1].node, 9u);
-  EXPECT_EQ(back.peers[1].port, 50125);
+  // The defaults, then a hold and a status cadence off whole milliseconds:
+  // both must come back exact, never truncated to the ms below.
+  RaincoredConfig sub_ms;
+  sub_ms.token_hold = micros(1500);
+  sub_ms.status_interval = micros(250);
+  for (RaincoredConfig cfg : {RaincoredConfig{}, sub_ms}) {
+    cfg.node = 7;
+    cfg.shards = 3;
+    cfg.port = 50123;
+    cfg.storage_dir = "/tmp/rc/n7";
+    cfg.peers.push_back({8, "127.0.0.1", 50124});
+    cfg.peers.push_back({9, "127.0.0.1", 50125});
+    const std::string path = write_file("n7.json", cfg.dump());
+    RaincoredConfig back;
+    back.token_hold = back.status_interval = 0;
+    std::string err;
+    ASSERT_TRUE(RaincoredConfig::load(path, back, err)) << err;
+    EXPECT_EQ(back.node, cfg.node);
+    EXPECT_EQ(back.shards, cfg.shards);
+    EXPECT_EQ(back.port, cfg.port);
+    EXPECT_EQ(back.storage_dir, cfg.storage_dir);
+    EXPECT_EQ(back.token_hold, cfg.token_hold);
+    EXPECT_EQ(back.status_interval, cfg.status_interval);
+    ASSERT_EQ(back.peers.size(), 2u);
+    EXPECT_EQ(back.peers[1].node, 9u);
+    EXPECT_EQ(back.peers[1].port, 50125);
+  }
+  // The file holds the exact value, as written by hand.
+  EXPECT_NE(RaincoredConfig{}.dump().find(R"("token_hold_ms":0.5,)"),
+            std::string::npos);
+  EXPECT_NE(sub_ms.dump().find(R"("status_interval_ms":0.25,)"),
+            std::string::npos);
 }
 
 TEST_F(RaincoredConfigTest, RejectsMissingKeysAndMalformedJson) {
@@ -177,6 +212,12 @@ TEST_F(RaincoredConfigTest, RejectsMissingKeysAndMalformedJson) {
       {node + ", " + port + R"(, "shards": 0)", peer},
       {node + ", " + port + R"(, "shards": 70000)", peer},
       {node + ", " + port + R"(, "token_hold_ms": -2)", peer},
+      {node + ", " + port + R"(, "token_hold_ms": -0.5)", peer},
+      {node + ", " + port + R"(, "token_hold_ms": 0.0005)", peer},
+      {node + ", " + port + R"(, "token_hold_ms": 1e30)", peer},
+      {node + ", " + port + R"(, "token_hold_ms": "2")", peer},
+      {node + ", " + port + R"(, "status_interval_ms": 0.2501)", peer},
+      {node + ", " + port + R"(, "status_interval_ms": null)", peer},
       {node + ", " + port + R"(, "max_batch_msgs": 1e30)", peer},
   };
   for (const auto& [top, p] : bad) {
@@ -185,6 +226,7 @@ TEST_F(RaincoredConfigTest, RejectsMissingKeysAndMalformedJson) {
                                        cfg, err))
         << top << " / " << p;
     EXPECT_FALSE(err.empty()) << top << " / " << p;
+    EXPECT_EQ(err.find('\n'), std::string::npos) << err;
   }
 }
 
@@ -326,6 +368,47 @@ TEST(ThreadedNodeTest, HoldEndsTokenHoldAfterArrivalDespiteSlowDelivery) {
   ASSERT_GE(d.count, 50u);
   EXPECT_LT(d.p50, static_cast<double>(kHold + micros(500)))
       << "the hold started after the visit's work, not at arrival";
+}
+
+// --- ThreadedNode: worker wakes per token hop --------------------------------
+
+// An idle ring's worker wakes when the token arrives and when its hold
+// ends. A pass registers no delivered callback, so the ack that completes
+// it must not wake the worker a third time; its completion waits for the
+// next wake.
+TEST(ThreadedNodeTest, IdleRingWakesItsWorkerTwicePerHop) {
+  std::vector<std::unique_ptr<ThreadedNode>> nodes;
+  for (NodeId id = 1; id <= 2; ++id) {
+    RaincoredConfig rc;  // raincored's hold
+    rc.node = id;
+    rc.shards = 1;
+    rc.peers.push_back({id == 1 ? NodeId{2} : NodeId{1}, "127.0.0.1", 0});
+    ThreadedNodeConfig nc = rc.to_node_config();
+    nc.storage.dir.clear();  // no delivery journal
+    nodes.push_back(std::make_unique<ThreadedNode>(nc));
+  }
+  nodes[0]->add_peer(2, 0, "127.0.0.1", nodes[1]->port(0));
+  nodes[1]->add_peer(1, 0, "127.0.0.1", nodes[0]->port(0));
+  for (auto& n : nodes) n->start();
+  for (auto& n : nodes) n->found_all();
+  ASSERT_TRUE(poll_until([&] {
+    return nodes[0]->all_converged(2) && nodes[1]->all_converged(2);
+  })) << "ring did not converge";
+
+  std::vector<metrics::Snapshot> before;
+  for (auto& n : nodes) before.push_back(n->metrics_snapshot());
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  std::uint64_t wakes = 0, passes = 0;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    metrics::Snapshot w = nodes[i]->metrics_snapshot().diff(before[i]);
+    wakes += w.counters["shard0.runtime.loop.wakeups"];
+    passes += w.counters["shard0.session.token.passed"];
+  }
+  for (auto& n : nodes) n->stop();
+
+  ASSERT_GE(passes, 100u) << "the token barely moved";
+  EXPECT_LE(static_cast<double>(wakes) / static_cast<double>(passes), 2.5)
+      << wakes << " worker wakes for " << passes << " passes";
 }
 
 // --- ThreadedNode: cluster formation over loopback UDP ------------------------
