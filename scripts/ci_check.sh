@@ -31,7 +31,9 @@
 # the shared detector's fan-out to sibling rings on one mux. The frame
 # checksum's tests run there too: CRC32C's published check values and the
 # agreement of its SSE4.2 and slice-by-8 paths over every length and start
-# offset, where an 8-byte load past a buffer's end fails under ASAN.
+# offset, where an 8-byte load past a buffer's end fails under ASAN. So
+# does session_edge_test's hold case: a ring behind a transport stub is
+# handed a token with a receipt stamp and must pass it at receipt + hold.
 #
 # The `durability`-labelled suite then runs under the same ASAN tree:
 # WAL format/torn-tail unit tests plus the restart-storm chaos sweep
@@ -50,8 +52,10 @@
 #
 # A ThreadSanitizer pass closes the gate: the `runtime`-labelled suite
 # (timer queue + loop parity, SPSC stress, cross-thread eventfd posts,
-# live ThreadedNode clusters, the udp_cluster smoke, the kill -9 raincored
-# harness, and the harness's and raincored's rejected command lines) runs
+# the proxy's ring sizes and hand-off stamps, live ThreadedNode clusters
+# and their hand-off histograms, the endpoint's refused-send count, the
+# udp_cluster smoke, the kill -9 raincored harness, and the harness's and
+# raincored's rejected command lines) runs
 # in a separate TSAN tree, since ASAN and TSAN cannot share one build.
 # Any data race in the I/O-thread/worker handoff fails here.
 # The metrics_test binary runs in the same tree: its concurrency case
@@ -97,7 +101,7 @@ cmake --build "$BUILD" -j"$JOBS" --target bench_chaos wire_perf_test \
     bench_durability batching_test fuzz_robustness_test property_test \
     bench_saturation reshard_test bench_reshard real_time_loop_test \
     oracles_test chaos_test transport_test splitbrain_test \
-    session_failure_test session_mux_test common_test
+    session_failure_test session_mux_test common_test session_edge_test
 
 echo "== bench_chaos rejects malformed command lines (exit 2, no rounds run)"
 ctest --test-dir "$BUILD" -R '^bench_chaos_args$' --output-on-failure
@@ -137,6 +141,11 @@ echo "== session_failure_test and session_mux_test under ASAN (probation," \
 echo "== frame checksum under ASAN (CRC32C check values; SSE4.2 and" \
      "slice-by-8 paths agree over lengths 0..1024 at offsets 0..7)"
 "$BUILD/tests/common_test" --gtest_filter='Crc32cTest.*'
+
+echo "== the hold counts from the token's receipt, under ASAN (a hand-built" \
+     "ring behind a transport stub, virtual time)"
+"$BUILD/tests/session_edge_test" \
+    --gtest_filter='SessionEdge.HoldCountsFromTheTokensReceipt'
 
 echo "== perf label under ASAN (allocation/copy budgets, encode-once)"
 ctest --test-dir "$BUILD" -L perf --output-on-failure

@@ -39,6 +39,16 @@ void derive(HistStat& hs) {
   hs.p99 = Histogram::quantile(hs.buckets, hs.min, hs.max, 0.99);
 }
 
+// mine += hs: the stats of one histogram that recorded both streams.
+void add_into(HistStat& mine, const HistStat& hs) {
+  if (hs.count == 0) return;
+  mine.min = mine.count ? std::min(mine.min, hs.min) : hs.min;
+  mine.max = mine.count ? std::max(mine.max, hs.max) : hs.max;
+  mine.sum += hs.sum;
+  mine.buckets = combine(mine.buckets, hs.buckets, false);
+  derive(mine);
+}
+
 std::string fmt(double v) {
   char buf[40];
   if (v == static_cast<double>(static_cast<long long>(v)) &&
@@ -130,14 +140,22 @@ void Snapshot::merge(const Snapshot& other) {
   for (const auto& [name, v] : other.gauges) gauges[name] += v;
   for (const auto& [name, hs] : other.histograms) {
     auto [it, fresh] = histograms.try_emplace(name, hs);
-    if (fresh || hs.count == 0) continue;
-    HistStat& mine = it->second;
-    mine.min = mine.count ? std::min(mine.min, hs.min) : hs.min;
-    mine.max = mine.count ? std::max(mine.max, hs.max) : hs.max;
-    mine.sum += hs.sum;
-    mine.buckets = combine(mine.buckets, hs.buckets, false);
-    derive(mine);
+    if (!fresh) add_into(it->second, hs);
   }
+}
+
+HistStat Snapshot::merged_histogram(const std::string& suffix) const {
+  HistStat out;
+  for (const auto& [name, hs] : histograms) {
+    const bool match =
+        name == suffix ||
+        (name.size() > suffix.size() &&
+         name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
+             0 &&
+         name[name.size() - suffix.size() - 1] == '.');
+    if (match) add_into(out, hs);
+  }
+  return out;
 }
 
 JsonValue Snapshot::to_json() const {

@@ -66,6 +66,13 @@ struct Snapshot {
   /// same as one histogram that recorded both streams.
   void merge(const Snapshot& other);
 
+  /// Every histogram named `suffix`, or ending in "." + `suffix` (one
+  /// instrument across the "shard<k>." prefixes), added exactly: buckets,
+  /// count, sum, min and max combine and the percentiles are computed from
+  /// the result, as one histogram fed every stream would give. An average
+  /// of per-instrument percentiles is not that. Empty when none matches.
+  HistStat merged_histogram(const std::string& suffix) const;
+
   /// One JSON object (single line, no trailing newline) — the JSONL export
   /// unit. Keys: "counters", "gauges", "histograms".
   std::string to_jsonl() const;

@@ -67,7 +67,10 @@ void UdpEndpoint::send(const Address& to, Slice payload,
                        std::uint8_t from_iface) {
   assert(from_iface < cfg_.ifaces);
   sockaddr_in addr{};
-  if (!book_.lookup(to, addr)) return;  // unknown peer == lost datagram
+  if (!book_.lookup(to, addr)) {  // unknown peer == lost datagram
+    send_failures_.unknown_peer.inc();
+    return;
+  }
 
   std::uint8_t hdr[5];
   for (int i = 0; i < 4; ++i) {
@@ -85,7 +88,21 @@ void UdpEndpoint::send(const Address& to, Slice payload,
   msg.msg_namelen = sizeof(addr);
   msg.msg_iov = iov;
   msg.msg_iovlen = payload.empty() ? 1 : 2;
-  ::sendmsg(fds_[from_iface], &msg, 0);
+  if (::sendmsg(fds_[from_iface], &msg, 0) < 0) count_send_failure(errno);
+}
+
+void UdpEndpoint::count_send_failure(int err) {
+  switch (err) {
+    case EMSGSIZE:
+      send_failures_.emsgsize.inc();
+      break;
+    case EAGAIN:
+    case ENOBUFS:
+      send_failures_.buffer_full.inc();
+      break;
+    default:
+      send_failures_.other.inc();
+  }
 }
 
 void UdpEndpoint::drain(std::uint8_t iface) {

@@ -17,6 +17,10 @@
 // travels as a separate iovec; the payload Slice is shared with retries
 // and parallel interfaces, never copied or prepended in place.
 //
+// A datagram the kernel refuses (over the 65,507-byte ceiling, a full
+// socket buffer) or one addressed to a peer the book does not know is
+// lost like any UDP datagram, but counted by cause (send_failures()).
+//
 // Timers, the clock and the rng are NodeEnv's, on the endpoint's loop:
 // schedule_exact() gets that loop's on-time wake. In a ThreadedNode only
 // the I/O thread's transport runs here (its timers are ordinary); rings
@@ -27,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/stats.h"
 #include "net/address_book.h"
 #include "net/network.h"
 #include "net/real_time_loop.h"
@@ -61,8 +66,19 @@ class UdpEndpoint final : public NodeEnv {
   /// Actual bound port (host order) — the ephemeral-discovery accessor.
   std::uint16_t port(std::uint8_t iface) const { return ports_.at(iface); }
 
+  /// Datagrams send() lost: refused by sendmsg, by errno class, or
+  /// addressed to a peer missing from the book. Readable from any thread.
+  struct SendFailures {
+    Counter emsgsize;      ///< EMSGSIZE: over the datagram ceiling
+    Counter buffer_full;   ///< EAGAIN or ENOBUFS: the socket buffer is full
+    Counter other;         ///< any other errno
+    Counter unknown_peer;  ///< no socket address for the destination
+  };
+  const SendFailures& send_failures() const { return send_failures_; }
+
  private:
   void drain(std::uint8_t iface);
+  void count_send_failure(int err);
 
   RealTimeLoop& loop_;
   AddressBook& book_;
@@ -70,6 +86,7 @@ class UdpEndpoint final : public NodeEnv {
   ReceiveFn receiver_;
   std::vector<int> fds_;
   std::vector<std::uint16_t> ports_;
+  SendFailures send_failures_;
 };
 
 }  // namespace raincore::net

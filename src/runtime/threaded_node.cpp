@@ -9,8 +9,6 @@ namespace raincore::runtime {
 
 namespace {
 
-/// SPSC depth per direction per ring.
-constexpr std::size_t kQueueCapacity = 4096;
 /// PeerStatusBoard refresh period on the I/O thread.
 constexpr Time kStatusRefresh = millis(10);
 
@@ -26,8 +24,8 @@ ThreadedNode::Worker::Worker(ThreadedNode& owner, std::size_t k)
           0x5e551077ull ^ (static_cast<std::uint64_t>(owner.cfg_.node) << 16) ^
               k),
       proxy(owner.io_loop_, loop, owner.transport_, owner.board_,
-            static_cast<transport::MuxGroup>(k), kQueueCapacity,
-            owner.runtime_reg_, shard_prefix(k)) {
+            static_cast<transport::MuxGroup>(k), owner.runtime_reg_,
+            shard_prefix(k)) {
   session::SessionConfig rc = owner.cfg_.ring;
   if (rc.metrics_prefix.empty()) rc.metrics_prefix = shard_prefix(k);
   ring = std::make_unique<session::SessionNode>(env, proxy, proxy.group(), rc);
@@ -82,8 +80,9 @@ ThreadedNode::ThreadedNode(ThreadedNodeConfig cfg)
   // All wiring below runs single-threaded, before start() spawns anything.
   for (auto& w : workers_) {
     transport_.set_group_handler(
-        w->proxy.group(), [p = &w->proxy](NodeId src, Slice payload) {
-          p->io_deliver(src, std::move(payload));
+        w->proxy.group(),
+        [p = &w->proxy](NodeId src, Slice payload, Time received) {
+          p->io_deliver(src, std::move(payload), received);
         });
   }
   transport_.set_failure_observer([this](NodeId peer,
@@ -219,6 +218,11 @@ bool ThreadedNode::all_converged(std::size_t n) {
 metrics::Snapshot ThreadedNode::metrics_snapshot() const {
   metrics::Snapshot s = transport_.metrics().snapshot();
   s.counters["runtime.loop.io.wakeups"] = io_loop_.wakeups();
+  const net::UdpEndpoint::SendFailures& f = endpoint_.send_failures();
+  s.counters["net.udp.send_failed.emsgsize"] = f.emsgsize.value();
+  s.counters["net.udp.send_failed.buffer_full"] = f.buffer_full.value();
+  s.counters["net.udp.send_failed.other"] = f.other.value();
+  s.counters["net.udp.send_unknown_peer"] = f.unknown_peer.value();
   for (std::size_t k = 0; k < workers_.size(); ++k) {
     const Worker& w = *workers_[k];
     s.merge(w.ring->metrics().snapshot());

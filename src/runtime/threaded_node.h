@@ -109,9 +109,12 @@ class ThreadedNode {
   session::SessionNode& ring_unsafe(std::size_t k) {
     return *workers_.at(k)->ring;
   }
-  /// Merged snapshot: transport + every ring + runtime instruments, plus
-  /// each loop's wake count ("runtime.loop.io.wakeups",
-  /// "shard<k>.runtime.loop.wakeups"). Safe while running (instruments are
+  /// Merged snapshot: transport + every ring + runtime instruments (each
+  /// ring's hand-off histograms "shard<k>.runtime.proxy.inbound_wait_ns"
+  /// and "...cmd_wait_ns"), each loop's wake count
+  /// ("runtime.loop.io.wakeups", "shard<k>.runtime.loop.wakeups") and the
+  /// endpoint's lost sends ("net.udp.send_failed.{emsgsize,buffer_full,
+  /// other}", "net.udp.send_unknown_peer"). Safe while running (instruments are
   /// thread-safe; registries mutex their maps) — values are per-instrument
   /// coherent, not a global cut.
   metrics::Snapshot metrics_snapshot() const;

@@ -15,7 +15,6 @@ TransportProxy::TransportProxy(net::RealTimeLoop& io_loop,
                                transport::ReliableTransport& transport,
                                PeerStatusBoard& board,
                                transport::MuxGroup group,
-                               std::size_t queue_capacity,
                                metrics::Registry& reg,
                                const std::string& prefix)
     : io_loop_(io_loop),
@@ -24,14 +23,21 @@ TransportProxy::TransportProxy(net::RealTimeLoop& io_loop,
       board_(board),
       group_(group),
       cfg_(transport.config()),
-      commands_(queue_capacity),
-      events_(queue_capacity * 2),
+      commands_(kCommandSlots),
+      events_(kEventSlots),
       cmd_dropped_(reg.counter(prefix + "runtime.proxy.cmd_dropped")),
       inbound_dropped_(reg.counter(prefix + "runtime.proxy.inbound_dropped")),
       event_retries_(reg.counter(prefix + "runtime.proxy.event_retries")),
-      event_dropped_(reg.counter(prefix + "runtime.proxy.event_dropped")) {}
+      event_dropped_(reg.counter(prefix + "runtime.proxy.event_dropped")),
+      inbound_wait_(reg.histogram(prefix + "runtime.proxy.inbound_wait_ns")),
+      cmd_wait_(reg.histogram(prefix + "runtime.proxy.cmd_wait_ns")) {}
 
 // --- Worker thread -----------------------------------------------------------
+
+bool TransportProxy::push_command(Command c) {
+  c.pushed = worker_loop_.now();
+  return commands_.try_push(std::move(c));
+}
 
 transport::TransferId TransportProxy::send_on(transport::MuxGroup group,
                                               NodeId dst, Slice payload,
@@ -40,9 +46,8 @@ transport::TransferId TransportProxy::send_on(transport::MuxGroup group,
   assert(group == group_ && "a proxy serves exactly one ring/group");
   (void)group;
   std::uint64_t id = next_client_id_++;
-  Command c{Cmd::kSend, dst, id, static_cast<bool>(delivered),
-            std::move(payload)};
-  if (!commands_.try_push(std::move(c))) {
+  if (!push_command(Command{Cmd::kSend, dst, id, static_cast<bool>(delivered),
+                            std::move(payload)})) {
     // Saturated command ring == dead wire: fail the transfer locally, on
     // the worker loop (never re-entrantly from inside send_on).
     cmd_dropped_.inc();
@@ -64,8 +69,8 @@ void TransportProxy::send_unreliable_on(transport::MuxGroup group, NodeId dst,
                                         Slice payload) {
   assert(group == group_ && "a proxy serves exactly one ring/group");
   (void)group;
-  Command c{Cmd::kUnreliable, dst, 0, false, std::move(payload)};
-  if (!commands_.try_push(std::move(c))) {
+  if (!push_command(Command{Cmd::kUnreliable, dst, 0, false,
+                            std::move(payload)})) {
     cmd_dropped_.inc();  // fire-and-forget: dropping is within contract
     return;
   }
@@ -80,8 +85,7 @@ void TransportProxy::set_group_handler(transport::MuxGroup group,
 }
 
 void TransportProxy::forget_peer(NodeId peer) {
-  Command c{Cmd::kForget, peer, 0, false, Slice{}};
-  if (!commands_.try_push(std::move(c))) {
+  if (!push_command(Command{Cmd::kForget, peer, 0, false, Slice{}})) {
     // Dropping a forget only delays peer-state GC; the next membership
     // change retries it.
     cmd_dropped_.inc();
@@ -95,7 +99,8 @@ void TransportProxy::worker_drain() {
   while (events_.try_pop(ev)) {
     switch (ev.kind) {
       case Ev::kInbound:
-        if (handler_) handler_(ev.peer, std::move(ev.payload));
+        inbound_wait_.record_time(worker_loop_.now() - ev.received);
+        if (handler_) handler_(ev.peer, std::move(ev.payload), ev.received);
         break;
       case Ev::kDelivered: {
         auto it = pending_.find(ev.client_id);
@@ -125,6 +130,7 @@ void TransportProxy::worker_drain() {
 void TransportProxy::io_drain_commands() {
   Command c;
   while (commands_.try_pop(c)) {
+    cmd_wait_.record_time(io_loop_.now() - c.pushed);
     switch (c.kind) {
       case Cmd::kSend: {
         std::uint64_t id = c.client_id;
@@ -151,12 +157,13 @@ void TransportProxy::io_drain_commands() {
   }
 }
 
-void TransportProxy::io_deliver(NodeId src, Slice payload) {
+void TransportProxy::io_deliver(NodeId src, Slice payload, Time received) {
   // Inbound datagram handoff: a full inbox counts and drops, same shape as
   // wire loss one layer down — the reliable-transport dedup/ack work is
   // already done, and the session protocol's 911/retransmission paths
   // recover anything that mattered.
-  if (!events_.try_push(Event{Ev::kInbound, src, 0, std::move(payload)})) {
+  if (!events_.try_push(
+          Event{Ev::kInbound, src, 0, std::move(payload), received})) {
     inbound_dropped_.inc();
     return;
   }

@@ -22,6 +22,11 @@
 // the protocol already survives; for inbound tokens the 911 recovery path
 // is the backstop. Completions and suspects are tiny and must not vanish
 // silently, so the I/O thread briefly yields-and-retries before giving up.
+//
+// Both hand-offs are timed into exact histograms (DESIGN.md §5d):
+// inbound_wait_ns from the transport's receipt of a frame to the worker
+// taking it, cmd_wait_ns from the worker's push of a command to the I/O
+// thread executing it.
 #pragma once
 
 #include <cstdint>
@@ -37,13 +42,23 @@ namespace raincore::runtime {
 
 class TransportProxy final : public transport::TransportHandle {
  public:
+  /// Ring sizes, from what crosses them. Messages ride the token, so per
+  /// rotation a worker receives one token plus its peers' 911s and
+  /// BODYODORs, and sends one pass plus its own. The worst burst is a
+  /// starving round in a ring at cluster_harness's 64-node cap: about
+  /// 3 x 63 commands (911s, replies, adverts) and as many inbound events,
+  /// each command's completion riding the event ring too. Every slot is
+  /// built when the proxy is (45 KB per ring here), so oversized rings
+  /// cost every formation their page faults.
+  static constexpr std::size_t kCommandSlots = 256;
+  static constexpr std::size_t kEventSlots = 512;
+
   /// Constructed on the setup thread before any loop runs. `reg` names the
-  /// proxy's overflow/depth instruments under `prefix` ("shard3.").
+  /// proxy's overflow and hand-off instruments under `prefix` ("shard3.").
   TransportProxy(net::RealTimeLoop& io_loop, net::RealTimeLoop& worker_loop,
                  transport::ReliableTransport& transport,
                  PeerStatusBoard& board, transport::MuxGroup group,
-                 std::size_t queue_capacity, metrics::Registry& reg,
-                 const std::string& prefix);
+                 metrics::Registry& reg, const std::string& prefix);
 
   // --- TransportHandle (worker thread) -------------------------------------
   transport::TransferId send_on(transport::MuxGroup group, NodeId dst,
@@ -77,8 +92,8 @@ class TransportProxy final : public transport::TransportHandle {
   /// (part of) the I/O loop's service handler.
   void io_drain_commands();
   /// Entry for inbound payloads of this proxy's group (the real
-  /// transport's group handler).
-  void io_deliver(NodeId src, Slice payload);
+  /// transport's group handler); `received` reaches the ring unchanged.
+  void io_deliver(NodeId src, Slice payload, Time received);
   /// Fan-out of a failure-on-delivery observed by any ring of this node.
   void io_notify_suspect(NodeId peer);
 
@@ -95,6 +110,7 @@ class TransportProxy final : public transport::TransportHandle {
     /// event waits for the worker's next wake instead of causing one.
     bool wake_on_delivered = false;
     Slice payload;
+    Time pushed = 0;  ///< worker clock at the push (cmd_wait_ns)
   };
   enum class Ev : std::uint8_t { kInbound, kDelivered, kFailed, kSuspect };
   struct Event {
@@ -102,7 +118,11 @@ class TransportProxy final : public transport::TransportHandle {
     NodeId peer = 0;
     std::uint64_t client_id = 0;
     Slice payload;
+    Time received = 0;  ///< kInbound: the transport's receipt time
   };
+
+  /// Pushes a command stamped with the worker's clock; false when full.
+  bool push_command(Command c);
 
   /// Push an event the protocol cannot afford to lose: yields to let the
   /// worker drain, then drops with a count as the last resort.
@@ -132,6 +152,8 @@ class TransportProxy final : public transport::TransportHandle {
   Counter& inbound_dropped_;
   Counter& event_retries_;
   Counter& event_dropped_;
+  Histogram& inbound_wait_;  // recorded by the worker
+  Histogram& cmd_wait_;      // recorded by the I/O thread
 };
 
 }  // namespace raincore::runtime

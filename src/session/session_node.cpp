@@ -43,9 +43,10 @@ SessionNode::SessionNode(net::NodeEnv& env,
     : env_(env), cfg_(std::move(cfg)), transport_(transport), group_(group) {
   incarnation_ = static_cast<std::uint32_t>(env_.rng().next_u64());
   eligible_.insert(cfg_.eligible.begin(), cfg_.eligible.end());
-  transport_.set_group_handler(group_, [this](NodeId src, Slice payload) {
-    on_transport_message(src, std::move(payload));
-  });
+  transport_.set_group_handler(
+      group_, [this](NodeId src, Slice payload, Time received) {
+        on_transport_message(src, std::move(payload), received);
+      });
 }
 
 SessionNode::~SessionNode() {
@@ -225,7 +226,8 @@ void SessionNode::run_exclusive(std::function<void()> fn) {
 
 // --- Message plumbing --------------------------------------------------------
 
-void SessionNode::on_transport_message(NodeId src, Slice payload) {
+void SessionNode::on_transport_message(NodeId src, Slice payload,
+                                       Time received) {
   (void)src;
   if (!started_) return;
   SessionMsgType type;
@@ -233,7 +235,7 @@ void SessionNode::on_transport_message(NodeId src, Slice payload) {
   switch (type) {
     case SessionMsgType::kToken: {
       Token t;
-      if (decode_token_msg(payload, t)) handle_token(std::move(t));
+      if (decode_token_msg(payload, t)) handle_token(std::move(t), received);
       break;
     }
     case SessionMsgType::k911: {

@@ -21,6 +21,7 @@
 
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -274,8 +275,8 @@ class SessionNode {
 
  private:
   // Message plumbing.
-  void on_transport_message(NodeId src, Slice payload);
-  void handle_token(Token&& t);
+  void on_transport_message(NodeId src, Slice payload, Time received);
+  void handle_token(Token&& t, Time received);
   void handle_911(const Msg911& m);
   void handle_911_reply(const Msg911Reply& m);
   void handle_bodyodor(const MsgBodyOdor& m);
@@ -287,8 +288,12 @@ class SessionNode {
   void process_attached(Token& t, std::size_t first = 0);
   void attach_pending(Token& t);
   void process_joins(Token& t);
-  void begin_eating(Token&& t);
-  void eating_cycle();
+  /// Takes the token and starts a visit. `received` is when a live
+  /// token's frame reached this node's transport (DESIGN.md §5): the hold
+  /// counts from the earlier of it and now. Every other entry (founding,
+  /// TBM adoption, regeneration, the singleton's re-entry) counts from now.
+  void begin_eating(Token&& t, Time received = kNoReceipt);
+  void eating_cycle(Time received = kNoReceipt);
   void pass_token();
   void send_token_to_successor();
   void on_pass_failure(NodeId failed);
@@ -426,6 +431,8 @@ class SessionNode {
   net::TimerId hold_timer_ = 0;
   /// Start of the current eating cycle: the hold is counted from here.
   Time eating_since_ = 0;
+  /// begin_eating/eating_cycle's "no receipt": the hold counts from now.
+  static constexpr Time kNoReceipt = std::numeric_limits<Time>::max();
   net::TimerId bodyodor_timer_ = 0;
   net::TimerId starving_timer_ = 0;
   net::TimerId join_timer_ = 0;

@@ -3,6 +3,7 @@
 // merge (§2.4), agreed/safe delivery (§2.6), and the shared-detector
 // suspicion fan-out used by multi-ring nodes. Node-level plumbing
 // (construction, lifecycle, timers, dispatch) lives in session_node.cpp.
+#include <algorithm>
 #include <cassert>
 
 #include "common/log.h"
@@ -77,7 +78,7 @@ bool SessionNode::is_stale(const Token& t) const {
   return it != seen_lineage_.end() && t.seq <= it->second;
 }
 
-void SessionNode::handle_token(Token&& t) {
+void SessionNode::handle_token(Token&& t, Time received) {
   stats_.tokens_received.inc();
 
   // A TBM token addressed to us is a merge invitation: hold it until our
@@ -138,10 +139,10 @@ void SessionNode::handle_token(Token&& t) {
     t.view_id++;
   }
 
-  begin_eating(std::move(t));
+  begin_eating(std::move(t), received);
 }
 
-void SessionNode::begin_eating(Token&& t) {
+void SessionNode::begin_eating(Token&& t, Time received) {
   if (hold_timer_) env_.cancel(hold_timer_), hold_timer_ = 0;
   starving_rounds_ = 0;
   // The token is here: whatever pass was struggling has resolved, so any
@@ -150,12 +151,15 @@ void SessionNode::begin_eating(Token&& t) {
   probation_left_ = 0;
   set_state(State::kEating, "begin_eating");
   token_ = std::move(t);
-  eating_cycle();
+  eating_cycle(received);
 }
 
-void SessionNode::eating_cycle() {
-  // The hold starts now: the work below runs inside it, not before it.
-  eating_since_ = env_.now();
+void SessionNode::eating_cycle(Time received) {
+  // The hold starts at the token's receipt: the work below, and on the
+  // threaded runtime the hand-off from the I/O thread before it, runs
+  // inside the hold, not before it. In the simulator a frame is handled
+  // the instant it arrives, so this is now.
+  eating_since_ = std::min(received, env_.now());
 
   // 1. Fold in any held foreign (TBM) tokens — the merge proper (§2.4).
   if (!pending_foreign_.empty()) {

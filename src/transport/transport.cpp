@@ -137,13 +137,14 @@ void ReliableTransport::set_group_handler(MuxGroup group, MessageFn fn) {
   }
 }
 
-void ReliableTransport::deliver(MuxGroup group, NodeId src, Slice payload) {
+void ReliableTransport::deliver(MuxGroup group, NodeId src, Slice payload,
+                                Time received) {
   auto it = handlers_.find(group);
   if (it == handlers_.end()) {
     unknown_group_drops_.inc();
     return;
   }
-  it->second(src, std::move(payload));
+  it->second(src, std::move(payload), received);
 }
 
 TransferId ReliableTransport::send_on(MuxGroup group, NodeId dst,
@@ -373,7 +374,8 @@ void ReliableTransport::on_datagram(net::Datagram&& d) {
     checksum_drops_.inc();
     return;
   }
-  last_heard_[d.src.node] = env_.now();
+  const Time received = env_.now();
+  last_heard_[d.src.node] = received;
   ByteReader r(d.payload.data(), body);
   auto type = static_cast<WireType>(r.u8());
   switch (type) {
@@ -430,7 +432,7 @@ void ReliableTransport::on_datagram(net::Datagram&& d) {
       }
       // Zero-copy delivery: the payload view aliases the datagram.
       deliver(group, d.src.node,
-              d.payload.subslice(kDataHeader, body - kDataHeader));
+              d.payload.subslice(kDataHeader, body - kDataHeader), received);
       break;
     }
     case WireType::kAck: {
@@ -454,7 +456,8 @@ void ReliableTransport::on_datagram(net::Datagram&& d) {
     case WireType::kRaw: {
       MuxGroup group = r.u16();
       if (!r.ok() || body <= kRawHeader) return;
-      deliver(group, d.src.node, d.payload.subslice(kRawHeader, body - kRawHeader));
+      deliver(group, d.src.node,
+              d.payload.subslice(kRawHeader, body - kRawHeader), received);
       break;
     }
     default:

@@ -58,8 +58,14 @@ class ReliableTransport : public TransportHandle {
   ReliableTransport& operator=(const ReliableTransport&) = delete;
   ~ReliableTransport() override;
 
-  /// Installs the message handler for the default group 0.
-  void set_message_handler(MessageFn fn) { set_group_handler(0, std::move(fn)); }
+  /// Installs the message handler for the default group 0, for users that
+  /// have no use for the receipt time.
+  void set_message_handler(std::function<void(NodeId src, Slice payload)> fn) {
+    set_group_handler(0, [fn = std::move(fn)](NodeId src, Slice payload,
+                                              Time) {
+      fn(src, std::move(payload));
+    });
+  }
 
   /// Installs (or clears, with an empty fn) the handler for one demux
   /// group. Inbound DATA/RAW payloads route by the group stamped in their
@@ -204,7 +210,7 @@ class ReliableTransport : public TransportHandle {
   Slice build_data_frame(Slice&& payload, MuxGroup group, std::uint32_t epoch,
                          std::uint64_t seq);
   /// Routes an inbound payload to its group's handler (or counts the drop).
-  void deliver(MuxGroup group, NodeId src, Slice payload);
+  void deliver(MuxGroup group, NodeId src, Slice payload, Time received);
   void attempt(TransferId id);
   void on_attempt_timeout(TransferId id);
   /// Timeout for the attempt just transmitted: cfg_.rto in fixed mode;

@@ -56,8 +56,12 @@ using TransferId = std::uint64_t;
 using MuxGroup = std::uint16_t;
 
 /// Upper-layer delivery: the payload slice aliases the inbound datagram
-/// (zero-copy); retaining it keeps the datagram storage alive.
-using MessageFn = std::function<void(NodeId src, Slice payload)>;
+/// (zero-copy); retaining it keeps the datagram storage alive. `received`
+/// is the transport's clock reading when the frame passed its checksum,
+/// before the ack: a handler that runs later (a worker-pinned ring behind
+/// its proxy) can still count from the frame's arrival.
+using MessageFn =
+    std::function<void(NodeId src, Slice payload, Time received)>;
 using DeliveredFn = std::function<void(TransferId, NodeId peer)>;
 using FailedFn = std::function<void(TransferId, NodeId peer)>;
 

@@ -210,6 +210,38 @@ TEST(MetricsSnapshot, MergeEqualsConcatenatedStream) {
   EXPECT_EQ(merged.histograms.at("h").p99, 50.0);
 }
 
+TEST(MetricsSnapshot, MergedHistogramBySuffixEqualsOneStream) {
+  // One instrument on two shards ("shard0.x", "shard1.x") merged by name
+  // suffix is the histogram that recorded both streams: buckets add, and
+  // the percentiles come from the sum, not from averaging the shards'.
+  Registry shards, whole;
+  for (int i = 0; i < 300; ++i) {
+    const double v = (i * 7919 % 1009) * 53.0;
+    shards.histogram(i % 3 ? "shard0.x" : "shard1.x").record(v);
+    whole.histogram("x").record(v);
+  }
+  for (int i = 0; i < 40; ++i) {
+    shards.histogram("shard1.x").record(1.0e6);
+    whole.histogram("x").record(1.0e6);
+  }
+  shards.histogram("shard0.unrelated_x").record(7.0);  // no "." boundary
+  shards.histogram("shard0.y").record(7.0);
+  const Snapshot s = shards.snapshot();
+  const HistStat m = s.merged_histogram("x");
+  const HistStat w = whole.snapshot().histograms.at("x");
+  EXPECT_EQ(m.buckets, w.buckets);
+  EXPECT_EQ(m.count, w.count);
+  EXPECT_EQ(m.count, 340u);
+  EXPECT_EQ(m.min, w.min);
+  EXPECT_EQ(m.max, w.max);
+  EXPECT_EQ(m.p50, w.p50);
+  EXPECT_EQ(m.p99, w.p99);
+  EXPECT_DOUBLE_EQ(m.sum, w.sum);
+  // A plain name matches itself; no match is an empty histogram.
+  EXPECT_EQ(whole.snapshot().merged_histogram("x"), w);
+  EXPECT_EQ(s.merged_histogram("z"), HistStat{});
+}
+
 TEST(MetricsSnapshot, DiffWindowsPercentiles) {
   // The window's own quantiles: the 100 ms samples recorded before the
   // earlier snapshot must not leak into the diff's p99.

@@ -1,8 +1,10 @@
 // Production runtime assembly: PeerStatusBoard snapshot semantics, the
-// raincored config file format, a live two-node ThreadedNode cluster
-// over kernel UDP loopback (ephemeral ports, discovery merge, cross-node
-// delivery, clean shutdown), the token hold anchored at arrival, worker
-// wakes per token hop, and 4 x 4-ring formations. ctest -L runtime
+// raincored config file format, the endpoint's count of refused sends,
+// the TransportProxy's ring sizes and hand-off timing, a live two-node
+// ThreadedNode cluster over kernel UDP loopback (ephemeral ports,
+// discovery merge, cross-node delivery, clean shutdown), the token hold
+// anchored at arrival, worker wakes and hand-offs per token hop, and
+// 4 x 4-ring formations. ctest -L runtime
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -18,9 +20,11 @@
 #include <tuple>
 #include <vector>
 
+#include "net/udp_endpoint.h"
 #include "runtime/peer_status.h"
 #include "runtime/raincored_config.h"
 #include "runtime/threaded_node.h"
+#include "runtime/transport_proxy.h"
 
 using namespace raincore;
 using runtime::RaincoredConfig;
@@ -37,6 +41,27 @@ bool poll_until(const std::function<bool()>& cond,
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   return true;
+}
+
+/// Starts a 2-node, 1-ring cluster from raincored's defaults (its hold),
+/// with no delivery journal; true once both nodes see the 2-member ring.
+bool start_raincored_pair(std::vector<std::unique_ptr<ThreadedNode>>& nodes) {
+  for (NodeId id = 1; id <= 2; ++id) {
+    RaincoredConfig rc;
+    rc.node = id;
+    rc.shards = 1;
+    rc.peers.push_back({id == 1 ? NodeId{2} : NodeId{1}, "127.0.0.1", 0});
+    ThreadedNodeConfig nc = rc.to_node_config();
+    nc.storage.dir.clear();
+    nodes.push_back(std::make_unique<ThreadedNode>(nc));
+  }
+  nodes[0]->add_peer(2, 0, "127.0.0.1", nodes[1]->port(0));
+  nodes[1]->add_peer(1, 0, "127.0.0.1", nodes[0]->port(0));
+  for (auto& n : nodes) n->start();
+  for (auto& n : nodes) n->found_all();
+  return poll_until([&] {
+    return nodes[0]->all_converged(2) && nodes[1]->all_converged(2);
+  });
 }
 
 }  // namespace
@@ -230,6 +255,116 @@ TEST_F(RaincoredConfigTest, RejectsMissingKeysAndMalformedJson) {
   }
 }
 
+// --- UdpEndpoint: refused sends are counted ----------------------------------
+
+// A datagram over the 65,507-byte ceiling never leaves: sendmsg refuses it
+// with EMSGSIZE, and the endpoint counts the refusal instead of dropping
+// it without a trace. A 1,000-byte send to the same live peer arrives and
+// counts nothing.
+TEST(UdpEndpointTest, OversizeSendIsCountedAndDeliversNothing) {
+  net::RealTimeLoop loop;
+  net::AddressBook book;
+  net::UdpEndpointConfig ca, cb;
+  ca.node = 1;
+  cb.node = 2;
+  net::UdpEndpoint a(loop, book, ca), b(loop, book, cb);
+  std::vector<std::size_t> got;
+  b.set_receiver([&](net::Datagram&& d) { got.push_back(d.payload.size()); });
+  const net::UdpEndpoint::SendFailures& f = a.send_failures();
+
+  a.send(net::Address{2, 0}, Slice::take(Bytes(70000, 7)), 0);
+  loop.run_for(millis(50));
+  EXPECT_EQ(f.emsgsize.value(), 1u);
+  EXPECT_TRUE(got.empty());
+
+  a.send(net::Address{2, 0}, Slice::take(Bytes(1000, 7)), 0);
+  for (int i = 0; i < 100 && got.empty(); ++i) loop.run_for(millis(10));
+  EXPECT_EQ(got, std::vector<std::size_t>{1000});
+  EXPECT_EQ(f.emsgsize.value(), 1u);
+  EXPECT_EQ(f.buffer_full.value(), 0u);
+  EXPECT_EQ(f.other.value(), 0u);
+  EXPECT_EQ(f.unknown_peer.value(), 0u);
+}
+
+// --- TransportProxy: ring sizes and hand-off timing ---------------------------
+
+// One proxy over a real transport whose loops never run: the test thread
+// plays both the worker and the I/O thread.
+class TransportProxyTest : public ::testing::Test {
+ protected:
+  std::uint64_t counter(const std::string& name) const {
+    return reg_.snapshot().counters.at("shard0.runtime.proxy." + name);
+  }
+  metrics::HistStat histogram(const std::string& name) const {
+    return reg_.snapshot().histograms.at("shard0.runtime.proxy." + name);
+  }
+
+  net::RealTimeLoop io_loop_, worker_loop_;
+  net::AddressBook book_;
+  net::UdpEndpoint endpoint_{io_loop_, book_, net::UdpEndpointConfig{}};
+  transport::ReliableTransport transport_{endpoint_};
+  runtime::PeerStatusBoard board_;
+  metrics::Registry reg_;
+  runtime::TransportProxy proxy_{io_loop_, worker_loop_, transport_, board_,
+                                 0, reg_, "shard0."};
+};
+
+// The worst burst a ring's proxy carries is a starving round in a ring at
+// cluster_harness's 64-node cap: about 3 x 63 commands (911s, replies,
+// adverts) and as many inbound events. Pushed with no drain at all, none
+// drops. Past the rings' sizes a push still counts and drops.
+TEST_F(TransportProxyTest, StarvingRoundAtTheNodeCapFitsTheRings) {
+  constexpr std::size_t kBurst = 3 * 63;
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    proxy_.send_on(0, 2, Slice::take(Bytes{1, 2, 3}));
+    proxy_.io_deliver(2, Slice::take(Bytes{4, 5, 6}), io_loop_.now());
+  }
+  EXPECT_EQ(counter("cmd_dropped"), 0u);
+  EXPECT_EQ(counter("inbound_dropped"), 0u);
+
+  for (std::size_t i = kBurst; i < runtime::TransportProxy::kCommandSlots;
+       ++i) {
+    proxy_.send_unreliable_on(0, 2, Slice::take(Bytes{1}));
+  }
+  for (std::size_t i = kBurst; i < runtime::TransportProxy::kEventSlots; ++i) {
+    proxy_.io_deliver(2, Slice::take(Bytes{1}), io_loop_.now());
+  }
+  EXPECT_EQ(counter("cmd_dropped"), 0u);
+  EXPECT_EQ(counter("inbound_dropped"), 0u);
+  proxy_.send_unreliable_on(0, 2, Slice::take(Bytes{1}));
+  proxy_.io_deliver(2, Slice::take(Bytes{1}), io_loop_.now());
+  EXPECT_EQ(counter("cmd_dropped"), 1u);
+  EXPECT_EQ(counter("inbound_dropped"), 1u);
+}
+
+// The transport's receipt time crosses the event ring unchanged, so the
+// ring can count its hold from it, and the wait between receipt and the
+// worker taking the frame is one inbound_wait_ns sample. A command's wait
+// from the worker's push to the I/O side executing it is one cmd_wait_ns
+// sample.
+TEST_F(TransportProxyTest, ReceiptTimeReachesTheRingAndHandOffsAreTimed) {
+  std::vector<Time> seen;
+  proxy_.set_group_handler(0, [&](NodeId src, Slice, Time received) {
+    EXPECT_EQ(src, 2u);
+    seen.push_back(received);
+  });
+  const Time received = worker_loop_.now() - micros(300);
+  proxy_.io_deliver(2, Slice::take(Bytes{1, 2, 3}), received);
+  proxy_.worker_drain();
+  EXPECT_EQ(seen, std::vector<Time>{received});
+  const metrics::HistStat in = histogram("inbound_wait_ns");
+  EXPECT_EQ(in.count, 1u);
+  EXPECT_GE(in.min, static_cast<double>(micros(300)));
+  EXPECT_EQ(histogram("cmd_wait_ns").count, 0u);
+
+  proxy_.send_unreliable_on(0, 2, Slice::take(Bytes{1}));
+  proxy_.io_drain_commands();
+  const metrics::HistStat cmd = histogram("cmd_wait_ns");
+  EXPECT_EQ(cmd.count, 1u);
+  EXPECT_GE(cmd.min, 0.0);
+  EXPECT_EQ(histogram("inbound_wait_ns").count, 1u);
+}
+
 // --- ThreadedNode: two live nodes over loopback UDP ---------------------------
 
 TEST(ThreadedNodeTest, TwoNodeClusterDeliversAcrossKernelUdp) {
@@ -378,22 +513,7 @@ TEST(ThreadedNodeTest, HoldEndsTokenHoldAfterArrivalDespiteSlowDelivery) {
 // next wake.
 TEST(ThreadedNodeTest, IdleRingWakesItsWorkerTwicePerHop) {
   std::vector<std::unique_ptr<ThreadedNode>> nodes;
-  for (NodeId id = 1; id <= 2; ++id) {
-    RaincoredConfig rc;  // raincored's hold
-    rc.node = id;
-    rc.shards = 1;
-    rc.peers.push_back({id == 1 ? NodeId{2} : NodeId{1}, "127.0.0.1", 0});
-    ThreadedNodeConfig nc = rc.to_node_config();
-    nc.storage.dir.clear();  // no delivery journal
-    nodes.push_back(std::make_unique<ThreadedNode>(nc));
-  }
-  nodes[0]->add_peer(2, 0, "127.0.0.1", nodes[1]->port(0));
-  nodes[1]->add_peer(1, 0, "127.0.0.1", nodes[0]->port(0));
-  for (auto& n : nodes) n->start();
-  for (auto& n : nodes) n->found_all();
-  ASSERT_TRUE(poll_until([&] {
-    return nodes[0]->all_converged(2) && nodes[1]->all_converged(2);
-  })) << "ring did not converge";
+  ASSERT_TRUE(start_raincored_pair(nodes)) << "ring did not converge";
 
   std::vector<metrics::Snapshot> before;
   for (auto& n : nodes) before.push_back(n->metrics_snapshot());
@@ -409,6 +529,40 @@ TEST(ThreadedNodeTest, IdleRingWakesItsWorkerTwicePerHop) {
   ASSERT_GE(passes, 100u) << "the token barely moved";
   EXPECT_LE(static_cast<double>(wakes) / static_cast<double>(passes), 2.5)
       << wakes << " worker wakes for " << passes << " passes";
+}
+
+// --- ThreadedNode: each hop's two hand-offs ----------------------------------
+
+// An idle ring's token crosses each node's proxy twice per hop: the pass
+// leaves the worker as a command for the I/O thread, and the token comes
+// in as an event for the worker. Both hand-off histograms therefore take
+// about one sample per pass, each far shorter than the hold.
+TEST(ThreadedNodeTest, BothHandOffsAreTimedOncePerPass) {
+  const Time hold = RaincoredConfig{}.token_hold;
+  std::vector<std::unique_ptr<ThreadedNode>> nodes;
+  ASSERT_TRUE(start_raincored_pair(nodes)) << "ring did not converge";
+
+  std::vector<metrics::Snapshot> before;
+  for (auto& n : nodes) before.push_back(n->metrics_snapshot());
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  metrics::Snapshot window;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    window.merge(nodes[i]->metrics_snapshot().diff(before[i]));
+  }
+  for (auto& n : nodes) n->stop();
+
+  const double passes =
+      static_cast<double>(window.counters["shard0.session.token.passed"]);
+  ASSERT_GE(passes, 100.0) << "the token barely moved";
+  for (const char* name : {"shard0.runtime.proxy.inbound_wait_ns",
+                           "shard0.runtime.proxy.cmd_wait_ns"}) {
+    const metrics::HistStat& h = window.histograms.at(name);
+    EXPECT_NEAR(static_cast<double>(h.count) / passes, 1.0, 0.1)
+        << name << ": " << h.count << " samples for " << passes << " passes";
+    EXPECT_GT(h.p50, 0.0) << name;
+    EXPECT_LT(h.p50, static_cast<double>(hold)) << name;
+  }
+  EXPECT_EQ(window.counters.at("net.udp.send_failed.emsgsize"), 0u);
 }
 
 // --- ThreadedNode: cluster formation over loopback UDP ------------------------

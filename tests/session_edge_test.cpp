@@ -212,6 +212,76 @@ TEST(SessionEdge, RestartedOriginsMessagesAreDeliveredDespiteOldWatermarks) {
   }
 }
 
+// Stands in for the ring's transport: hands the test the ring's inbound
+// handler and records when each token pass leaves.
+class PassRecorder final : public transport::TransportHandle {
+ public:
+  explicit PassRecorder(net::NodeEnv& env) : env_(env) {}
+
+  transport::TransferId send_on(transport::MuxGroup, NodeId, Slice payload,
+                                transport::DeliveredFn,
+                                transport::FailedFn) override {
+    session::SessionMsgType type;
+    if (session::peek_type(payload, type) &&
+        type == session::SessionMsgType::kToken) {
+      passes.push_back(env_.now());
+    }
+    return ++sent_;
+  }
+  void send_unreliable_on(transport::MuxGroup, NodeId, Slice) override {}
+  void set_group_handler(transport::MuxGroup,
+                         transport::MessageFn fn) override {
+    handler = std::move(fn);
+  }
+  void forget_peer(NodeId) override {}
+  const transport::TransportConfig& config() const override { return cfg_; }
+  Time failure_detection_bound(NodeId) const override { return millis(150); }
+  Time since_heard(NodeId) const override { return 0; }
+
+  transport::MessageFn handler;
+  std::vector<Time> passes;
+
+ private:
+  net::NodeEnv& env_;
+  transport::TransportConfig cfg_;
+  transport::TransferId sent_ = 0;
+};
+
+// The hold counts from the token's receipt by the node's transport, not
+// from the instant the ring gets to it (DESIGN.md §5): on the threaded
+// runtime the hand-off to the ring's worker runs inside the hold. Handed
+// a token whose frame arrived 300 us earlier, a ring at a 500 us hold
+// passes it 200 us after handling it; received on the spot, a full hold
+// later. Virtual time, so both instants are exact.
+TEST(SessionEdge, HoldCountsFromTheTokensReceipt) {
+  constexpr Time kHold = micros(500);
+  for (const Time lag : {micros(300), Time{0}}) {
+    net::SimNetwork net;
+    net::NodeEnv& env = net.add_node(1);
+    PassRecorder transport(env);
+    session::SessionConfig cfg;
+    cfg.token_hold = kHold;
+    session::SessionNode ring(env, transport, 0, cfg);
+    ring.join({2});  // hungry until a token that lists it arrives
+    net.loop().run_for(millis(1));
+
+    session::Token t;
+    t.lineage = 42;
+    t.seq = 7;
+    t.view_id = 3;
+    t.ring = {2, 1};
+    const Time handled = env.now();
+    ASSERT_TRUE(transport.handler);
+    transport.handler(2, session::encode_token_msg(t), handled - lag);
+    EXPECT_EQ(ring.state(), session::SessionNode::State::kEating);
+    net.loop().run_for(millis(2));
+
+    ASSERT_EQ(transport.passes.size(), 1u) << "lag " << lag;
+    EXPECT_EQ(transport.passes.front(), handled - lag + kHold)
+        << "lag " << lag;
+  }
+}
+
 TEST(SessionEdge, ZeroHoldIntervalIsClamped) {
   session::SessionConfig cfg;
   cfg.token_hold = 0;

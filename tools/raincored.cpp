@@ -27,6 +27,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "common/cli.h"
 #include "common/json.h"
@@ -90,6 +91,22 @@ std::string status_line(runtime::ThreadedNode& node) {
           JsonValue::number(static_cast<double>(proxy_dropped)));
   doc.set("proxy_retries",
           JsonValue::number(static_cast<double>(proxy_retries)));
+  // The token's hop, merged exactly over the node's shards (ns): its
+  // rotation, the two hand-offs between the I/O thread and a ring's worker
+  // (receipt to worker, worker's push to I/O), and the transport's ack.
+  JsonValue hop = JsonValue::object();
+  for (const auto& [key, suffix] :
+       {std::pair{"rotation_ns", "session.token.rotation_ns"},
+        std::pair{"inbound_wait_ns", "runtime.proxy.inbound_wait_ns"},
+        std::pair{"cmd_wait_ns", "runtime.proxy.cmd_wait_ns"},
+        std::pair{"ack_latency_ns", "transport.ack_latency_ns"}}) {
+    const metrics::HistStat h = snap.merged_histogram(suffix);
+    JsonValue q = JsonValue::object();
+    q.set("p50", JsonValue::number(h.p50));
+    q.set("p99", JsonValue::number(h.p99));
+    hop.set(key, std::move(q));
+  }
+  doc.set("hop", std::move(hop));
   return doc.dump();
 }
 
